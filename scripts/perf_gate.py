@@ -633,7 +633,7 @@ def run_topo_gates(args, failures) -> dict:
             failures.append("arena checkpoint identity")
 
         # The gate point is the arena's home turf: sparse steady traffic
-        # crossing a 256-node fabric, where the event-driven graph still
+        # crossing a 256-node fabric, where the arena-off graph still
         # dispatches every router every cycle but the wake mask steps
         # only the handful on active paths.  (At saturation the busy
         # routers' own work dominates both engines and the arena

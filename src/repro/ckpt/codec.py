@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoint format (schema ``ckpt/1``).
+"""Versioned on-disk checkpoint format (schema ``ckpt/2``).
 
 A checkpoint file is::
 
@@ -42,9 +42,12 @@ from ..obs.manifest import build_manifest, config_digest
 #: First line of every checkpoint file.
 MAGIC = b"MMR-CKPT\n"
 
-#: Current checkpoint schema.  Bump the number when the file layout or the
-#: header's required fields change incompatibly.
-CKPT_SCHEMA = "ckpt/1"
+#: Current checkpoint schema.  Bump the number when the file layout, the
+#: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/2``: in-flight flits and credits live in ``Network._lanes``; a
+#: ``ckpt/1`` file holds them as pending heap events or arena rings that
+#: this build would never drain, so it is refused by name.
+CKPT_SCHEMA = "ckpt/2"
 
 
 class CheckpointError(RuntimeError):
@@ -149,7 +152,7 @@ class CheckpointHeader:
 
 
 class CheckpointCodec:
-    """Reads and writes ``ckpt/1`` checkpoint files."""
+    """Reads and writes ``ckpt/2`` checkpoint files."""
 
     schema = CKPT_SCHEMA
 

@@ -262,22 +262,22 @@ def run_ckpt_arena_identity_check(
     """Network arena through a checkpoint, including mid-run flag flips.
 
     Same four-leg pattern as the columnar check, at the network level.
-    The reference is the event-driven (arena-off) straight run; all four
-    arena legs must reproduce its summary exactly:
+    The reference is the arena-off straight run; all four arena legs
+    must reproduce its summary exactly:
 
     ``arena_straight``
         ``network_arena=True`` end to end.
     ``arena_resumed``
-        Arena run checkpointed at the midpoint (with link rings holding
-        in-flight flits), reloaded from disk, resumed with the arena on.
-        NumPy chunks are never pickled — the pool reallocates lazily at
-        its persisted layout — so this proves the rings plus object
-        graph carry the complete link plane.
+        Arena run checkpointed at the midpoint (with the network's link
+        lanes holding in-flight flits), reloaded from disk, resumed with
+        the arena on.  NumPy chunks are never pickled — the pool
+        reallocates lazily at its persisted layout — so this proves the
+        wake mask plus object graph carry the complete arena state.
     ``flip_off`` / ``flip_on``
-        The arena checkpoint resumed with the arena disabled (rings
-        migrate back to heap events), and an event-driven checkpoint
-        resumed with the arena enabled mid-run.  Both splices must be
-        bit-exact.
+        The arena checkpoint resumed with the arena disabled (router
+        tickers resume, deferred idle accounting is flushed), and an
+        arena-off checkpoint resumed with the arena enabled mid-run.
+        Both splices must be bit-exact.
     """
     def make_spec(arena: bool) -> NetworkExperimentSpec:
         return NetworkExperimentSpec(

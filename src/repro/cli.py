@@ -116,8 +116,8 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--arena", action="store_true",
-        help="network-wide columnar arena: ring-buffered links and "
-             "wake-masked router stepping; needs the repro[fast] extra",
+        help="network arena: wake-masked router stepping and pooled "
+             "columnar state; needs the repro[fast] extra",
     )
 
 
@@ -1231,8 +1231,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     churn_parser.add_argument(
         "--arena", action="store_true",
-        help="network-wide columnar arena: ring-buffered links and "
-             "wake-masked router stepping; needs the repro[fast] extra",
+        help="network arena: wake-masked router stepping and pooled "
+             "columnar state; needs the repro[fast] extra",
     )
     churn_parser.add_argument("--json", action="store_true", help="JSON output")
     churn_parser.set_defaults(func=cmd_churn)

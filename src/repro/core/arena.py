@@ -1,21 +1,12 @@
-"""Network-wide columnar arena: batched multi-router stepping.
+"""Network arena: a per-router wake mask and a pooled columnar plane.
 
-At 256+ routers the network layer, not the scheduler, is the hot path:
-every flit crossing a link costs two heap events (arrive + credit) with
-fresh ``Event`` objects, and the kernel polls every router's activity
-predicate every cycle even when most of the grid is idle.  The arena
-replaces both mechanisms behind the established identity-oracle
-playbook (DESIGN.md §7f):
-
-Ring-buffer link plane
-    ``_LinkOutput``/``_CreditReturn`` stop scheduling per-flit events
-    and append ``(kind, node, port, vc[, flit])`` records to a ring
-    keyed by due cycle.  The arena drains the current cycle's ring in
-    one sweep at the start of its tick — credits via
-    ``LinkFlowControl.replenish``, arrivals via ``Network._arrive`` —
-    in append order, which reproduces the event heap's (time, seq)
-    order exactly (no ``schedule`` call in the tree passes a priority,
-    and emission order *is* push order).
+At 256+ routers the kernel polls every router's activity predicate
+every cycle even when most of the grid is idle.  The arena removes that
+cost (DESIGN.md §7f); the link plane is not its business — flits and
+credits cross links in the network's own lanes
+(:class:`~repro.network.network.Network`, DESIGN.md §7) whether the
+arena is on or off, and the network lands them before calling
+:meth:`NetworkArena.tick`.
 
 Per-router wake mask
     Every router ticker is suspended
@@ -37,10 +28,9 @@ Pooled columnar plane
     columns live in a handful of allocations.
 
 The object graph stays authoritative throughout: the arena can be
-flipped on or off mid-run (rings migrate back to heap events on
-disable), checkpoints pickle the rings (in-flight flits are real state)
-but never the NumPy chunks, and the perf gate proves bit-identical
-delivered-flit streams and stats against the event-driven baseline.
+flipped on or off mid-run, checkpoints never pickle the NumPy chunks,
+and the perf gate proves bit-identical delivered-flit streams and stats
+against the per-router-ticker baseline.
 
 The arena requires NumPy (the pooled plane is its point); constructing
 one without it raises the typed
@@ -55,10 +45,6 @@ from .columnar import ColumnarPool, ColumnarState, require_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.network import Network
-
-#: Ring record kinds (first tuple element).
-_CREDIT = 0
-_ARRIVE = 1
 
 
 class _WakeHook:
@@ -75,7 +61,7 @@ class _WakeHook:
 
 
 class NetworkArena:
-    """Batched stepping engine for one :class:`Network`.
+    """Wake-masked router stepping for one :class:`Network`.
 
     Construct via :meth:`Network.set_network_arena`, which owns the
     ticker suspension handshake with the simulator.
@@ -84,10 +70,6 @@ class NetworkArena:
     def __init__(self, network: "Network") -> None:
         require_numpy()
         self.network = network
-        # Link plane: due cycle -> mixed list of credit/arrive records,
-        # drained in append order.  Authoritative state (in-flight
-        # flits live here), so it is pickled as-is.
-        self._rings: Dict[int, list] = {}
         # Wake mask: sorted ids of routers being stepped, their set for
         # O(1) membership, ids woken since the last merge, and the cycle
         # each sleeping router stopped being stepped (for exact idle
@@ -127,71 +109,28 @@ class NetworkArena:
                 scheduler.adopt_columnar_pool(self.pool, (node, port))
 
     def uninstall(self) -> None:
-        """Detach wake hooks and migrate pending rings to heap events.
+        """Detach the wake hooks.
 
-        Ring records are rescheduled at their due cycle in ring order;
-        they land behind any events already pending for that cycle,
-        which matches the baseline (those events were pushed earlier and
-        hold smaller sequence numbers).  Bank pooling is left in place —
-        pool views are plain arrays and a later re-enable reuses the
-        same rows.
+        Bank pooling is left in place — pool views are plain arrays and
+        a later re-enable reuses the same rows.
         """
-        network = self.network
-        for router in network.routers:
+        for router in self.network.routers:
             router.activity.on_wake = None
-        sim = network.sim
-        for due in sorted(self._rings):
-            for record in self._rings[due]:
-                if record[0] == _ARRIVE:
-                    _, node, port, vc_index, flit = record
-                    sim.schedule_at(
-                        due, network._arrive_event, (node, port, vc_index, flit)
-                    )
-                else:
-                    _, node, port, vc_index = record
-                    sim.schedule_at(
-                        due, network._replenish_event, (node, port, vc_index)
-                    )
-        self._rings.clear()
-
-    # ----- link plane -------------------------------------------------------
-
-    def push_arrival(
-        self, due: int, node: int, port: int, vc_index: int, flit
-    ) -> None:
-        """Record a flit that finishes crossing a link at ``due``."""
-        ring = self._rings.get(due)
-        if ring is None:
-            ring = self._rings[due] = []
-        ring.append((_ARRIVE, node, port, vc_index, flit))
-
-    def push_credit(self, due: int, node: int, port: int, vc_index: int) -> None:
-        """Record a credit that finishes crossing a link at ``due``."""
-        ring = self._rings.get(due)
-        if ring is None:
-            ring = self._rings[due] = []
-        ring.append((_CREDIT, node, port, vc_index))
 
     # ----- kernel hooks -----------------------------------------------------
 
     def active(self) -> bool:
-        """Arena activity predicate: any ring, stepped or woken router."""
-        return bool(self._rings) or bool(self._awake) or bool(self._woken)
+        """Arena activity predicate: any stepped or woken router."""
+        return bool(self._awake) or bool(self._woken)
 
     def tick(self, cycle: int) -> None:
-        """One arena cycle: drain the due ring, then step awake routers."""
-        records = self._rings.pop(cycle, None)
+        """One arena cycle: step the awake routers.
+
+        Runs after the network has landed the cycle's arrivals and
+        credits, so routers they woke are already queued in ``_woken``.
+        """
         network = self.network
         routers = network.routers
-        if records is not None:
-            arrive = network._arrive
-            for record in records:
-                if record[0] == _ARRIVE:
-                    _, node, port, vc_index, flit = record
-                    arrive(routers[node], node, port, vc_index, flit)
-                else:
-                    _, node, port, vc_index = record
-                    routers[node].output_flow[port].replenish(vc_index)
         if not network.sim.allow_fast_forward:
             # Legacy kernel contract: every router ticks every cycle.
             # The wake hooks still fire on every idle->busy transition;

@@ -142,6 +142,10 @@ class LinkScheduler:
         # (tracking the best flit per output while walking the mask)
         # instead of building the full pool and reducing it afterwards.
         self._per_output_fast = selection == "per_output"
+        # One eligible VC needs no ordering under these two selections
+        # (``rotating`` must still advance its pointer, ``random`` is
+        # kept on the general path with it).
+        self._lone_vc_fast = selection in ("per_output", "priority")
         # Columnar (structure-of-arrays) engine: the per-VC hot state is
         # mirrored into NumPy columns and the candidate scan and round
         # fold run vectorized (see columnar.py / DESIGN.md §7e).  The
@@ -401,6 +405,41 @@ class LinkScheduler:
         port = self.port
         scheme = self.scheme
         dep = self._scheme_dep
+        if not mask & (mask - 1) and self._lone_vc_fast and limit > 0:
+            # A single set bit — most scans of a loaded network: the
+            # same cache check, float order and counters as the general
+            # walks below, without the pool, the sort and the dict.
+            vc_index = mask.bit_length() - 1
+            vc = vcs[vc_index]
+            buffer = vc.buffer
+            if not buffer:
+                raise RuntimeError(
+                    f"status vector out of sync: vc {self.port}.{vc_index} "
+                    "flagged available but empty"
+                )
+            flit = buffer[0]
+            if vc.prio_flit is not flit or vc.prio_conn != vc.connection_id:
+                vc.prio_base, vc.prio_div, vc.prio_key = scheme.cache_terms(
+                    vc, flit
+                )
+                vc.prio_flit = flit
+                vc.prio_conn = vc.connection_id
+            if dep == 1:
+                priority = vc.prio_base + (now - flit.created) / vc.prio_div
+            elif dep == 0:
+                priority = vc.prio_base
+            elif dep == 2:
+                priority = vc.prio_base + (
+                    (vc.prio_key * 31 + now) * 2654435761 & 0xFFFFFFFF
+                ) / 2**32
+            else:
+                priority = scheme.priority(vc, flit, now)
+            self.eligible_vcs_total += 1
+            self.candidates_offered += 1
+            self.cycles_with_candidates += 1
+            return [
+                Candidate(priority + vc.round_offset, port, vc_index, vc.output_port)
+            ]
         if self._per_output_fast:
             # Selection fused into the scan: keep only the best flit per
             # requested output while walking the mask.  An ascending-index

@@ -18,17 +18,7 @@ from __future__ import annotations
 import abc
 
 from .flit import Flit
-from .virtual_channel import ServiceClass, VirtualChannel
-
-# Traffic classes are strictly ordered: control packets above data streams,
-# best-effort below (paper §3.4).  The offsets dominate any intra-class
-# priority value so the ordering is absolute.
-CLASS_OFFSETS = {
-    ServiceClass.CONTROL: 1e12,
-    ServiceClass.CBR: 0.0,
-    ServiceClass.VBR: 0.0,
-    ServiceClass.BEST_EFFORT: -1e12,
-}
+from .virtual_channel import CLASS_OFFSETS, VirtualChannel
 
 
 class PriorityScheme(abc.ABC):
@@ -116,7 +106,7 @@ class FixedPriority(PriorityScheme):
         )
 
     def cache_terms(self, vc: VirtualChannel, flit: Flit):
-        return (CLASS_OFFSETS[vc.service_class], 1.0, _flit_key(flit))
+        return (vc.class_offset, 1.0, _flit_key(flit))
 
 
 class FrozenFlitPriority(PriorityScheme):
@@ -136,7 +126,7 @@ class FrozenFlitPriority(PriorityScheme):
         return self.with_class_offset(vc, _hash_priority(_flit_key(flit)))
 
     def cache_terms(self, vc: VirtualChannel, flit: Flit):
-        base = CLASS_OFFSETS[vc.service_class] + _hash_priority(_flit_key(flit))
+        base = vc.class_offset + _hash_priority(_flit_key(flit))
         return (base, 1.0, 0)
 
 
@@ -155,7 +145,7 @@ class StaticConnectionPriority(PriorityScheme):
         return self.with_class_offset(vc, vc.static_priority)
 
     def cache_terms(self, vc: VirtualChannel, flit: Flit):
-        return (CLASS_OFFSETS[vc.service_class] + vc.static_priority, 1.0, 0)
+        return (vc.class_offset + vc.static_priority, 1.0, 0)
 
 
 class BiasedPriority(PriorityScheme):
@@ -176,7 +166,7 @@ class BiasedPriority(PriorityScheme):
         return self.with_class_offset(vc, waited / vc.interarrival_cycles)
 
     def cache_terms(self, vc: VirtualChannel, flit: Flit):
-        return (CLASS_OFFSETS[vc.service_class], vc.interarrival_cycles, 0)
+        return (vc.class_offset, vc.interarrival_cycles, 0)
 
 
 class AgePriority(PriorityScheme):
@@ -196,7 +186,7 @@ class AgePriority(PriorityScheme):
     def cache_terms(self, vc: VirtualChannel, flit: Flit):
         # waited / 1.0 == float(waited) exactly, so the aging fast path
         # reproduces priority() bit for bit.
-        return (CLASS_OFFSETS[vc.service_class], 1.0, 0)
+        return (vc.class_offset, 1.0, 0)
 
 
 class RatePriority(PriorityScheme):
@@ -213,7 +203,7 @@ class RatePriority(PriorityScheme):
         return self.with_class_offset(vc, 1.0 / vc.interarrival_cycles)
 
     def cache_terms(self, vc: VirtualChannel, flit: Flit):
-        base = CLASS_OFFSETS[vc.service_class] + 1.0 / vc.interarrival_cycles
+        base = vc.class_offset + 1.0 / vc.interarrival_cycles
         return (base, 1.0, 0)
 
 

@@ -40,8 +40,12 @@ from .switch_scheduler import (
 )
 from .virtual_channel import ServiceClass, VirtualChannel
 
-# Service classes whose packets release their VC at the tail flit (§3.4).
-_PACKET_CLASSES = frozenset((ServiceClass.CONTROL, ServiceClass.BEST_EFFORT))
+# Service classes whose packets release their VC at the tail flit (§3.4),
+# and the flit type of connection payload; module constants so the per-flit
+# path compares by identity instead of hashing an ``Enum`` member.
+_CONTROL = ServiceClass.CONTROL
+_BEST_EFFORT = ServiceClass.BEST_EFFORT
+_DATA = FlitType.DATA
 
 # Handler invoked when a flit leaves through an output port:
 # handler(flit, output_vc).  None means the port drains to a sink.
@@ -574,13 +578,23 @@ class Router:
         credit returns.  Control-class flits attempt asynchronous VCT
         cut-through first (§3.4).
         """
-        vc = self.input_ports[input_port].vcs[vc_index]
-        if flit.flit_type in IMMEDIATE_TYPES and self._try_immediate_cut_through(
-            input_port, vc, flit
+        vcs = self.input_ports[input_port].vcs
+        # The caller names the VC: check it, because the status bits
+        # below are written longhand (no ``BitVector`` range check) and
+        # a negative index would alias another VC.
+        if not 0 <= vc_index < len(vcs):
+            raise IndexError(f"vc {vc_index} out of range [0, {len(vcs)})")
+        vc = vcs[vc_index]
+        flit_type = flit.flit_type
+        if (
+            flit_type is not _DATA
+            and flit_type in IMMEDIATE_TYPES
+            and self._try_immediate_cut_through(input_port, vc, flit)
         ):
             return True
+        bit = 1 << vc_index
         if vc.is_full:
-            self._input_buffer_full[input_port].set(vc_index)
+            self._input_buffer_full[input_port]._bits |= bit
             self.stats.counter("inject_blocked")
             return False
         vc.enqueue(flit, self.sim.now)
@@ -598,15 +612,15 @@ class Router:
             recorder.flit_inject(
                 self.sim.now, input_port, vc_index, flit.connection_id, flit.flit_id
             )
-        self._flits_available[input_port].set(vc_index)
+        self._flits_available[input_port]._bits |= bit
         self.activity.set(input_port)
         if len(vc.buffer) == 1:
             # The flit became head: its priority terms need (re)caching.
             # Maintained unconditionally (one int OR) so the columnar
             # engine's dirty mask is current even before it is enabled.
-            self.link_schedulers[input_port]._terms_dirty |= 1 << vc_index
+            self.link_schedulers[input_port]._terms_dirty |= bit
         if vc.is_full:
-            self._input_buffer_full[input_port].set(vc_index)
+            self._input_buffer_full[input_port]._bits |= bit
         return True
 
     def _try_immediate_cut_through(
@@ -727,8 +741,10 @@ class Router:
         else:
             self.crossbar.teardown()
             flits = 0
-        self.stats.counter("cycles")
-        self.stats.counter("flits_switched", flits)
+        # Counters longhand, as in account_idle_cycles: once per tick.
+        scalars = self.stats.scalars
+        scalars["cycles"] = scalars.get("cycles", 0.0) + 1.0
+        scalars["flits_switched"] = scalars.get("flits_switched", 0.0) + flits
         if busy_outputs:
             busy_outputs.clear()
             activity.clear(self._act_immediate)
@@ -786,16 +802,18 @@ class Router:
         self.crossbar.transmit(input_port)
         flit = vc.dequeue(cycle + 1)
         scheduler = self.link_schedulers[input_port]
+        # Status bits longhand: the grant's indices are the router's own.
+        bit = 1 << vc_index
         if vc.buffer:
             # The successor became head: mark its terms dirty for the
             # columnar engine (the object path re-checks head identity).
-            scheduler._terms_dirty |= 1 << vc_index
+            scheduler._terms_dirty |= bit
         else:
             flits_available = self._flits_available[input_port]
-            flits_available.clear(vc_index)
-            if not flits_available.any():
+            flits_available._bits &= ~bit
+            if not flits_available._bits:
                 self.activity.clear(input_port)
-        self._input_buffer_full[input_port].clear(vc_index)
+        self._input_buffer_full[input_port]._bits &= ~bit
         recorder = self.recorder
         if recorder.enabled:
             recorder.flit_grant(
@@ -832,7 +850,9 @@ class Router:
         self.stats.observe("switch_delay", delay)
         if self.delay_histogram is not None:
             self.delay_histogram.add(delay)
-        self.stats.counter(self._output_flit_keys[output_port])
+        scalars = self.stats.scalars
+        key = self._output_flit_keys[output_port]
+        scalars[key] = scalars.get(key, 0.0) + 1.0
         output_vc = vc.output_vc
         if output_vc >= 0:
             self.output_flow[output_port].consume(output_vc)
@@ -840,8 +860,9 @@ class Router:
         if handler is not None:
             handler(flit, output_vc)
         # VCT packets release their virtual channel once fully sent (§3.4).
+        service_class = vc.service_class
         if (
-            vc.service_class in _PACKET_CLASSES
+            (service_class is _CONTROL or service_class is _BEST_EFFORT)
             and flit.is_tail
             and not vc.buffer
             and vc.connection_id is not None

@@ -170,9 +170,7 @@ class ActivitySet:
         vec = self._bits
         if vec._bits == 0:
             vec.set(index)
-            # ``getattr`` with a default: instances unpickled from
-            # snapshots that predate the hook have no ``on_wake`` slot.
-            hook = getattr(self, "on_wake", None)
+            hook = self.on_wake
             if hook is not None:
                 hook()
         else:

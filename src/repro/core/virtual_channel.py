@@ -25,6 +25,17 @@ class ServiceClass(enum.Enum):
     BEST_EFFORT = "best_effort"  # below data streams
 
 
+# Traffic classes are strictly ordered: control packets above data streams,
+# best-effort below (paper §3.4).  The offsets dominate any intra-class
+# priority value so the ordering is absolute.
+CLASS_OFFSETS = {
+    ServiceClass.CONTROL: 1e12,
+    ServiceClass.CBR: 0.0,
+    ServiceClass.VBR: 0.0,
+    ServiceClass.BEST_EFFORT: -1e12,
+}
+
+
 class VirtualChannel:
     """One virtual channel: a bounded flit FIFO plus scheduling state.
 
@@ -40,6 +51,7 @@ class VirtualChannel:
         "buffer",
         "connection_id",
         "service_class",
+        "class_offset",
         "output_port",
         "output_vc",
         "allocated_cycles",
@@ -65,6 +77,10 @@ class VirtualChannel:
         # Connection binding (None when the VC is free).
         self.connection_id: Optional[int] = None
         self.service_class: ServiceClass = ServiceClass.BEST_EFFORT
+        # ``CLASS_OFFSETS[service_class]``, resolved where the class is
+        # set (here, bind, release) so the per-head-flit priority terms
+        # never hash the enum.
+        self.class_offset: float = CLASS_OFFSETS[ServiceClass.BEST_EFFORT]
         self.output_port: int = -1
         self.output_vc: int = -1
         # Bandwidth state (flit cycles per round).
@@ -116,6 +132,7 @@ class VirtualChannel:
             )
         self.connection_id = connection_id
         self.service_class = service_class
+        self.class_offset = CLASS_OFFSETS[service_class]
         self.output_port = output_port
         self.output_vc = output_vc
         self.prio_flit = None
@@ -130,6 +147,7 @@ class VirtualChannel:
             )
         self.connection_id = None
         self.service_class = ServiceClass.BEST_EFFORT
+        self.class_offset = CLASS_OFFSETS[ServiceClass.BEST_EFFORT]
         self.output_port = -1
         self.output_vc = -1
         self.allocated_cycles = 0

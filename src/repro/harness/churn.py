@@ -23,7 +23,7 @@ control plane does under churn:
 
 Everything in the workload is picklable (bound-method events, no
 closures), so long churn runs checkpoint and resume through the
-``ckpt/1`` codec exactly like the other experiment classes.
+``ckpt/2`` codec exactly like the other experiment classes.
 """
 
 from __future__ import annotations
@@ -863,7 +863,7 @@ class ChurnWorkload:
     # ----- checkpoint / resume ------------------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete workload state to ``path`` (``ckpt/1``)."""
+        """Write the complete workload state to ``path`` (``ckpt/2``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

@@ -93,8 +93,8 @@ class NetworkExperimentSpec:
     # Attach a shared flight recorder across all routers (see
     # ExperimentSpec.telemetry).
     telemetry: bool = False
-    # Network-wide arena knob (DESIGN.md §7f): ring-buffered links and
-    # wake-masked router stepping.  Requires NumPy.
+    # Network arena knob (DESIGN.md §7f): wake-masked router stepping
+    # and pooled columnar state.  Requires NumPy.
     network_arena: bool = False
     #: ``"irregular"`` (default), ``"mesh<W>x<H>"`` or ``"torus<W>x<H>"``.
     #: Grid topologies fix their own node count; ``num_nodes`` and
@@ -369,7 +369,7 @@ class NetworkExperiment:
     # ----- checkpoint / resume ----------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete cluster state to ``path`` (``ckpt/1``)."""
+        """Write the complete cluster state to ``path`` (``ckpt/2``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

@@ -18,6 +18,7 @@ blocked").
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.arena import NetworkArena
@@ -42,7 +43,7 @@ class _LinkOutput:
     """Output handler for a router-to-router link.
 
     A class (not a closure) so networks are picklable for checkpointing;
-    the flit-in-flight itself travels as an event payload for the same
+    the flit-in-flight itself travels as a lane record for the same
     reason.
     """
 
@@ -65,24 +66,9 @@ class _LinkOutput:
             )
         network = self.network
         network.stats.counter("link_flits")
-        arena = network.arena
-        if arena is not None:
-            # Arena link plane: one ring-buffer append instead of a heap
-            # push + Event allocation; drained in one sweep at the due
-            # cycle in the same relative order the heap would fire.
-            arena.push_arrival(
-                network.sim.now + network.link_latency,
-                self.neighbor,
-                self.remote_port,
-                output_vc,
-                flit,
-            )
-            return
-        network.sim.schedule(
-            network.link_latency,
-            network._arrive_event,
-            (self.neighbor, self.remote_port, output_vc, flit),
-        )
+        network._lanes.setdefault(
+            network.sim.now + network.link_latency, []
+        ).append((self.neighbor, self.remote_port, output_vc, flit))
 
 
 class _CreditReturn:
@@ -97,20 +83,9 @@ class _CreditReturn:
 
     def __call__(self, vc_index: int) -> None:
         network = self.network
-        arena = network.arena
-        if arena is not None:
-            arena.push_credit(
-                network.sim.now + network.link_latency,
-                self.neighbor,
-                self.upstream_port,
-                vc_index,
-            )
-            return
-        network.sim.schedule(
-            network.link_latency,
-            network._replenish_event,
-            (self.neighbor, self.upstream_port, vc_index),
-        )
+        network._lanes.setdefault(
+            network.sim.now + network.link_latency, []
+        ).append((self.neighbor, self.upstream_port, vc_index))
 
 
 class _HostOutput:
@@ -134,13 +109,6 @@ class _HostOutput:
 
 class Network:
     """A cluster of MMR routers over a :class:`Topology`."""
-
-    # Class-level fallbacks so networks unpickled from checkpoints that
-    # predate the arena / routing-mode features read as "feature off"
-    # instead of raising AttributeError on the hot paths.
-    arena: Optional[NetworkArena] = None
-    dimension_order: Optional[DimensionOrderRouter] = None
-    routing: str = "adaptive"
 
     def __init__(
         self,
@@ -187,15 +155,15 @@ class Network:
         self.dimension_order = (
             DimensionOrderRouter(topology) if routing == "dimension_order" else None
         )
-        # The arena ticker is registered *before* the routers so that,
-        # with the arena on, the ring drain plus router stepping happen
-        # in the slot ahead of where the (suspended) router tickers
-        # would run — the cycle-internal order matches the baseline.
-        # It is a permanent no-op while ``self.arena`` is None.
+        # The link plane: due cycle -> records in emission order, an
+        # arrival ``(node, port, vc, flit)`` or a credit ``(node, port,
+        # vc)``.  In-flight flits and credits are real state, so lanes
+        # are pickled with the network.  The ticker that drains them is
+        # registered *before* the routers: arrivals and credits land
+        # after the cycle's heap events and before any router ticks.
+        self._lanes: Dict[int, list] = {}
         self.arena: Optional[NetworkArena] = None
-        sim.add_ticker(
-            self._arena_tick, activity=self._arena_activity, name="network-arena"
-        )
+        sim.add_ticker(self._tick, activity=self._active, name="network-links")
         if scheduler_factory is None:
             scheduler_factory = lambda node: GreedyPriorityScheduler()  # noqa: E731
         self.routers: List[Router] = [
@@ -235,9 +203,9 @@ class Network:
         """Flip the arena engine on or off mid-run.
 
         Both directions splice bit-exactly: the object graph is always
-        authoritative, pending ring records migrate back to heap events
-        on disable, and lazily-deferred idle accounting is flushed
-        before router tickers resume.  Raises
+        authoritative, the link plane is the network's either way, and
+        lazily-deferred idle accounting is flushed before router tickers
+        resume.  Raises
         :class:`~repro.core.columnar.ColumnarUnavailableError` when
         enabling without NumPy.
         """
@@ -266,14 +234,48 @@ class Network:
         if arena is not None:
             arena.flush(self.sim.now)
 
-    def _arena_tick(self, cycle: int) -> None:
+    # ----- link plane -------------------------------------------------------
+
+    def _tick(self, cycle: int) -> None:
+        """Land the flits and credits due this cycle, in emission order,
+        then step the arena's routers (when it is on)."""
+        records = self._lanes.pop(cycle, None)
+        if records is not None:
+            routers = self.routers
+            arrive = self._arrive
+            for record in records:
+                if len(record) == 4:
+                    node, port, vc_index, flit = record
+                    arrive(routers[node], node, port, vc_index, flit)
+                else:
+                    node, port, vc_index = record
+                    routers[node].output_flow[port].replenish(vc_index)
         arena = self.arena
         if arena is not None:
             arena.tick(cycle)
 
-    def _arena_activity(self) -> bool:
+    def _active(self) -> bool:
+        """Pending lanes keep the kernel stepping: fast-forward can never
+        jump over an in-flight flit or credit."""
+        if self._lanes:
+            return True
         arena = self.arena
         return arena is not None and arena.active()
+
+    def _on_lanes(self, record_length: int) -> int:
+        return sum(
+            len(record) == record_length
+            for lane in self._lanes.values()
+            for record in lane
+        )
+
+    def flits_in_flight(self) -> int:
+        """Flits currently crossing links."""
+        return self._on_lanes(4)
+
+    def credits_in_flight(self) -> int:
+        """Credits currently crossing links upstream."""
+        return self._on_lanes(3)
 
     # ----- wiring -----------------------------------------------------------
 
@@ -297,16 +299,6 @@ class Network:
                     )
                 else:
                     router.set_output_handler(port, _HostOutput(self, node, port))
-
-    def _arrive_event(self, payload: Tuple[int, int, int, Flit]) -> None:
-        """Event trampoline: a flit finished crossing a link."""
-        neighbor, remote_port, output_vc, flit = payload
-        self._arrive(self.routers[neighbor], neighbor, remote_port, output_vc, flit)
-
-    def _replenish_event(self, payload: Tuple[int, int, int]) -> None:
-        """Event trampoline: a credit finished crossing a link upstream."""
-        neighbor, upstream_port, vc_index = payload
-        self.routers[neighbor].output_flow[upstream_port].replenish(vc_index)
 
     def set_host_delivery(self, node: int, port: int, handler: HostDelivery) -> None:
         """Attach a consumer (network interface) to a host port."""
@@ -401,6 +393,45 @@ class Network:
         self._route_best_effort(*payload)
 
     # ----- reporting --------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Every router's invariants plus exact link conservation.
+
+        For each directed link and each downstream VC, the upstream
+        router's credits, the flits on the link, the flits buffered
+        downstream and the credits on their way back add up to the VC
+        buffer depth — no slot is ever lost or counted twice.  Raises
+        ``AssertionError`` on the first violation.
+        """
+        for router in self.routers:
+            router.check_invariants()
+        # (node, port, vc) -> records on the lanes addressed there:
+        # flits by downstream input VC, credits by upstream output VC.
+        flits: Counter = Counter()
+        credits: Counter = Counter()
+        for lane in self._lanes.values():
+            for record in lane:
+                (flits if len(record) == 4 else credits)[record[:3]] += 1
+        depth = self.config.vc_buffer_flits
+        for node, router in enumerate(self.routers):
+            for port, flow in enumerate(router.output_flow):
+                neighbor = self.topology.neighbor_on_port(node, port)
+                if neighbor is None:
+                    continue
+                remote_port = self.topology.port_of(neighbor, node)
+                for vc in self.routers[neighbor].input_ports[remote_port].vcs:
+                    index = vc.index
+                    parts = (
+                        flow.credits(index),
+                        flits[neighbor, remote_port, index],
+                        vc.occupancy,
+                        credits[node, port, index],
+                    )
+                    assert sum(parts) == depth, (
+                        f"link {node}.{port} -> {neighbor}.{remote_port} vc "
+                        f"{index}: credits + flits on link + buffered + "
+                        f"credits returning = {parts} != {depth}"
+                    )
 
     def total_buffered(self) -> int:
         """Flits buffered across every router (drain checks)."""

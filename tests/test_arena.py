@@ -1,9 +1,9 @@
 """Tests for the network-wide columnar arena and dimension-order routing.
 
-The arena (DESIGN.md §7f) batches the link plane into per-cycle rings
-and steps only awake routers; the identity contract is that delivered
-flit streams and run summaries are bit-identical to the event-driven
-object graph, including through mid-run flag flips.
+The arena (DESIGN.md §7f) steps only awake routers and pools their
+columnar state; the identity contract is that delivered flit streams
+and run summaries are bit-identical to the per-router-ticker object
+graph, including through mid-run flag flips.
 """
 
 import pytest
@@ -111,9 +111,9 @@ class TestArenaIdentity:
         flipped = NetworkExperiment(spec)
         flip_log = attach_delivery_log(flipped)
         flipped.run_to(600)
-        flipped.network.set_network_arena(True)  # rings take over mid-run
+        flipped.network.set_network_arena(True)  # wake mask takes over mid-run
         flipped.run_to(1200)
-        flipped.network.set_network_arena(False)  # rings migrate back
+        flipped.network.set_network_arena(False)  # router tickers resume
         assert _summary(flipped.result()) == ref
         assert flip_log == ref_log
 

@@ -1,6 +1,6 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/1`` codec
-(format, schema versioning, provenance checks), simulator snapshots, and
-resumable single-router experiments."""
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/2`` codec
+(format, schema versioning, provenance checks), simulator snapshots,
+resumable single-router experiments, and in-flight link state."""
 
 import pickle
 
@@ -15,15 +15,22 @@ from repro.ckpt.codec import (
     CheckpointMismatchError,
     CheckpointSchemaError,
 )
+from repro.core import columnar
 from repro.core.config import RouterConfig
+from repro.core.priority import BiasedPriority
 from repro.harness.kernel_bench import build_cbr_scenario
 from repro.harness.single_router import (
     ExperimentSpec,
     SingleRouterExperiment,
     run_single_router_experiment,
 )
+from repro.network.connection import ConnectionManager
+from repro.network.interface import NetworkInterface
+from repro.network.network import Network
+from repro.network.topology import mesh
 from repro.obs.manifest import config_digest
 from repro.sim.engine import Simulator
+from repro.sim.rng import SeededRng
 
 TINY = RouterConfig(num_ports=4, vcs_per_port=32, enforce_round_budgets=False)
 
@@ -182,6 +189,18 @@ class TestSchemaAndProvenanceChecks:
         assert excinfo.value.expected == CKPT_SCHEMA
         assert "ckpt/999" in str(excinfo.value)
         assert CKPT_SCHEMA in str(excinfo.value)
+
+    def test_previous_schema_is_refused_by_name(self, tmp_path):
+        """A ``ckpt/1`` file keeps in-flight flits as heap events or arena
+        rings, which this build would never drain: refuse it up front."""
+        path = tmp_path / "parent-commit.ckpt"
+        CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
+        self._rewrite_header(path, lambda r: r.update(schema="ckpt/1"))
+        for read in (CheckpointCodec.read_header, CheckpointCodec.load):
+            with pytest.raises(CheckpointSchemaError) as excinfo:
+                read(path)
+            assert (excinfo.value.found, excinfo.value.expected) == ("ckpt/1", "ckpt/2")
+            assert "ckpt/1" in str(excinfo.value) and "ckpt/2" in str(excinfo.value)
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -358,3 +377,83 @@ class TestSingleRouterCheckpoint:
             run_single_router_experiment(
                 tiny_spec(), checkpoint_every=0, checkpoint_path="x.ckpt"
             )
+
+
+class TestLinkLanesCheckpoint:
+    """In-flight flits and credits are pickled with the network."""
+
+    CYCLES = 600
+
+    @staticmethod
+    def build(arena):
+        topology = mesh(3, 3)
+        config = RouterConfig(
+            num_ports=topology.num_ports,
+            vcs_per_port=8,
+            vc_buffer_flits=4,
+            enforce_round_budgets=False,
+        )
+        sim = Simulator()
+        rng = SeededRng(5, "ckpt-lanes")
+        network = Network(
+            topology,
+            config,
+            BiasedPriority(),
+            sim,
+            rng,
+            link_latency=2,
+            network_arena=arena,
+        )
+        manager = ConnectionManager(network)
+        interfaces = [
+            NetworkInterface(network, manager, n, rng=rng.spawn(f"ni{n}"))
+            for n in range(9)
+        ]
+        for src, dst, rate in [(0, 8, 120e6), (2, 6, 55e6), (7, 1, 55e6), (5, 3, 20e6)]:
+            assert interfaces[src].open_cbr(dst, rate) is not None
+        for _ in range(6):
+            interfaces[4].send_best_effort(0)
+        return {"sim": sim, "network": network, "interfaces": interfaces}
+
+    @staticmethod
+    def fingerprint(state):
+        network = state["network"]
+        network.flush_arena_accounting()
+        network.check_invariants()
+        return (
+            [
+                (cid, s.flits, s.delay.mean, s.jitter.mean)
+                for ni in state["interfaces"]
+                for cid, s in sorted(ni.end_to_end.items())
+            ],
+            [dict(router.stats.scalars) for router in network.routers],
+            dict(network.stats.scalars),
+        )
+
+    @pytest.mark.parametrize(
+        "arena_before, arena_after",
+        [(False, False), (True, True), (False, True), (True, False)],
+    )
+    def test_resume_with_flits_on_the_links(self, tmp_path, arena_before, arena_after):
+        if (arena_before or arena_after) and columnar.load_numpy() is None:
+            pytest.skip("the arena needs NumPy")
+        straight = self.build(arena=False)
+        straight["sim"].run(self.CYCLES)
+        reference = self.fingerprint(straight)
+        assert reference[0]
+
+        state = self.build(arena=arena_before)
+        state["sim"].run(self.CYCLES // 2)
+        while not (
+            state["network"].flits_in_flight() and state["network"].credits_in_flight()
+        ):
+            state["sim"].run(1)
+        path = tmp_path / "lanes.ckpt"
+        CheckpointCodec.save(path, state, kind="test", cycle=state["sim"].now)
+        del state
+        _, resumed = CheckpointCodec.load(path, expect_kind="test")
+        assert resumed["network"].flits_in_flight() > 0
+        assert resumed["network"].credits_in_flight() > 0
+        resumed["network"].set_network_arena(arena_after)
+        resumed["sim"].run(self.CYCLES - resumed["sim"].now)
+        assert self.fingerprint(resumed) == reference
