@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoint format (schema ``ckpt/2``).
+"""Versioned on-disk checkpoint format (schema ``ckpt/3``).
 
 A checkpoint file is::
 
@@ -44,10 +44,13 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
-#: ``ckpt/2``: in-flight flits and credits live in ``Network._lanes``; a
-#: ``ckpt/1`` file holds them as pending heap events or arena rings that
-#: this build would never drain, so it is refused by name.
-CKPT_SCHEMA = "ckpt/2"
+#: ``ckpt/3``: which tickers sleep, since when, and the pending wakes are
+#: simulator state (``Simulator._awake`` / ``_woken``, ``asleep_since``
+#: and the ``ActivitySet.on_wake`` hooks); a ``ckpt/2`` file keeps them in
+#: the network arena (or nowhere) and would resume with every router
+#: asleep and unwakeable, so it is refused by name.  (``ckpt/2`` moved
+#: in-flight flits and credits into ``Network._lanes``.)
+CKPT_SCHEMA = "ckpt/3"
 
 
 class CheckpointError(RuntimeError):
@@ -152,7 +155,7 @@ class CheckpointHeader:
 
 
 class CheckpointCodec:
-    """Reads and writes ``ckpt/2`` checkpoint files."""
+    """Reads and writes ``ckpt/3`` checkpoint files."""
 
     schema = CKPT_SCHEMA
 

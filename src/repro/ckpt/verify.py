@@ -272,10 +272,9 @@ def run_ckpt_arena_identity_check(
         lanes holding in-flight flits), reloaded from disk, resumed with
         the arena on.  NumPy chunks are never pickled — the pool
         reallocates lazily at its persisted layout — so this proves the
-        wake mask plus object graph carry the complete arena state.
+        object graph carries the complete arena state.
     ``flip_off`` / ``flip_on``
-        The arena checkpoint resumed with the arena disabled (router
-        tickers resume, deferred idle accounting is flushed), and an
+        The arena checkpoint resumed with the arena disabled, and an
         arena-off checkpoint resumed with the arena enabled mid-run.
         Both splices must be bit-exact.
     """

@@ -116,8 +116,9 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--arena", action="store_true",
-        help="network arena: wake-masked router stepping and pooled "
-             "columnar state; needs the repro[fast] extra",
+        help="network arena: pool every router's columnar state in "
+             "network-wide arrays (idle routers are skipped either way); "
+             "needs the repro[fast] extra",
     )
 
 
@@ -1231,8 +1232,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     churn_parser.add_argument(
         "--arena", action="store_true",
-        help="network arena: wake-masked router stepping and pooled "
-             "columnar state; needs the repro[fast] extra",
+        help="network arena: pool every router's columnar state in "
+             "network-wide arrays (idle routers are skipped either way); "
+             "needs the repro[fast] extra",
     )
     churn_parser.add_argument("--json", action="store_true", help="JSON output")
     churn_parser.set_defaults(func=cmd_churn)

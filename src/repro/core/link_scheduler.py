@@ -183,10 +183,8 @@ class LinkScheduler:
                 self.config.vcs_per_port,
                 self.config.vbr_excess_discipline == "priority",
                 num_outputs=self.config.num_ports,
-                # getattr: schedulers unpickled from checkpoints that
-                # predate pooling have no pool attributes.
-                pool=getattr(self, "_columnar_pool", None),
-                pool_key=getattr(self, "_columnar_pool_key", None),
+                pool=self._columnar_pool,
+                pool_key=self._columnar_pool_key,
             )
             for vc in self.vcs:
                 cols.sync_cold(vc)

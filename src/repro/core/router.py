@@ -238,7 +238,7 @@ class Router:
         # The legacy (seed) kernel polls every port every cycle; the
         # activity kernel polls only ports whose activity bit is set.
         self._legacy_kernel = not sim.allow_fast_forward
-        self.sim.add_ticker(
+        self._ticker = self.sim.add_ticker(
             self.tick,
             activity=self.activity,
             on_skip=self.account_idle_cycles,
@@ -294,6 +294,20 @@ class Router:
         if self.columnar_state:
             for scheduler in self.link_schedulers:
                 scheduler._ensure_columnar()
+
+    def catch_up(self) -> None:
+        """Account this router's deferred idle cycles up to now.
+
+        The kernel replays a sleeping router's idle span in one piece when
+        it wakes (see :mod:`repro.sim.engine`), and the replay — round
+        boundaries, a live recorder's per-round samples — must see the
+        state those cycles ran under.  Every control-plane entry point
+        below therefore calls this before changing VC bindings, contracts
+        or statistics; code that rewrites VC state from outside them (the
+        probe protocol's ack installation) must do the same.  A no-op
+        while the router is being stepped.
+        """
+        self.sim.catch_up(self._ticker)
 
     def invalidate_priority_cache(self, input_port: int, vc_index: int) -> None:
         """Drop one VC's cached priority terms (object and columnar).
@@ -353,6 +367,7 @@ class Router:
         inherits nothing — a stale ``round_budget_exhausted`` bit would
         silently mask the next connection until a round boundary.
         """
+        self.catch_up()
         port = self.input_ports[input_port]
         vc = port.vcs[vc_index]
         self._release_route_state(vc)
@@ -374,6 +389,7 @@ class Router:
         (a blocked packet routed once a downstream VC frees up, §3.4) and
         by probe-driven connection establishment (§3.5).
         """
+        self.catch_up()
         vc = self.input_ports[input_port].vcs[vc_index]
         if vc.connection_id is None:
             raise RuntimeError(
@@ -409,6 +425,7 @@ class Router:
         PCS establishment; multi-hop establishment drives it per router
         (see :mod:`repro.network.connection`).
         """
+        self.catch_up()
         port = self.input_ports[input_port]
         vc_index = port.find_free_vc()
         decision = self.admission.admit(
@@ -472,6 +489,7 @@ class Router:
         the switch.  Returns the VC index, or None when the port has no
         free VC (the packet blocks upstream).
         """
+        self.catch_up()
         if service_class not in (ServiceClass.CONTROL, ServiceClass.BEST_EFFORT):
             raise ValueError(
                 f"open_packet_vc is for packet classes, got {service_class}"
@@ -504,6 +522,7 @@ class Router:
         request: BandwidthRequest,
     ) -> None:
         """Tear down a connection and return its resources."""
+        self.catch_up()
         port = self.input_ports[input_port]
         vc = port.vcs[vc_index]
         if vc.connection_id != connection_id:
@@ -543,6 +562,7 @@ class Router:
         Atomically swaps the reservation on both links; on success the
         VC's round budget follows the new contract.
         """
+        self.catch_up()
         vc = self.input_ports[input_port].vcs[vc_index]
         if vc.connection_id is None:
             raise RuntimeError(f"VC {input_port}.{vc_index} has no connection")
@@ -767,18 +787,22 @@ class Router:
     def account_idle_cycles(self, start: int, count: int) -> None:
         """Bookkeeping for cycles the kernel skipped this router's tick.
 
-        Called by the simulator (see ``Simulator.add_ticker``) for idle
-        cycles, either one at a time while other components stay busy or
-        in bulk when the whole simulation fast-forwards.  Replays exactly
-        what :meth:`tick` does on a cycle with no flits buffered: advance
-        the cycle counters and process any round boundary in the span
-        (resetting per-round service state is idempotent while no flit
-        moves, so the skipped boundaries collapse losslessly).
+        Called by the simulator (see ``Simulator.add_ticker``) with the
+        span this router slept through, possibly long after the fact.
+        Replays exactly what :meth:`tick` does on a cycle with no flits
+        buffered: advance the cycle counters and process any round
+        boundary in the span (resetting per-round service state is
+        idempotent while no flit moves, so the skipped boundaries collapse
+        losslessly).  Span-pure: it reads nothing a wake changes (the
+        waking flit is already buffered, hence ``idle=True`` to the
+        recorder) and :meth:`catch_up` runs before the control plane
+        changes the rest.
         """
         # Counter updates written out longhand: this runs once per skipped
         # span, which at light load is once per flit period.
         scalars = self.stats.scalars
-        scalars["cycles"] = scalars.get("cycles", 0.0) + count
+        before = scalars.get("cycles", 0.0)
+        scalars["cycles"] = before + count
         scalars.setdefault("flits_switched", 0.0)
         round_length = self._round_length
         # Boundary cycles c satisfy (c + 1) % round_length == 0; find the
@@ -789,7 +813,11 @@ class Router:
             recorder = self.recorder
             for cycle in range(first, start + count, round_length):
                 if recorder.enabled:
-                    recorder.sample_round(self, cycle)
+                    # The sample reads the cycle counter: show it the
+                    # count as of this boundary, not the end of the span.
+                    scalars["cycles"] = before + (cycle + 1 - start)
+                    recorder.sample_round(self, cycle, idle=True)
+                    scalars["cycles"] = before + count
                 for scheduler in self.link_schedulers:
                     scheduler.on_round_boundary()
                 if self.tracer.enabled:
@@ -890,6 +918,7 @@ class Router:
         The paper gathers statistics "until steady state was reached";
         harnesses call this at the end of the warm-up window.
         """
+        self.catch_up()
         self.stats = StatsRegistry()
         for connection_id in list(self.connection_stats):
             self.connection_stats[connection_id] = ConnectionStats()

@@ -141,22 +141,23 @@ class BitVector:
 class ActivitySet:
     """A component's activity bits, backed by a :class:`BitVector`.
 
-    The simulation kernel asks each ticker "do you have work this cycle?"
-    every flit cycle, so the answer must be O(1).  An ``ActivitySet`` gives
+    The simulation kernel asks each ticker it is stepping "do you have
+    work this cycle?", so the answer must be O(1).  An ``ActivitySet`` gives
     a component one bit per activity source (a port with flits buffered, a
     pending crossbar teardown, an asynchronous cut-through in flight ...);
     sources set and clear their bit as state changes, and ``active()`` is a
     single integer test — the same trade of state for scheduling speed the
     paper's status vectors make (§4.1).
 
-    Pass the set (or its bound ``active`` method) as the ``activity``
-    argument of :meth:`repro.sim.engine.Simulator.add_ticker`.
+    Pass the set itself as the ``activity`` argument of
+    :meth:`repro.sim.engine.Simulator.add_ticker` (its bound ``active``
+    method works too, but a bare callable can only be polled every cycle).
 
     ``on_wake``, when set, is invoked on every idle-to-busy transition
-    (the whole set going from zero to nonzero).  The network arena uses
-    it as its per-router wake mask: a sleeping router's first new
-    activity bit re-enters it into the arena's stepped set without the
-    arena polling every router every cycle.
+    (the whole set going from zero to nonzero).  It belongs to the
+    simulation kernel, which installs it when the set is registered with
+    ``add_ticker``: a sleeping ticker's first new activity bit puts it
+    back on the kernel's awake list, so nobody polls idle components.
     """
 
     __slots__ = ("_bits", "on_wake")
@@ -193,8 +194,8 @@ class ActivitySet:
 
     def active(self) -> bool:
         """True while any activity source is busy (one integer test)."""
-        # Reaches through the BitVector: this is the kernel's per-ticker
-        # per-cycle poll, the single hottest call in the simulator.
+        # Reaches through the BitVector: the kernel polls this once per
+        # cycle for every ticker on its awake list.
         return self._bits._bits != 0
 
     def as_int(self) -> int:

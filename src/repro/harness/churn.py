@@ -23,7 +23,7 @@ control plane does under churn:
 
 Everything in the workload is picklable (bound-method events, no
 closures), so long churn runs checkpoint and resume through the
-``ckpt/2`` codec exactly like the other experiment classes.
+``ckpt/3`` codec exactly like the other experiment classes.
 """
 
 from __future__ import annotations
@@ -810,9 +810,6 @@ class ChurnWorkload:
         """Summarise the run; drives it to drain first if needed."""
         if not self.drained and self.sim.now < self.total_cycles:
             self.run_until_drained()
-        # Sleeping routers accrue idle cycles lazily under the arena;
-        # replay the outstanding spans before reading any counters.
-        self.network.flush_arena_accounting()
         attempts = self._attempts_completed
         per_rate = per_rate_breakdown(self.end_to_end, self.connection_rates)
         unclassified = per_rate.get(UNCLASSIFIED)
@@ -863,7 +860,7 @@ class ChurnWorkload:
     # ----- checkpoint / resume ------------------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete workload state to ``path`` (``ckpt/2``)."""
+        """Write the complete workload state to ``path`` (``ckpt/3``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

@@ -93,8 +93,8 @@ class NetworkExperimentSpec:
     # Attach a shared flight recorder across all routers (see
     # ExperimentSpec.telemetry).
     telemetry: bool = False
-    # Network arena knob (DESIGN.md §7f): wake-masked router stepping
-    # and pooled columnar state.  Requires NumPy.
+    # Network arena knob (DESIGN.md §7f): pooled columnar state.
+    # Requires NumPy.
     network_arena: bool = False
     #: ``"irregular"`` (default), ``"mesh<W>x<H>"`` or ``"torus<W>x<H>"``.
     #: Grid topologies fix their own node count; ``num_nodes`` and
@@ -330,9 +330,6 @@ class NetworkExperiment:
         """Summarise the (completed) run; runs any remaining cycles."""
         if self.sim.now < self.total_cycles:
             self.run_to(self.total_cycles)
-        # Sleeping routers accrue idle cycles lazily under the arena;
-        # replay the outstanding spans before reading any counters.
-        self.network.flush_arena_accounting()
         interfaces = self.interfaces
         delay = RunningStats()
         jitter = RunningStats()
@@ -369,7 +366,7 @@ class NetworkExperiment:
     # ----- checkpoint / resume ----------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete cluster state to ``path`` (``ckpt/2``)."""
+        """Write the complete cluster state to ``path`` (``ckpt/3``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

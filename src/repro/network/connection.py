@@ -123,10 +123,7 @@ class ConnectionManager:
             self.stats.failed += 1
             return None
         connection_id = next(self._ids)
-        # getattr: managers unpickled from checkpoints that predate the
-        # pluggable probe fall back to the EPB default.
-        search = getattr(self, "path_search", epb_search)
-        probe = search(
+        probe = self.path_search(
             self.network.topology,
             source,
             destination,

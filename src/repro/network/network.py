@@ -130,7 +130,7 @@ class Network:
         every router; its telemetry channels are namespaced by router name
         (``router3.link_utilisation``) so per-node series stay separate.
 
-        ``network_arena=True`` enables the batched arena engine (see
+        ``network_arena=True`` pools every router's columnar banks (see
         :mod:`repro.core.arena`); ``routing`` selects the best-effort and
         connection routing discipline: ``"adaptive"`` (minimal adaptive +
         up*/down* escape, the default) or ``"dimension_order"`` (XY, grid
@@ -196,49 +196,28 @@ class Network:
 
     @property
     def network_arena(self) -> bool:
-        """True while the batched arena engine is stepping this network."""
+        """True while the routers' columnar banks are pooled network-wide."""
         return self.arena is not None
 
     def set_network_arena(self, enabled: bool) -> None:
-        """Flip the arena engine on or off mid-run.
+        """Pool (or stop pooling) the columnar banks, also mid-run.
 
-        Both directions splice bit-exactly: the object graph is always
-        authoritative, the link plane is the network's either way, and
-        lazily-deferred idle accounting is flushed before router tickers
-        resume.  Raises
+        Free in both directions: the object graph is always authoritative
+        and banks already re-homed stay on their pool rows.  Raises
         :class:`~repro.core.columnar.ColumnarUnavailableError` when
         enabling without NumPy.
         """
         if enabled == (self.arena is not None):
             return
-        router_ticks = [router.tick for router in self.routers]
-        if enabled:
-            arena = NetworkArena(self)
-            arena.install()
-            self.sim.suspend_tickers(router_ticks)
-            self.arena = arena
-        else:
-            arena = self.arena
-            arena.flush(self.sim.now)
-            arena.uninstall()
-            self.sim.resume_tickers(router_ticks)
-            self.arena = None
-
-    def flush_arena_accounting(self) -> None:
-        """Flush lazily-deferred idle accounting (no-op without arena).
-
-        Call before reading router cycle counters or round statistics
-        while the arena is enabled.
-        """
-        arena = self.arena
-        if arena is not None:
-            arena.flush(self.sim.now)
+        self.arena = NetworkArena(self) if enabled else None
 
     # ----- link plane -------------------------------------------------------
 
     def _tick(self, cycle: int) -> None:
-        """Land the flits and credits due this cycle, in emission order,
-        then step the arena's routers (when it is on)."""
+        """Land the flits and credits due this cycle, in emission order.
+
+        Registered before the routers, so a router an arrival wakes is
+        stepped in this same cycle."""
         records = self._lanes.pop(cycle, None)
         if records is not None:
             routers = self.routers
@@ -250,17 +229,11 @@ class Network:
                 else:
                     node, port, vc_index = record
                     routers[node].output_flow[port].replenish(vc_index)
-        arena = self.arena
-        if arena is not None:
-            arena.tick(cycle)
 
     def _active(self) -> bool:
         """Pending lanes keep the kernel stepping: fast-forward can never
         jump over an in-flight flit or credit."""
-        if self._lanes:
-            return True
-        arena = self.arena
-        return arena is not None and arena.active()
+        return bool(self._lanes)
 
     def _on_lanes(self, record_length: int) -> int:
         return sum(

@@ -23,7 +23,7 @@ session-churn studies need the real token passing (this module).
 
 Every scheduled continuation is a bound method plus a plain payload —
 never a closure — so a simulation with probes, acks or teardowns in
-flight checkpoints through the ``ckpt/2`` codec like the rest of the
+flight checkpoints through the ``ckpt/3`` codec like the rest of the
 component graph.  Completion callbacks ride on the session object itself;
 a caller that wants checkpointability passes a picklable callable (e.g. a
 bound method of a harness that is itself part of the checkpoint).
@@ -385,6 +385,7 @@ class ProbeProtocol:
         for i in range(len(session.reservations) - 1, -1, -1):
             hop = session.reservations[i]
             router = self.network.routers[hop.node]
+            router.catch_up()  # the writes below bypass the router's API
             vc = router.input_ports[hop.entry_port].vcs[hop.vc_index]
             vc.interarrival_cycles = session.interarrival_cycles
             vc.static_priority = session.static_priority

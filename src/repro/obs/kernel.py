@@ -19,7 +19,15 @@ from typing import Dict, List, Optional
 
 
 class TickerProfile:
-    """Dispatch accounting for one registered ticker."""
+    """Dispatch accounting for one registered ticker.
+
+    Once ``run()`` has returned, ``ticks + skipped_cycles`` equals the
+    cycles the profiler covered (stepped plus fast-forwarded) for every
+    ticker registered before it was attached.  ``skip_spans`` counts
+    ``on_skip`` deliveries, not idle periods: a sleeping ticker's idle
+    cycles arrive merged into one span per wake (or flush), a polled
+    ticker's one per idle cycle or fast-forward jump.
+    """
 
     __slots__ = ("index", "name", "ticks", "skipped_cycles", "skip_spans", "seconds")
 
@@ -79,7 +87,8 @@ class KernelProfiler:
         profile.seconds += seconds
 
     def on_skip(self, index: int, count: int) -> None:
-        """Ticker ``index`` was skipped for ``count`` cycles."""
+        """Ticker ``index`` was handed one idle span of ``count`` cycles
+        (stepped or fast-forwarded; possibly long after they passed)."""
         profile = self.tickers[index]
         profile.skipped_cycles += count
         profile.skip_spans += 1

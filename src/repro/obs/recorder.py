@@ -170,13 +170,19 @@ class FlightRecorder:
         """Publish one sample into telemetry channel ``name``."""
         self.telemetry.sample(name, time, value)
 
-    def sample_round(self, router, cycle: int) -> None:
+    def sample_round(self, router, cycle: int, idle: bool = False) -> None:
         """Sample a router's per-round window at a round boundary.
 
         Called by the router *before* its link schedulers reset their
         round accounting, so CBR/VBR consumed-vs-reserved totals reflect
         the round being closed.  Robust to ``reset_statistics``: a window
         whose counters went backwards re-baselines instead of sampling.
+
+        ``idle`` marks a boundary the router slept through, replayed
+        later (see :meth:`Router.account_idle_cycles`): nothing was
+        buffered then, whatever the buffers hold by now.  For the same
+        reason ``kernel.fast_forward_ratio`` is the one series that
+        depends on the kernel: it reads ``sim.now`` at sampling time.
         """
         self._append((ROUND, cycle, 0, 0, -1, -1))
         # Single-flag early-out: with channel sampling off, a round
@@ -251,7 +257,11 @@ class FlightRecorder:
                 cycle,
                 grants - window.get("grants", 0.0),
             )
-            hub.sample(f"{prefix}.vc_occupancy", cycle, router.buffered_flits())
+            hub.sample(
+                f"{prefix}.vc_occupancy",
+                cycle,
+                0 if idle else router.buffered_flits(),
+            )
             consumed = 0.0
             reserved = 0.0
             for port in router.input_ports:
@@ -270,7 +280,8 @@ class FlightRecorder:
         window["vbr_permanent"] = vbr_permanent
         window["vbr_excess"] = vbr_excess
         window["grants"] = grants
-        if self._sim is not None and cycle != self._last_kernel_sample:
+        # ``>``, not ``!=``: replayed boundaries arrive out of cycle order.
+        if self._sim is not None and cycle > self._last_kernel_sample:
             self._last_kernel_sample = cycle
             sim = self._sim
             if sim.now > 0:
@@ -359,7 +370,7 @@ class NullFlightRecorder(FlightRecorder):
     def sample(self, name: str, time: float, value: float) -> None:
         pass
 
-    def sample_round(self, router, cycle: int) -> None:
+    def sample_round(self, router, cycle: int, idle: bool = False) -> None:
         pass
 
     def __reduce__(self):

@@ -1,4 +1,4 @@
-"""Activity-driven hybrid cycle/event simulation engine.
+"""Wake-driven hybrid cycle/event simulation engine.
 
 The MMR is a synchronous machine internally (flit cycles), so the natural
 kernel is cycle-driven: components register a ``tick`` that runs once per
@@ -6,25 +6,47 @@ flit cycle.  Traffic arrivals and timers are sparse, so they are handled by
 an event queue drained at the start of each cycle.
 
 The paper's scheduling hardware keeps its cost proportional to *actual
-activity* via status bit vectors (§4.1); the kernel mirrors that.  A ticker
-may register an *activity predicate* — typically an
-:class:`~repro.core.status_vectors.ActivitySet` handle backed by the same
-``BitVector`` machinery as the status banks — and the simulator maintains a
-per-cycle active set:
+activity* via status bit vectors (§4.1); the kernel does the same.  It
+keeps a registration-ordered **awake list** and steps only that list:
 
-* a ticker whose predicate reports inactive is not invoked that cycle (its
-  cheap ``on_skip`` hook, when given, keeps its cycle accounting exact);
-* when *every* gated ticker is inactive and no event is due, ``run`` fast
-  forwards ``now`` directly to the next event time (or the end of the run)
-  instead of spinning empty cycles.
+* a ticker gated by an :class:`~repro.core.status_vectors.ActivitySet` is
+  *pushed*, not polled: it leaves the list the first cycle its set reads
+  empty and costs nothing while asleep; the set's ``on_wake`` hook (fired
+  on the empty-to-busy transition) queues it for re-admission;
+* a ticker gated by a plain callable stays on the list and is polled
+  every cycle; one registered without a gate always runs.
 
-Tickers registered without a predicate are assumed always-active, which
-preserves the original kernel's semantics (and disables fast-forward while
-any such ticker exists).
+**Dispatch order** is exactly that of polling every ticker every cycle in
+registration order: a ticker woken from event context runs this cycle;
+woken during the tick phase by an earlier-registered ticker it runs this
+cycle, by a later-registered one next cycle (it had already been passed,
+so this cycle still counts as idle); a ticker whose set was cleared again
+before its turn reads empty there and goes back to sleep without ticking.
+
+**Idle accounting** (``on_skip(first_cycle, count)``): the spans a ticker
+receives partition the cycles it did not tick, in order.  A polled
+ticker gets one span per idle cycle (or per fast-forward jump); a pushed
+ticker gets its whole sleep replayed as one span when it is re-admitted.
+Every span is delivered before the ticker's next tick and before
+``run()`` / ``step()`` return, so counters read between runs (and every
+snapshot) are exact; :meth:`Simulator.catch_up` delivers one ticker's
+span early.  Because replay is deferred, an ``on_skip`` hook must be
+*span-pure*: a function of the span and of state that cannot change while
+its ticker sleeps.
+
+**Fast-forward**: when nothing on the awake list reports activity and no
+event is due, ``run`` jumps ``now`` to the next event time (or the end of
+the run).  Sleeping tickers are not visited; an always-running ticker
+disables the jump.
+
+**Checkpoints**: the awake list, the pending wakes, each ticker's
+``asleep_since`` and the wake hooks (a slot class, not a closure) are
+ordinary simulator state and pickle with it, so a run resumed from a
+snapshot taken with most tickers asleep replays identically.
 
 ``Simulator(allow_fast_forward=False)`` selects the **legacy kernel**: a
 faithful reproduction of the seed engine, which invokes every registered
-ticker on every cycle — no activity gating, no skip accounting, no
+ticker on every cycle — no gating, no wake hooks, no skip accounting, no
 fast-forward.  Components keep publishing activity (the bits are cheap)
 but the kernel ignores it, and they fall back to their original
 scan-everything code paths.  The perf gate uses the legacy kernel as the
@@ -35,6 +57,8 @@ identical on seeded runs.
 from __future__ import annotations
 
 import pickle
+from bisect import insort
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
@@ -45,30 +69,60 @@ ActivityPredicate = Callable[[], bool]
 #: Idle accounting hook: (first_skipped_cycle, count) -> None.
 SkipHook = Callable[[int, int], None]
 
+_by_index = attrgetter("index")
+
 
 class _Ticker:
-    """One registered per-cycle callback and its activity wiring."""
+    """One registered per-cycle callback and its activity wiring.
 
-    __slots__ = ("tick", "active", "on_skip", "name", "on_restore", "suspended")
+    Returned by :meth:`Simulator.add_ticker` as an opaque handle.
+    """
+
+    __slots__ = (
+        "index", "tick", "active", "on_skip", "name", "on_restore",
+        "pushed", "asleep_since",
+    )
 
     def __init__(
         self,
+        index: int,
         tick: Callable[[int], None],
         active: Optional[ActivityPredicate],
         on_skip: Optional[SkipHook],
-        name: Optional[str] = None,
-        on_restore: Optional[Callable[[], None]] = None,
+        name: Optional[str],
+        on_restore: Optional[Callable[[], None]],
+        pushed: bool,
     ) -> None:
+        self.index = index
         self.tick = tick
         self.active = active
         self.on_skip = on_skip
         self.name = name
         self.on_restore = on_restore
-        # A suspended ticker stays registered (identity, restore hooks)
-        # but is removed from the per-cycle dispatch views: the network
-        # arena suspends every router ticker and steps the routers
-        # itself, so idle routers cost zero kernel dispatch.
-        self.suspended = False
+        #: Gated by an ``ActivitySet`` whose ``on_wake`` the kernel owns:
+        #: the ticker may leave the awake list.
+        self.pushed = pushed
+        #: First cycle of the idle span not yet handed to ``on_skip``;
+        #: None while the ticker is on the awake list.
+        self.asleep_since: Optional[int] = None
+
+
+class _Wake:
+    """``ActivitySet.on_wake`` hook of one pushed ticker.
+
+    A slot class, not a closure, so it pickles with the component graph.
+    """
+
+    __slots__ = ("woken", "ticker")
+
+    def __init__(self, woken: List[_Ticker], ticker: _Ticker) -> None:
+        self.woken = woken
+        self.ticker = ticker
+
+    def __call__(self) -> None:
+        ticker = self.ticker
+        if ticker.asleep_since is not None:
+            self.woken.append(ticker)
 
 
 class Simulator:
@@ -83,23 +137,20 @@ class Simulator:
     def __init__(self, allow_fast_forward: bool = True) -> None:
         self.now = 0
         self.events = EventQueue()
-        #: True selects the activity-driven kernel; False the legacy
-        #: (seed) kernel that ticks every ticker every cycle.
+        #: True selects the wake-driven kernel; False the legacy (seed)
+        #: kernel that ticks every ticker every cycle.
         self.allow_fast_forward = allow_fast_forward
         #: Cycles skipped by fast-forward so far (reporting only).
         self.fast_forwarded_cycles = 0
         self._tickers: List[_Ticker] = []
-        self._all_gated = True
+        #: Tickers being stepped, in registration order.
+        self._awake: List[_Ticker] = []
+        #: Sleeping tickers whose set went busy, awaiting admission.  The
+        #: wake hooks hold this very list: mutate it, never rebind it.
+        self._woken: List[_Ticker] = []
         self._stopped = False
         self._in_tick_phase = False
         self._profiler = None
-        # Flat views over the *runnable* (non-suspended) tickers,
-        # maintained by add_ticker and suspend/resume: the idle test and
-        # the fast-forward accounting run between every stepped cycle,
-        # so they should not re-filter the ticker list.
-        self._run_tickers: List[_Ticker] = []
-        self._activity_predicates: List[ActivityPredicate] = []
-        self._skip_hooks: List[SkipHook] = []
 
     def add_ticker(
         self,
@@ -108,20 +159,23 @@ class Simulator:
         on_skip: Optional[SkipHook] = None,
         name: Optional[str] = None,
         on_restore: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Register a per-cycle callback ``tick(cycle)``.
+    ) -> _Ticker:
+        """Register a per-cycle callback ``tick(cycle)``; returns its handle.
 
         Tickers run in registration order every cycle, after same-cycle
-        events have been drained.
+        events have been drained.  One registered from ticker context
+        joins the end of the current cycle's pass.
 
-        ``activity`` gates the ticker: it may be a zero-argument callable
-        returning True while the ticker has work, or any object with an
-        ``active()`` method (such as an ``ActivitySet``).  When the
-        predicate reports inactive the ticker is skipped for that cycle and
-        ``on_skip(first_cycle, count)`` — if given — is invoked instead so
-        the component can account the idle cycles (counters, round
-        boundaries) without paying for a full tick.  ``on_skip`` also
-        covers spans elided by fast-forward, with ``count > 1``.
+        ``activity`` gates the ticker.  An object with ``active()`` and an
+        ``on_wake`` slot (an ``ActivitySet``) makes it *pushed*: the kernel
+        takes the ``on_wake`` hook — one set drives one ticker, a second
+        registration raises ``ValueError`` — and stops stepping the ticker
+        while the set is empty.  A zero-argument callable (or an object
+        with only ``active()``) is polled every cycle.  While the gate
+        reports inactive the ticker is skipped and ``on_skip(first_cycle,
+        count)`` — if given — accounts the idle cycles (counters, round
+        boundaries) without paying for a full tick; see the module
+        docstring for the span contract.
 
         Omitting ``activity`` marks the ticker always-active; the kernel
         then never skips it and never fast-forwards past it.
@@ -135,68 +189,34 @@ class Simulator:
         the columnar scheduling arrays, rebuilt from the object graph —
         use it to reconstruct that state before the first resumed cycle.
         """
-        predicate: Optional[ActivityPredicate]
+        predicate: Optional[ActivityPredicate] = None
+        pushed = False
         if activity is None:
-            predicate = None
+            pass
         elif callable(activity):
             predicate = activity
         elif hasattr(activity, "active"):
             predicate = activity.active
+            pushed = self.allow_fast_forward and hasattr(activity, "on_wake")
         else:
             raise TypeError(
                 f"activity must be callable or have .active(), got {activity!r}"
             )
-        self._tickers.append(_Ticker(tick, predicate, on_skip, name, on_restore))
-        self._rebuild_ticker_views()
+        ticker = _Ticker(
+            len(self._tickers), tick, predicate, on_skip, name, on_restore, pushed
+        )
+        if pushed:
+            if activity.on_wake is not None:
+                raise ValueError(
+                    f"{activity!r} already drives a ticker: its wake-ups "
+                    "would be stolen from the first one"
+                )
+            activity.on_wake = _Wake(self._woken, ticker)
+        self._tickers.append(ticker)
+        self._awake.append(ticker)  # highest index: the list stays sorted
         if self._profiler is not None:
-            self._profiler.register(len(self._tickers) - 1, name)
-
-    def _rebuild_ticker_views(self) -> None:
-        """Recompute the runnable-ticker list and its flat views.
-
-        Registration order is preserved, so suspending and later
-        resuming a ticker restores the exact original dispatch order.
-        """
-        self._run_tickers = [
-            t for t in self._tickers if not getattr(t, "suspended", False)
-        ]
-        self._all_gated = all(t.active is not None for t in self._run_tickers)
-        self._activity_predicates = [
-            t.active for t in self._run_tickers if t.active is not None
-        ]
-        self._skip_hooks = [
-            t.on_skip for t in self._run_tickers if t.on_skip is not None
-        ]
-
-    def suspend_tickers(self, ticks: List[Callable[[int], None]]) -> None:
-        """Remove the tickers with the given ``tick`` callbacks from
-        per-cycle dispatch (batched: one view rebuild).
-
-        Suspended tickers keep their registration slot, identity and
-        ``on_restore`` hook; :meth:`resume_tickers` reinstates them in
-        the original order.  The caller takes over their per-cycle
-        semantics (ticking, idle accounting) while they are suspended —
-        this is the network arena's contract.
-        """
-        self._retarget_tickers(ticks, suspended=True)
-
-    def resume_tickers(self, ticks: List[Callable[[int], None]]) -> None:
-        """Reinstate tickers removed by :meth:`suspend_tickers`."""
-        self._retarget_tickers(ticks, suspended=False)
-
-    def _retarget_tickers(
-        self, ticks: List[Callable[[int], None]], suspended: bool
-    ) -> None:
-        wanted = list(ticks)
-        for ticker in self._tickers:
-            for index, tick in enumerate(wanted):
-                if ticker.tick == tick:
-                    ticker.suspended = suspended
-                    del wanted[index]
-                    break
-        if wanted:
-            raise ValueError(f"no registered ticker for {wanted[0]!r}")
-        self._rebuild_ticker_views()
+            self._profiler.register(ticker.index, name)
+        return ticker
 
     def set_profiler(self, profiler: Any) -> None:
         """Attach (or detach, with None) a kernel profiler.
@@ -270,45 +290,18 @@ class Simulator:
         return "activity" if self.allow_fast_forward else "legacy"
 
     def step(self) -> None:
-        """Execute one cycle: due events first, then the tickers.
+        """Execute one cycle: due events first, then the awake tickers.
 
-        Under the activity kernel, gated tickers whose activity predicate
-        reports False are skipped (their ``on_skip`` hook runs instead);
-        ungated tickers always run.  Under the legacy kernel every ticker
-        runs unconditionally, exactly as the seed engine did.
+        Under the wake-driven kernel only the awake list is visited (see
+        the module docstring for the dispatch rule); every deferred idle
+        span is delivered before returning.  Under the legacy kernel every
+        ticker runs unconditionally, exactly as the seed engine did.
         """
-        if self._profiler is not None:
-            self._step_profiled()
-            return
-        pop_due = self.events.pop_due
-        now = self.now
-        while True:
-            event = pop_due(now)
-            if event is None:
-                break
-            event.fire()
-        self._in_tick_phase = True
-        try:
-            if self.allow_fast_forward:
-                for ticker in self._run_tickers:
-                    active = ticker.active
-                    if active is None or active():
-                        ticker.tick(now)
-                    elif ticker.on_skip is not None:
-                        ticker.on_skip(now, 1)
-            else:
-                for ticker in self._run_tickers:
-                    ticker.tick(now)
-        finally:
-            self._in_tick_phase = False
-        self.now = now + 1
+        self._step()
+        if self.allow_fast_forward:
+            self._flush()
 
-    def _step_profiled(self) -> None:
-        """One cycle with the profiler's dispatch accounting engaged.
-
-        Kept out of :meth:`step` so the unprofiled path pays a single
-        ``is not None`` test per cycle and nothing else.
-        """
+    def _step(self) -> None:
         profiler = self._profiler
         pop_due = self.events.pop_due
         now = self.now
@@ -319,50 +312,129 @@ class Simulator:
                 break
             event.fire()
             fired += 1
-        if fired:
-            profiler.on_events(fired)
-        profiler.on_cycle()
+        if profiler is not None:
+            if fired:
+                profiler.on_events(fired)
+            profiler.on_cycle()
         self._in_tick_phase = True
         try:
             if self.allow_fast_forward:
-                for index, ticker in enumerate(self._tickers):
-                    if ticker.suspended:
-                        continue
+                woken = self._woken
+                if woken:
+                    self._admit(-1)
+                awake = self._awake
+                position = 0
+                # By position, not by iterator: a tick may wake (insert)
+                # tickers further down the list, and sleepers are deleted.
+                while position < len(awake):
+                    ticker = awake[position]
                     active = ticker.active
                     if active is None or active():
-                        start = perf_counter()
-                        ticker.tick(now)
-                        profiler.on_tick(index, perf_counter() - start)
-                    else:
-                        if ticker.on_skip is not None:
-                            ticker.on_skip(now, 1)
-                        profiler.on_skip(index, 1)
-            else:
-                for index, ticker in enumerate(self._tickers):
-                    if ticker.suspended:
+                        if profiler is None:
+                            ticker.tick(now)
+                        else:
+                            self._tick_profiled(ticker, now)
+                        if woken:
+                            self._admit(ticker.index)
+                    elif ticker.pushed:
+                        del awake[position]
+                        ticker.asleep_since = now
                         continue
-                    start = perf_counter()
+                    else:
+                        self._skip(ticker, now, 1)
+                    position += 1
+            elif profiler is None:
+                for ticker in self._tickers:
                     ticker.tick(now)
-                    profiler.on_tick(index, perf_counter() - start)
+            else:
+                for ticker in self._tickers:
+                    self._tick_profiled(ticker, now)
         finally:
             self._in_tick_phase = False
         self.now = now + 1
 
+    def _tick_profiled(self, ticker: _Ticker, now: int) -> None:
+        start = perf_counter()
+        ticker.tick(now)
+        self._profiler.on_tick(ticker.index, perf_counter() - start)
+
+    def _skip(self, ticker: _Ticker, start: int, count: int) -> None:
+        """Hand ``ticker`` the idle span ``[start, start + count)``."""
+        if ticker.on_skip is not None:
+            ticker.on_skip(start, count)
+        if self._profiler is not None:
+            self._profiler.on_skip(ticker.index, count)
+
+    def _admit(self, after: int) -> None:
+        """Move woken tickers registered after index ``after`` onto the
+        awake list, replaying each one's sleep as a single idle span.
+
+        Tickers at or before ``after`` were already passed this cycle:
+        they stay queued and are admitted next cycle, so this cycle is
+        part of their span.
+        """
+        now = self.now
+        woken = self._woken
+        queued = woken[:]
+        woken.clear()
+        for ticker in queued:
+            since = ticker.asleep_since
+            if since is None:
+                continue  # queued twice (set, cleared, set again)
+            if ticker.index <= after:
+                woken.append(ticker)
+                continue
+            ticker.asleep_since = None
+            if now > since:
+                self._skip(ticker, since, now - since)
+            insort(self._awake, ticker, key=_by_index)
+
+    def catch_up(self, ticker: _Ticker) -> None:
+        """Deliver the idle span a sleeping ticker has accrued up to now.
+
+        For code that is about to change state the ticker's ``on_skip``
+        reads (a control plane rebinding a sleeping router's VCs): the
+        cycles before ``now`` are accounted against the old state.  The
+        ticker stays asleep; a no-op while it is awake.
+        """
+        since = ticker.asleep_since
+        if since is not None and since < self.now:
+            ticker.asleep_since = self.now
+            self._skip(ticker, since, self.now - since)
+
+    def _flush(self) -> None:
+        """Deliver every deferred idle span (``run``/``step`` epilogue)."""
+        for ticker in self._tickers:
+            if ticker.asleep_since is not None:
+                self.catch_up(ticker)
+
     def _idle(self) -> bool:
-        """True when every ticker is gated and none reports activity."""
-        if not self._all_gated:
-            return False
-        for active in self._activity_predicates:
-            if active():
+        """True when no ticker has work: fast-forward is legal."""
+        if self._woken:
+            self._admit(-1)
+        for ticker in self._awake:
+            active = ticker.active
+            if active is None or active():
                 return False
         return True
 
     def _fast_forward(self, target: int) -> int:
-        """Jump ``now`` to ``target``, accounting the skip; returns cycles."""
+        """Jump ``now`` to ``target``, accounting the skip; returns cycles.
+
+        Only called when :meth:`_idle`: everything on the awake list reads
+        inactive.  Pushed tickers go to sleep here; polled ones (which
+        never leave the list) are handed the span at once.
+        """
         now = self.now
         skipped = target - now
-        for on_skip in self._skip_hooks:
-            on_skip(now, skipped)
+        polled = []
+        for ticker in self._awake:
+            if ticker.pushed:
+                ticker.asleep_since = now
+            else:
+                self._skip(ticker, now, skipped)
+                polled.append(ticker)
+        self._awake = polled
         self.now = target
         self.fast_forwarded_cycles += skipped
         if self._profiler is not None:
@@ -373,7 +445,8 @@ class Simulator:
         """Run ``cycles`` cycles (or until :meth:`stop`); returns cycles run.
 
         Cycles elided by fast-forward count as run: the simulation state at
-        return is cycle-for-cycle identical to stepping through them.
+        return is cycle-for-cycle identical to stepping through them, and
+        every deferred idle span has been delivered.
         """
         if cycles < 0:
             raise ValueError(f"cannot run a negative number of cycles: {cycles}")
@@ -383,7 +456,7 @@ class Simulator:
         fast_forward = self.allow_fast_forward
         idle = self._idle
         peek_time = self.events.peek_time
-        step = self.step
+        step = self._step
         while self.now < end and not self._stopped:
             if fast_forward and idle():
                 next_time = peek_time()
@@ -393,6 +466,8 @@ class Simulator:
                     continue
             step()
             executed += 1
+        if fast_forward:
+            self._flush()
         return executed
 
     def run_until(self, time: int) -> int:
@@ -402,19 +477,6 @@ class Simulator:
         return self.run(time - self.now)
 
     # ----- checkpoint / restore ---------------------------------------------
-
-    def __setstate__(self, state: dict) -> None:
-        """Unpickle migration: snapshots written before ticker suspension
-        existed lack the ``suspended`` slots and the runnable-ticker
-        views; normalise them (every ticker runnable) so any unpickle
-        path — ``restore`` or the checkpoint codec — yields a steppable
-        simulator."""
-        self.__dict__.update(state)
-        if "_run_tickers" not in state:
-            for ticker in self._tickers:
-                if not hasattr(ticker, "suspended"):
-                    ticker.suspended = False
-            self._rebuild_ticker_views()
 
     def snapshot(self) -> bytes:
         """Serialise the simulator *and everything reachable from it*.
@@ -463,10 +525,8 @@ class Simulator:
             raise TypeError(f"snapshot does not contain a {cls.__name__}")
         # Let components rebuild derived state that snapshots exclude by
         # design (e.g. columnar NumPy banks, reconstructed from the
-        # authoritative object graph).  ``getattr`` keeps snapshots taken
-        # before the hook existed loadable.
+        # authoritative object graph).
         for ticker in sim._tickers:
-            hook = getattr(ticker, "on_restore", None)
-            if hook is not None:
-                hook()
+            if ticker.on_restore is not None:
+                ticker.on_restore()
         return sim

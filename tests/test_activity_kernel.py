@@ -1,7 +1,8 @@
 """Tests for the activity-driven simulation kernel.
 
-Covers the kernel mechanics (activity gating, idle fast-forward, skip
-accounting, the delay=0 ticker-context rule) and the determinism
+Covers the kernel mechanics (activity gating, idle fast-forward, the
+delay=0 ticker-context rule; dispatch order and idle accounting are in
+test_kernel_contract.py, against a polling oracle) and the determinism
 guarantee: the activity-driven kernel must be cycle-for-cycle identical
 to the spin-every-cycle kernel on seeded runs — same delivered-flit
 timestamps, same counters.
@@ -166,38 +167,6 @@ class TestFastForward:
         assert sim.fast_forwarded_cycles == 0
         assert ticked == list(range(10))
         assert skips == []
-
-    def test_on_skip_receives_bulk_spans(self):
-        sim = Simulator()
-        acts = ActivitySet(1)
-        spans = []
-        sim.add_ticker(
-            lambda c: None,
-            activity=acts,
-            on_skip=lambda start, count: spans.append((start, count)),
-        )
-        sim.schedule(300, lambda: None)
-        sim.run(1000)
-        assert spans == [(0, 300), (300, 1), (301, 699)]
-
-    def test_per_cycle_skip_when_another_ticker_busy(self):
-        # An idle ticker alongside a busy one is skipped cycle by cycle,
-        # with its on_skip keeping the accounting exact.
-        sim = Simulator()
-        idle = ActivitySet(1)
-        busy = ActivitySet(1)
-        busy.set(0)
-        skipped = []
-        ticked = []
-        sim.add_ticker(
-            lambda c: None,
-            activity=idle,
-            on_skip=lambda start, count: skipped.append((start, count)),
-        )
-        sim.add_ticker(ticked.append, activity=busy)
-        sim.run(4)
-        assert ticked == [0, 1, 2, 3]
-        assert skipped == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
     def test_stop_during_fast_forward_region(self):
         sim = Simulator()

@@ -1,9 +1,9 @@
 """Tests for the network-wide columnar arena and dimension-order routing.
 
-The arena (DESIGN.md §7f) steps only awake routers and pools their
-columnar state; the identity contract is that delivered flit streams
-and run summaries are bit-identical to the per-router-ticker object
-graph, including through mid-run flag flips.
+The arena (DESIGN.md §7f) pools the routers' columnar state; the
+identity contract is that delivered flit streams and run summaries are
+bit-identical to the unpooled object graph, including through mid-run
+flag flips.
 """
 
 import pytest
@@ -30,7 +30,6 @@ from repro.routing.dimension_order import (
     next_hop,
     require_grid,
 )
-from repro.sim.engine import Simulator
 from repro.traffic.vbr import MpegProfile
 
 np = columnar.load_numpy()
@@ -111,15 +110,15 @@ class TestArenaIdentity:
         flipped = NetworkExperiment(spec)
         flip_log = attach_delivery_log(flipped)
         flipped.run_to(600)
-        flipped.network.set_network_arena(True)  # wake mask takes over mid-run
+        flipped.network.set_network_arena(True)  # banks re-homed mid-run
         flipped.run_to(1200)
-        flipped.network.set_network_arena(False)  # router tickers resume
+        flipped.network.set_network_arena(False)
         assert _summary(flipped.result()) == ref
         assert flip_log == ref_log
 
     def test_pooled_columnar_arena_matches_object_graph(self):
         # Regression: with columnar_state=True the banks are built
-        # eagerly, so NetworkArena.install() must reserve every bank's
+        # eagerly, so NetworkArena must reserve every bank's
         # pool rows before the first adoption rebuilds into the pool —
         # interleaving reserve/adopt froze the chunks at one bank's
         # capacity and the second bank's take() raised RuntimeError at
@@ -131,10 +130,10 @@ class TestArenaIdentity:
         assert base_log, "scenario delivered no flits — vacuous identity"
 
     def test_legacy_kernel_does_not_accumulate_wake_records(self):
-        # Regression: with allow_fast_forward=False the arena ticks every
-        # router every cycle, but the ActivitySet wake hooks still fire
-        # on each idle->busy transition; the queue must be dropped per
-        # tick, not left to grow (and get pickled) for the whole run.
+        # Regression: under allow_fast_forward=False nothing ever sleeps,
+        # so nothing may queue wake-ups either — a queue nobody drains
+        # would grow (and get pickled) for the whole run.  The legacy
+        # kernel therefore installs no wake hooks at all.
         spec = NetworkExperimentSpec(
             target_link_load=0.25,
             topology="mesh3x3",
@@ -148,9 +147,11 @@ class TestArenaIdentity:
         )
         experiment = NetworkExperiment(spec)
         experiment.run_to(experiment.total_cycles)
-        arena = experiment.network.arena
-        # At most one pending entry per router (the final tick's wakes).
-        assert len(arena._woken) <= experiment.topology.num_nodes
+        assert experiment.sim._woken == []
+        assert all(
+            router.activity.on_wake is None
+            for router in experiment.network.routers
+        )
 
     def test_arena_flag_is_idempotent(self):
         spec = NetworkExperimentSpec(
@@ -288,31 +289,3 @@ class TestDimensionOrderRouting:
             stream.source.stop_time = experiment.sim.now
         experiment.sim.run(5000)
         assert network.total_buffered() == 0
-
-
-class TestTickerSuspension:
-    def test_suspended_tickers_do_not_run(self):
-        sim = Simulator()
-        calls = []
-
-        def tick_a(cycle):
-            calls.append(("a", cycle))
-
-        def tick_b(cycle):
-            calls.append(("b", cycle))
-
-        sim.add_ticker(tick_a)
-        sim.add_ticker(tick_b)
-        sim.run(1)
-        sim.suspend_tickers([tick_a])
-        sim.run(1)
-        sim.resume_tickers([tick_a])
-        sim.run(1)
-        assert calls == [
-            ("a", 0), ("b", 0), ("b", 1), ("a", 2), ("b", 2),
-        ]
-
-    def test_unknown_ticker_raises(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.suspend_tickers([lambda cycle: None])

@@ -1,4 +1,4 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/2`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/3`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
@@ -27,7 +27,7 @@ from repro.harness.single_router import (
 from repro.network.connection import ConnectionManager
 from repro.network.interface import NetworkInterface
 from repro.network.network import Network
-from repro.network.topology import mesh
+from repro.network.topology import mesh, torus
 from repro.obs.manifest import config_digest
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
@@ -191,16 +191,20 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/1`` file keeps in-flight flits as heap events or arena
-        rings, which this build would never drain: refuse it up front."""
+        """A ``ckpt/2`` file has no awake list, no pending wakes and no
+        wake hooks (the arena held them, or nobody): resumed here its
+        routers would sleep for ever.  A ``ckpt/1`` file also keeps
+        in-flight flits as heap events.  Refuse both up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
-        self._rewrite_header(path, lambda r: r.update(schema="ckpt/1"))
-        for read in (CheckpointCodec.read_header, CheckpointCodec.load):
-            with pytest.raises(CheckpointSchemaError) as excinfo:
-                read(path)
-            assert (excinfo.value.found, excinfo.value.expected) == ("ckpt/1", "ckpt/2")
-            assert "ckpt/1" in str(excinfo.value) and "ckpt/2" in str(excinfo.value)
+        for previous in ("ckpt/2", "ckpt/1"):
+            self._rewrite_header(path, lambda r: r.update(schema=previous))
+            for read in (CheckpointCodec.read_header, CheckpointCodec.load):
+                with pytest.raises(CheckpointSchemaError) as excinfo:
+                    read(path)
+                error = excinfo.value
+                assert (error.found, error.expected) == (previous, "ckpt/3")
+                assert previous in str(error) and "ckpt/3" in str(error)
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -379,6 +383,24 @@ class TestSingleRouterCheckpoint:
             )
 
 
+def _build_network(topology, config, label, flows, **network_options):
+    """A network with one interface per node and the CBR ``flows``
+    ``(source, destination, rate)`` open, as a checkpointable dict."""
+    sim = Simulator()
+    rng = SeededRng(5, label)
+    network = Network(
+        topology, config, BiasedPriority(), sim, rng, **network_options
+    )
+    manager = ConnectionManager(network)
+    interfaces = [
+        NetworkInterface(network, manager, n, rng=rng.spawn(f"ni{n}"))
+        for n in range(topology.num_nodes)
+    ]
+    for src, dst, rate in flows:
+        assert interfaces[src].open_cbr(dst, rate) is not None
+    return {"sim": sim, "network": network, "interfaces": interfaces}
+
+
 class TestLinkLanesCheckpoint:
     """In-flight flits and credits are pickled with the network."""
 
@@ -393,32 +415,21 @@ class TestLinkLanesCheckpoint:
             vc_buffer_flits=4,
             enforce_round_budgets=False,
         )
-        sim = Simulator()
-        rng = SeededRng(5, "ckpt-lanes")
-        network = Network(
+        state = _build_network(
             topology,
             config,
-            BiasedPriority(),
-            sim,
-            rng,
+            "ckpt-lanes",
+            [(0, 8, 120e6), (2, 6, 55e6), (7, 1, 55e6), (5, 3, 20e6)],
             link_latency=2,
             network_arena=arena,
         )
-        manager = ConnectionManager(network)
-        interfaces = [
-            NetworkInterface(network, manager, n, rng=rng.spawn(f"ni{n}"))
-            for n in range(9)
-        ]
-        for src, dst, rate in [(0, 8, 120e6), (2, 6, 55e6), (7, 1, 55e6), (5, 3, 20e6)]:
-            assert interfaces[src].open_cbr(dst, rate) is not None
         for _ in range(6):
-            interfaces[4].send_best_effort(0)
-        return {"sim": sim, "network": network, "interfaces": interfaces}
+            state["interfaces"][4].send_best_effort(0)
+        return state
 
     @staticmethod
     def fingerprint(state):
         network = state["network"]
-        network.flush_arena_accounting()
         network.check_invariants()
         return (
             [
@@ -457,3 +468,65 @@ class TestLinkLanesCheckpoint:
         resumed["network"].set_network_arena(arena_after)
         resumed["sim"].run(self.CYCLES - resumed["sim"].now)
         assert self.fingerprint(resumed) == reference
+
+
+class TestSleepingRoutersCheckpoint:
+    """Which routers sleep, since when, and the queued wakes are simulator
+    state: a checkpoint taken with most of the torus asleep resumes to the
+    result of the straight run, through later round boundaries."""
+
+    CYCLES = 700
+    CHECKPOINT_AT = 300  # mid-round: boundaries fall at 255, 511, ...
+
+    @staticmethod
+    def build(arena):
+        topology = torus(4, 4)
+        config = RouterConfig(
+            num_ports=topology.num_ports,
+            vcs_per_port=8,
+            round_factor=32,
+            enforce_round_budgets=False,
+        )
+        assert config.round_length == 256
+        return _build_network(
+            topology,
+            config,
+            "ckpt-asleep",
+            [(0, 1, 20e6), (10, 11, 5e6)],
+            routing="dimension_order",
+            network_arena=arena,
+        )
+
+    @pytest.mark.parametrize(
+        "arena_before, arena_after",
+        [(False, False), (True, True), (False, True), (True, False)],
+    )
+    def test_resume_with_most_routers_asleep(self, tmp_path, arena_before, arena_after):
+        if (arena_before or arena_after) and columnar.load_numpy() is None:
+            pytest.skip("the arena needs NumPy")
+        fingerprint = TestLinkLanesCheckpoint.fingerprint
+        straight = self.build(arena=False)
+        straight["sim"].run(self.CYCLES)
+        reference = fingerprint(straight)
+        assert reference[0]
+
+        state = self.build(arena=arena_before)
+        state["sim"].run(self.CHECKPOINT_AT)
+        asleep = [t for t in state["sim"]._tickers if t.asleep_since is not None]
+        assert len(asleep) >= 12
+        path = tmp_path / "asleep.ckpt"
+        CheckpointCodec.save(path, state, kind="test", cycle=state["sim"].now)
+        del state, asleep
+        _, resumed = CheckpointCodec.load(path, expect_kind="test")
+        sim = resumed["sim"]
+        sleepers = [t for t in sim._tickers if t.asleep_since is not None]
+        assert len(sleepers) >= 12
+        assert all(t.asleep_since == self.CHECKPOINT_AT for t in sleepers)
+        # The hooks came back wired to the restored simulator's own queue.
+        for router in resumed["network"].routers:
+            assert router.activity.on_wake.woken is sim._woken
+        resumed["network"].set_network_arena(arena_after)
+        sim.run(self.CYCLES - sim.now)
+        assert any(t.asleep_since is not None for t in sim._tickers)
+        assert fingerprint(resumed) == reference
+

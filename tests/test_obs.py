@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.core.config import RouterConfig
+from repro.harness.churn import ChurnSpec, ChurnWorkload
 from repro.harness.kernel_bench import build_cbr_scenario
+from repro.harness.network_experiment import (
+    NetworkExperiment,
+    NetworkExperimentSpec,
+)
 from repro.harness.single_router import (
     ExperimentSpec,
     SingleRouterExperiment,
@@ -135,6 +140,75 @@ class TestKernelProfiler:
         profiler = KernelProfiler()
         profiler.register(2, "late")
         assert [t.name for t in profiler.tickers] == ["ticker0", "ticker1", "late"]
+
+    def test_every_ticker_cycle_is_a_tick_or_a_skip_under_deferral(self):
+        # Sleeping routers' skips reach the profiler late and merged, but
+        # once run() has returned they are all there.
+        experiment = _sparse_torus(allow_fast_forward=True)
+        experiment.run_to(experiment.total_cycles)
+        profiler = experiment.recorder.profiler
+        assert profiler.fast_forwarded_cycles > 0
+        assert any(t.skip_spans for t in profiler.tickers)
+        for ticker in profiler.tickers:
+            assert ticker.ticks + ticker.skipped_cycles == profiler.total_cycles, (
+                ticker.name
+            )
+
+
+def _sparse_torus(allow_fast_forward):
+    return NetworkExperiment(
+        NetworkExperimentSpec(
+            target_link_load=0.02,
+            topology="torus4x4",
+            routing="dimension_order",
+            warmup_cycles=500,
+            measure_cycles=6000,
+            seed=9,
+            telemetry=True,
+            allow_fast_forward=allow_fast_forward,
+        )
+    )
+
+
+def _recorded_churn(allow_fast_forward):
+    return ChurnWorkload(
+        ChurnSpec(
+            num_sessions=60,
+            mean_interarrival_cycles=300.0,
+            mean_holding_cycles=4000.0,
+            drain_cycles=20_000,
+            num_nodes=8,
+            seed=3,
+            telemetry=True,
+            allow_fast_forward=allow_fast_forward,
+        )
+    )
+
+
+class TestIdleReplayIsSpanPure:
+    """A sleeping router's round boundaries are sampled when it wakes,
+    not when they happen.  The recorded series must not show it: every
+    telemetry channel is sample-for-sample equal to the legacy kernel's,
+    which ticks every router every cycle.  The one exception is
+    ``kernel.fast_forward_ratio``, which samples ``sim.now`` and the
+    fast-forward count — kernel-dependent by definition."""
+
+    @pytest.mark.parametrize("build", (_sparse_torus, _recorded_churn))
+    def test_series_equal_the_legacy_kernels(self, build):
+        series = {}
+        for allow_fast_forward in (True, False):
+            run = build(allow_fast_forward)
+            run.result()
+            snapshot = run.recorder.telemetry.snapshot()
+            snapshot.pop("kernel.fast_forward_ratio", None)
+            series[allow_fast_forward] = snapshot
+        assert series[True].keys() == series[False].keys()
+        assert any(
+            ".vc_occupancy" in name or ".cbr_cycles_reserved" in name
+            for name in series[True]
+        )
+        for name, channel in series[True].items():
+            assert channel == series[False][name], name
 
 
 class TestFlightRecorder:
