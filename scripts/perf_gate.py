@@ -50,7 +50,9 @@ A third gate covers the checkpoint/restore subsystem, recorded to
    (the 729-connection scenario) and the 12-node multihop network (with
    best-effort chatter in flight) run straight through vs
    checkpoint-at-midpoint / restore-from-disk / resume, and must produce
-   bit-identical delivered-flit streams and statistics.
+   bit-identical delivered-flit streams and statistics.  Every leg that
+   writes a checkpoint (these two, and the columnar and network-arena
+   round-trips with their flag flips) reports its ``payload_bytes``.
 
 A fourth gate covers the columnar (NumPy) state engine, recorded to
 ``BENCH_columnar.json`` (schema ``bench-columnar/1``):
@@ -358,6 +360,7 @@ def run_columnar_gates(args, failures) -> dict:
             f"resumed={columnar_ckpt['columnar_resumed_identical']} "
             f"flip_off={columnar_ckpt['flip_off_identical']} "
             f"flip_on={columnar_ckpt['flip_on_identical']} "
+            f"payload_bytes={columnar_ckpt['checkpoint_bytes']} "
             f"identical={columnar_ckpt['identical']}"
         )
         if not columnar_ckpt["identical"]:
@@ -630,6 +633,7 @@ def run_topo_gates(args, failures) -> dict:
             f"resumed={arena_ckpt['arena_resumed_identical']} "
             f"flip_off={arena_ckpt['flip_off_identical']} "
             f"flip_on={arena_ckpt['flip_on_identical']} "
+            f"payload_bytes={arena_ckpt['checkpoint_bytes']} "
             f"identical={arena_ckpt['identical']}"
         )
         if not arena_ckpt["identical"]:
@@ -1505,7 +1509,7 @@ def main(argv=None) -> int:
         f"   connections={ckpt_router['connections']} "
         f"flits={ckpt_router['flits_delivered']} "
         f"ckpt@{ckpt_router['checkpoint_cycle']} "
-        f"({ckpt_router['checkpoint_bytes']:,} bytes) "
+        f"payload_bytes={ckpt_router['checkpoint_bytes']:,} "
         f"identical={ckpt_router['identical']}"
     )
     if not ckpt_router["identical"]:
@@ -1519,7 +1523,7 @@ def main(argv=None) -> int:
             f"   streams={ckpt_network['streams']} "
             f"delay_count={ckpt_network['delay_count']} "
             f"ckpt@{ckpt_network['checkpoint_cycle']} "
-            f"({ckpt_network['checkpoint_bytes']:,} bytes) "
+            f"payload_bytes={ckpt_network['checkpoint_bytes']:,} "
             f"identical={ckpt_network['identical']}"
         )
         if not ckpt_network["identical"]:
@@ -1537,6 +1541,8 @@ def main(argv=None) -> int:
         "identity": {
             "single_router": ckpt_router,
             "multihop": ckpt_network,
+            "columnar": columnar_report["identity"]["checkpoint"],
+            "arena": topo_report["identity"]["checkpoint"],
         },
     }
     args.ckpt_output.write_text(json.dumps(ckpt_report, indent=2) + "\n")

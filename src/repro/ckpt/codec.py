@@ -1,25 +1,29 @@
-"""Versioned on-disk checkpoint format (schema ``ckpt/3``).
+"""Versioned on-disk checkpoint format (schema ``ckpt/4``).
 
 A checkpoint file is::
 
     MMR-CKPT\\n            magic line
     {...}\\n               JSON header (one line)
-    <pickle blob>          the component graph, one pickle
+    <pickle stream>        the component names, then each component
 
 The header carries everything needed to *identify* a checkpoint without
 unpickling it — schema version, producer kind, simulation cycle, seed,
 config digest and git revision (reusing the :mod:`repro.obs.manifest`
-provenance machinery), a payload checksum, and approximate per-component
-sizes for ``repro ckpt inspect``.  ``read_header`` never touches the
-pickle blob, so inspecting an untrusted or corrupt file is safe.
+provenance machinery), a payload checksum, and the bytes each component
+added to the stream for ``repro ckpt inspect``.  ``read_header`` never
+touches the pickle stream, so inspecting an untrusted or corrupt file is
+safe.
 
-The payload is ONE pickle of a dict of named components.  A single pickle
-is load-bearing: components share live references (the simulator's event
+The payload is written by ONE pickler: a record of the component names,
+then one record per component in that order.  A single pickler is
+load-bearing: components share live references (the simulator's event
 queue holds flits that also sit in VC buffers; routers share the network's
-stats registry), and pickling them together preserves that sharing via the
-pickle memo.  Restoring therefore rebuilds the exact object graph, which
-is what makes resumed runs bit-identical to straight-through runs (the
-perf gate proves this).
+stats registry), and the pickler's memo, which survives from one record
+to the next, preserves that sharing.  Restoring (one unpickler, the same
+order) therefore rebuilds the exact object graph, which is what makes
+resumed runs bit-identical to straight-through runs (the perf gate proves
+this).  Separate records are what let ``sections`` be read off the stream
+offsets instead of pickling every component a second time.
 
 Loading verifies, in order: magic, header JSON, schema version, payload
 checksum, then — when the caller says what it expects — producer kind and
@@ -30,9 +34,11 @@ and the expected value.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -44,13 +50,16 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
-#: ``ckpt/3``: which tickers sleep, since when, and the pending wakes are
+#: ``ckpt/4``: the payload is a stream of records from one pickler (names,
+#: then each component) where ``ckpt/3`` holds one pickled dict, and an
+#: untouched ``VirtualChannel`` is stored as its constructor arguments.
+#: (``ckpt/3``: which tickers sleep, since when, and the pending wakes are
 #: simulator state (``Simulator._awake`` / ``_woken``, ``asleep_since``
 #: and the ``ActivitySet.on_wake`` hooks); a ``ckpt/2`` file keeps them in
 #: the network arena (or nowhere) and would resume with every router
-#: asleep and unwakeable, so it is refused by name.  (``ckpt/2`` moved
+#: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/3"
+CKPT_SCHEMA = "ckpt/4"
 
 
 class CheckpointError(RuntimeError):
@@ -103,9 +112,10 @@ class CheckpointHeader:
     #: sha256 of the pickle payload, hex.
     payload_sha256: str
     payload_bytes: int
-    #: Standalone-encoded size of each component, in bytes.  Approximate
-    #: by construction: shared sub-objects count toward every component
-    #: that references them, so the sizes need not sum to payload_bytes.
+    #: Bytes each component added to the payload, in dump order: an object
+    #: shared by two components counts toward the first one dumped, and
+    #: the first also carries the names record, so the sizes sum to
+    #: payload_bytes.
     sections: Dict[str, int] = field(default_factory=dict)
     #: Provenance (git revision, platform, timestamps — see build_manifest).
     manifest: Dict[str, Any] = field(default_factory=dict)
@@ -155,7 +165,7 @@ class CheckpointHeader:
 
 
 class CheckpointCodec:
-    """Reads and writes ``ckpt/3`` checkpoint files."""
+    """Reads and writes ``ckpt/4`` checkpoint files."""
 
     schema = CKPT_SCHEMA
 
@@ -177,21 +187,24 @@ class CheckpointCodec:
         checkpoint where a resumable one used to be.  Returns the header
         that was written.
         """
+        stream = io.BytesIO()
+        pickler = pickle.Pickler(stream, protocol=pickle.HIGHEST_PROTOCOL)
+        names = list(components)
+        sections: Dict[str, int] = {}
         try:
-            payload = pickle.dumps(dict(components), protocol=pickle.HIGHEST_PROTOCOL)
+            pickler.dump(names)
+            start = 0
+            for name in names:
+                pickler.dump(components[name])
+                end = stream.tell()
+                sections[name] = end - start
+                start = end
         except Exception as exc:
             raise CheckpointError(
                 "checkpoint state is not picklable — a component holds a "
                 f"closure, lambda, or open resource ({exc})"
             ) from exc
-        sections: Dict[str, int] = {}
-        for name, component in components.items():
-            try:
-                sections[name] = len(
-                    pickle.dumps(component, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            except Exception:  # pragma: no cover - the joint dump succeeded
-                sections[name] = -1
+        payload = stream.getvalue()
         header = CheckpointHeader(
             schema=CheckpointCodec.schema,
             kind=kind,
@@ -207,13 +220,21 @@ class CheckpointCodec:
         )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(header.to_json().encode("utf-8"))
-            handle.write(b"\n")
-            handle.write(payload)
-        os.replace(tmp, path)
+        # Unique tmp name, as in ``ResultStore.put``: two writers of one
+        # path must not share a half-written staging file.
+        tmp = path.with_name(
+            f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        )
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(MAGIC)
+                handle.write(header.to_json().encode("utf-8"))
+                handle.write(b"\n")
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return header
 
     @staticmethod
@@ -278,17 +299,19 @@ class CheckpointCodec:
                 f"{path}: payload checksum {digest} does not match header "
                 f"{header.payload_sha256} — corrupt checkpoint"
             )
+        unpickler = pickle.Unpickler(io.BytesIO(payload))
         try:
-            components = pickle.loads(payload)
+            names = unpickler.load()
+            if not isinstance(names, list):
+                raise TypeError(
+                    f"names record is {type(names).__name__}, expected list"
+                )
+            components = {name: unpickler.load() for name in names}
         except Exception as exc:
             raise CheckpointFormatError(
                 f"{path}: payload failed to unpickle ({exc}) — written by an "
                 "incompatible code revision?"
             ) from exc
-        if not isinstance(components, dict):
-            raise CheckpointFormatError(
-                f"{path}: payload is {type(components).__name__}, expected dict"
-            )
         return header, components
 
     @staticmethod

@@ -132,7 +132,9 @@ def run_ckpt_columnar_identity_check(
         router.check_invariants()
         return delivered, dict(router.stats.scalars)
 
-    def _checkpointed(columnar: bool, flip: Optional[bool]):
+    checkpoint_bytes = {}
+
+    def _checkpointed(leg: str, columnar: bool, flip: Optional[bool]):
         delivered: List[DeliveryRecord] = []
         sim, router = build_saturated_scenario(
             True, target_load, seed,
@@ -141,14 +143,14 @@ def run_ckpt_columnar_identity_check(
         sim.run(cycles // 2)
         with tempfile.TemporaryDirectory(dir=checkpoint_dir) as tmp:
             path = os.path.join(tmp, "columnar.ckpt")
-            CheckpointCodec.save(
+            checkpoint_bytes[leg] = CheckpointCodec.save(
                 path,
                 {"sim": sim, "router": router, "delivered": delivered},
                 kind="simulator",
                 cycle=sim.now,
                 seed=seed,
                 config=router.config,
-            )
+            ).payload_bytes
             del sim, router, delivered
             _, components = CheckpointCodec.load(path, expect_kind="simulator")
         return _finish(components, flip)
@@ -162,9 +164,12 @@ def run_ckpt_columnar_identity_check(
     sim.run(cycles)
     router.check_invariants()
     legs["columnar_straight"] = (columnar_delivered, dict(router.stats.scalars))
-    legs["columnar_resumed"] = _checkpointed(columnar=True, flip=None)
-    legs["flip_off"] = _checkpointed(columnar=True, flip=False)
-    legs["flip_on"] = _checkpointed(columnar=False, flip=True)
+    for leg, columnar, flip in (
+        ("columnar_resumed", True, None),
+        ("flip_off", True, False),
+        ("flip_on", False, True),
+    ):
+        legs[leg] = _checkpointed(leg, columnar, flip)
 
     comparisons = {name: leg == reference for name, leg in legs.items()}
     return {
@@ -174,6 +179,7 @@ def run_ckpt_columnar_identity_check(
         "connections": connections,
         "cycles": cycles,
         "checkpoint_cycle": cycles // 2,
+        "checkpoint_bytes": checkpoint_bytes,
         "target_load": target_load,
     }
 
@@ -292,13 +298,15 @@ def run_ckpt_arena_identity_check(
 
     reference = _network_summary(run_network_experiment_straight(make_spec(False)))
 
-    def _checkpointed(arena: bool, flip: Optional[bool]) -> dict:
+    checkpoint_bytes = {}
+
+    def _checkpointed(leg: str, arena: bool, flip: Optional[bool]) -> dict:
         spec = make_spec(arena)
         experiment = NetworkExperiment(spec)
         experiment.run_to((experiment.total_cycles + experiment.now) // 2)
         with tempfile.TemporaryDirectory(dir=checkpoint_dir) as tmp:
             path = os.path.join(tmp, "arena.ckpt")
-            experiment.checkpoint(path)
+            checkpoint_bytes[leg] = experiment.checkpoint(path).payload_bytes
             del experiment
             resumed = NetworkExperiment.resume(path, expect_spec=spec)
         if flip is not None:
@@ -309,10 +317,13 @@ def run_ckpt_arena_identity_check(
         "arena_straight": _network_summary(
             run_network_experiment_straight(make_spec(True))
         ),
-        "arena_resumed": _checkpointed(arena=True, flip=None),
-        "flip_off": _checkpointed(arena=True, flip=False),
-        "flip_on": _checkpointed(arena=False, flip=True),
     }
+    for leg, arena, flip in (
+        ("arena_resumed", True, None),
+        ("flip_off", True, False),
+        ("flip_on", False, True),
+    ):
+        legs[leg] = _checkpointed(leg, arena, flip)
     comparisons = {name: leg == reference for name, leg in legs.items()}
     return {
         "identical": all(comparisons.values()),
@@ -321,6 +332,7 @@ def run_ckpt_arena_identity_check(
         "routing": routing,
         "warmup_cycles": warmup,
         "measure_cycles": measure,
+        "checkpoint_bytes": checkpoint_bytes,
         "streams": reference["streams"],
         "delay_count": reference["delay_count"],
     }

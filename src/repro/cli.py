@@ -863,8 +863,8 @@ def cmd_ckpt_inspect(args: argparse.Namespace) -> int:
     print(f"{'payload bytes':>16}: {summary['payload_bytes']}")
     print(f"{'payload sha256':>16}: {summary['payload_sha256'][:16]}...")
     if summary["sections"]:
-        print("component sizes (standalone-encoded, shared state counted "
-              "per component):")
+        print("component sizes (bytes added to the payload; shared state "
+              "counts toward the first component dumped):")
         for name, size in summary["sections"].items():
             print(f"{name:>16}: {size}")
     return 0
@@ -1242,7 +1242,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ckpt_parser = sub.add_parser("ckpt", help="checkpoint tooling")
     ckpt_sub = ckpt_parser.add_subparsers(dest="ckpt_command", required=True)
     inspect_parser = ckpt_sub.add_parser(
-        "inspect", help="dump a checkpoint's header and component sizes"
+        "inspect",
+        help="dump a checkpoint's header and component sizes",
+        description="Print a ckpt/4 checkpoint's header without unpickling "
+        "it.  Component sizes are the bytes each component added to the "
+        "payload, in dump order, and sum to the payload size.  Size follows "
+        "the VCs in use: an idle VC costs ~15 bytes, so an 8x256-VC router "
+        "with 58 connections is ~110 KB (~390 KB under ckpt/3).",
     )
     inspect_parser.add_argument("file", help="checkpoint file path")
     inspect_parser.add_argument("--json", action="store_true", help="JSON output")

@@ -65,23 +65,25 @@ class InputPort:
             for index in range(config.vcs_per_port)
         ]
         self.status = StatusBank(config.vcs_per_port)
-        self._free_vcs = set(range(config.vcs_per_port))
+        # Free pool as a bit mask: bit i set = VC i unbound.
+        self._free_vcs = (1 << config.vcs_per_port) - 1
 
     def find_free_vc(self) -> Optional[int]:
         """Lowest-numbered free virtual channel, or None."""
-        return min(self._free_vcs) if self._free_vcs else None
+        free = self._free_vcs
+        return (free & -free).bit_length() - 1 if free else None
 
     def free_vc_count(self) -> int:
         """How many VCs are unbound."""
-        return len(self._free_vcs)
+        return self._free_vcs.bit_count()
 
     def mark_bound(self, vc_index: int) -> None:
         """Remove a VC from the free pool (it was just bound)."""
-        self._free_vcs.discard(vc_index)
+        self._free_vcs &= ~(1 << vc_index)
 
     def mark_free(self, vc_index: int) -> None:
         """Return a VC to the free pool."""
-        self._free_vcs.add(vc_index)
+        self._free_vcs |= 1 << vc_index
 
 
 class _CreditListener:
@@ -975,7 +977,7 @@ class Router:
                     f"{self.name}: connection_active desync at "
                     f"{port.port}.{vc.index}"
                 )
-                assert (vc.index in port._free_vcs) == (not bound), (
+                assert (port._free_vcs >> vc.index & 1) == (not bound), (
                     f"{self.name}: free pool desync at {port.port}.{vc.index}"
                 )
                 routed = bound and vc.output_port >= 0
@@ -1022,7 +1024,15 @@ class Router:
         )
 
     def buffered_flits(self) -> int:
-        """Flits currently waiting in input VCs (for drain checks)."""
-        return sum(
-            vc.occupancy for port in self.input_ports for vc in port.vcs
-        )
+        """Flits currently waiting in input VCs (for drain checks).
+
+        Walks the set bits of ``flits_available`` — the occupied VCs, not
+        the provisioned ones; :meth:`check_invariants` proves the two
+        agree.
+        """
+        total = 0
+        for port, flits_available in zip(self.input_ports, self._flits_available):
+            vcs = port.vcs
+            for vc_index in flits_available.indices():
+                total += len(vcs[vc_index].buffer)
+        return total

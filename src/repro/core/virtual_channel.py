@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple, Union
 
 from .flit import Flit
 
@@ -36,12 +36,24 @@ CLASS_OFFSETS = {
 }
 
 
+# What ``VirtualChannel.buffer`` holds before the first flit: the paper's
+# virtual channel memory is one shared RAM per input link (§3.2), so a
+# channel nobody uses owns no storage.  Recognised by type, not identity:
+# an empty tuple that went through a checkpoint is still a tuple.
+_NO_BUFFER: Tuple[()] = ()
+
+
 class VirtualChannel:
     """One virtual channel: a bounded flit FIFO plus scheduling state.
 
     ``ready_time`` is stamped on a flit when it becomes the channel head:
     the head flit of a VC is what competes for the switch, so the paper's
     delay metric starts counting from that moment.
+
+    ``buffer`` is the shared empty placeholder until the first
+    :meth:`enqueue` allocates the ``deque``; :meth:`release` hands it
+    back.  Readers only ever test it for truth, take its length or index
+    a non-empty one, which the placeholder answers like an empty deque.
     """
 
     __slots__ = (
@@ -66,14 +78,13 @@ class VirtualChannel:
         "prio_base",
         "prio_div",
         "prio_key",
-        "history",
     )
 
     def __init__(self, port: int, index: int, capacity: int) -> None:
         self.port = port
         self.index = index
         self.capacity = capacity
-        self.buffer: Deque[Flit] = deque()
+        self.buffer: Union[Deque[Flit], Tuple[()]] = _NO_BUFFER
         # Connection binding (None when the VC is free).
         self.connection_id: Optional[int] = None
         self.service_class: ServiceClass = ServiceClass.BEST_EFFORT
@@ -107,8 +118,18 @@ class VirtualChannel:
         self.prio_base: float = 0.0
         self.prio_div: float = 1.0
         self.prio_key: int = 0
-        # Output links already probed from this VC (EPB history store, §3.5).
-        self.history: set = set()
+
+    def __reduce_ex__(self, protocol):
+        """Pickle an untouched VC as its three constructor arguments.
+
+        Unbound with the placeholder buffer means nothing has happened to
+        the VC since ``__init__`` or :meth:`release`, which both leave
+        every slot at its default — so a checkpoint's size follows the
+        VCs in use, not the VCs provisioned.
+        """
+        if self.connection_id is None and type(self.buffer) is tuple:
+            return VirtualChannel, (self.port, self.index, self.capacity)
+        return super().__reduce_ex__(protocol)
 
     # ----- connection binding ---------------------------------------------
 
@@ -139,12 +160,18 @@ class VirtualChannel:
         self.prio_conn = None
 
     def release(self) -> None:
-        """Free the VC (connection torn down or packet fully sent)."""
+        """Free the VC (connection torn down or packet fully sent).
+
+        Every slot goes back to its constructor default, not only the
+        ones a later bind would overwrite: ``__reduce_ex__`` stores a
+        released VC as its constructor arguments.
+        """
         if self.buffer:
             raise RuntimeError(
                 f"cannot release VC {self.port}.{self.index}: "
                 f"{len(self.buffer)} flits still buffered"
             )
+        self.buffer = _NO_BUFFER
         self.connection_id = None
         self.service_class = ServiceClass.BEST_EFFORT
         self.class_offset = CLASS_OFFSETS[ServiceClass.BEST_EFFORT]
@@ -159,7 +186,9 @@ class VirtualChannel:
         self.round_offset = 0.0
         self.prio_flit = None
         self.prio_conn = None
-        self.history.clear()
+        self.prio_base = 0.0
+        self.prio_div = 1.0
+        self.prio_key = 0
 
     # ----- buffer operations -----------------------------------------------
 
@@ -179,9 +208,12 @@ class VirtualChannel:
             raise RuntimeError(
                 f"VC {self.port}.{self.index} overflow: flow control failed"
             )
-        if not self.buffer:
+        buffer = self.buffer
+        if not buffer:
             flit.ready_time = now
-        self.buffer.append(flit)
+            if type(buffer) is tuple:
+                buffer = self.buffer = deque()
+        buffer.append(flit)
 
     def head(self) -> Optional[Flit]:
         """The flit competing for the switch, or None."""

@@ -366,7 +366,7 @@ class NetworkExperiment:
     # ----- checkpoint / resume ----------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete cluster state to ``path`` (``ckpt/3``)."""
+        """Write the complete cluster state to ``path`` (``ckpt/4``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

@@ -1,8 +1,10 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/3`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/4`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
+import os
 import pickle
+from collections import deque
 
 import pytest
 
@@ -12,12 +14,17 @@ from repro.ckpt.codec import (
     CheckpointCodec,
     CheckpointError,
     CheckpointFormatError,
+    CheckpointHeader,
     CheckpointMismatchError,
     CheckpointSchemaError,
 )
 from repro.core import columnar
+from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
+from repro.core.flit import Flit, FlitType
 from repro.core.priority import BiasedPriority
+from repro.core.router import Router
+from repro.core.switch_scheduler import GreedyPriorityScheduler
 from repro.harness.kernel_bench import build_cbr_scenario
 from repro.harness.single_router import (
     ExperimentSpec,
@@ -75,6 +82,35 @@ class TestCodecRoundTrip:
         assert header.config_digest == config_digest(TINY)
         assert set(header.sections) == {"numbers", "label"}
         assert all(size > 0 for size in header.sections.values())
+        assert sum(header.sections.values()) == header.payload_bytes
+
+    def test_sections_are_marginal_bytes_in_dump_order(self, tmp_path):
+        """An object two components share is written once, with the first
+        of them; the second costs a back-reference."""
+        shared = list(range(500))
+        header = CheckpointCodec.save(
+            tmp_path / "state.ckpt",
+            {"first": {"log": shared}, "second": {"log": shared}},
+            kind="test",
+            cycle=0,
+        )
+        assert header.sections["first"] > 500
+        assert header.sections["second"] < 50
+        assert sum(header.sections.values()) == header.payload_bytes
+
+    def test_components_sharing_an_object_unpickle_to_one_object(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        shared = ["flit"]
+        CheckpointCodec.save(
+            path,
+            {"queue": {"pending": shared}, "vc": {"buffer": shared}, "n": 3},
+            kind="test",
+            cycle=0,
+        )
+        _, loaded = CheckpointCodec.load(path)
+        assert list(loaded) == ["queue", "vc", "n"]
+        assert loaded["queue"]["pending"] is loaded["vc"]["buffer"]
+        assert loaded["queue"]["pending"] == ["flit"]
 
     def test_save_is_atomic(self, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -83,6 +119,46 @@ class TestCodecRoundTrip:
         _, loaded = CheckpointCodec.load(path)
         assert loaded == {"v": 2}
         assert list(tmp_path.iterdir()) == [path]  # no .tmp left behind
+
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    def test_failed_save_leaves_no_tmp_and_the_old_checkpoint(
+        self, tmp_path, monkeypatch, failing
+    ):
+        path = tmp_path / "state.ckpt"
+        CheckpointCodec.save(path, {"v": 1}, kind="test", cycle=0)
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        # "write": the header line fails after the staging file was
+        # opened and the magic written, as a full disk would.
+        if failing == "rename":
+            monkeypatch.setattr(os, "replace", disk_full)
+        else:
+            monkeypatch.setattr(CheckpointHeader, "to_json", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            CheckpointCodec.save(path, {"v": 2}, kind="test", cycle=1)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == [path]
+        _, loaded = CheckpointCodec.load(path)
+        assert loaded == {"v": 1}
+
+    def test_two_saves_of_one_path_use_different_tmp_names(
+        self, tmp_path, monkeypatch
+    ):
+        staged = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            staged.append(str(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        path = tmp_path / "state.ckpt"
+        CheckpointCodec.save(path, {"v": 1}, kind="test", cycle=0)
+        CheckpointCodec.save(path, {"v": 2}, kind="test", cycle=1)
+        assert len(set(staged)) == 2
+        assert all(os.path.dirname(name) == str(tmp_path) for name in staged)
 
     def test_header_carries_provenance(self, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -191,20 +267,21 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/2`` file has no awake list, no pending wakes and no
+        """A ``ckpt/3`` payload is one pickled dict, not a stream of
+        records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
         wake hooks (the arena held them, or nobody): resumed here its
         routers would sleep for ever.  A ``ckpt/1`` file also keeps
-        in-flight flits as heap events.  Refuse both up front."""
+        in-flight flits as heap events.  Refuse all three up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
-        for previous in ("ckpt/2", "ckpt/1"):
+        for previous in ("ckpt/3", "ckpt/2", "ckpt/1"):
             self._rewrite_header(path, lambda r: r.update(schema=previous))
             for read in (CheckpointCodec.read_header, CheckpointCodec.load):
                 with pytest.raises(CheckpointSchemaError) as excinfo:
                     read(path)
                 error = excinfo.value
-                assert (error.found, error.expected) == (previous, "ckpt/3")
-                assert previous in str(error) and "ckpt/3" in str(error)
+                assert (error.found, error.expected) == (previous, "ckpt/4")
+                assert previous in str(error) and "ckpt/4" in str(error)
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -383,6 +460,60 @@ class TestSingleRouterCheckpoint:
             )
 
 
+class TestCheckpointSizeFollowsVcsInUse:
+    """Four times the VCs per port, the same connections: the extra idle
+    VCs cost their constructor arguments, no more."""
+
+    @staticmethod
+    def config(vcs_per_port):
+        return RouterConfig(
+            num_ports=8, vcs_per_port=vcs_per_port, enforce_round_budgets=False
+        )
+
+    def bare_router_bytes(self, tmp_path, vcs_per_port):
+        sim = Simulator()
+        router = Router(
+            self.config(vcs_per_port), BiasedPriority(), GreedyPriorityScheduler(), sim
+        )
+        for connection_id in range(10):
+            port = connection_id % 8
+            vc_index = router.open_connection(
+                connection_id, port, (port + 1) % 8, BandwidthRequest(2)
+            )
+            router.inject(
+                port, vc_index, Flit(FlitType.DATA, connection_id=connection_id)
+            )
+        sim.run(3)
+        header = CheckpointCodec.save(
+            tmp_path / f"router{vcs_per_port}.ckpt",
+            {"sim": sim, "router": router},
+            kind="test",
+            cycle=sim.now,
+        )
+        return header.payload_bytes
+
+    def test_an_idle_vc_costs_a_few_bytes(self, tmp_path):
+        small = self.bare_router_bytes(tmp_path, 64)
+        large = self.bare_router_bytes(tmp_path, 256)
+        extra_vcs = 8 * (256 - 64)
+        # Constructor arguments plus the VC's credit counter upstream; an
+        # eagerly pickled VC is ~160 bytes.
+        assert (large - small) / extra_vcs < 20, (small, large)
+
+    def test_experiment_checkpoint_barely_grows_with_provisioned_vcs(self, tmp_path):
+        """What ``repro run --checkpoint-out`` writes for a dozen
+        connections: 256 VCs/port stay below 1.5x the bytes of 64."""
+        sizes = {}
+        for vcs_per_port in (64, 256):
+            spec = tiny_spec(config=self.config(vcs_per_port), target_load=0.005)
+            experiment = SingleRouterExperiment(spec)
+            experiment.run_to(900)
+            assert 10 <= len(experiment.router.connection_stats) <= 16
+            header = experiment.checkpoint(tmp_path / f"run{vcs_per_port}.ckpt")
+            sizes[vcs_per_port] = header.payload_bytes
+        assert sizes[256] < 1.5 * sizes[64], sizes
+
+
 def _build_network(topology, config, label, flows, **network_options):
     """A network with one interface per node and the CBR ``flows``
     ``(source, destination, rate)`` open, as a checkpointable dict."""
@@ -425,7 +556,36 @@ class TestLinkLanesCheckpoint:
         )
         for _ in range(6):
             state["interfaces"][4].send_best_effort(0)
+        # A connection nobody sends on (bound VCs that never see a flit)
+        # and one torn down again (released VCs).
+        manager = state["interfaces"][0].manager
+        assert manager.establish(3, 5, BandwidthRequest(2)) is not None
+        manager.teardown(manager.establish(6, 2, BandwidthRequest(2)))
         return state
+
+    @staticmethod
+    def burst(state):
+        """Six packets into one host port at once: one crosses the switch
+        per cycle, so for a few cycles the rest sit in their VCs."""
+        for _ in range(6):
+            state["interfaces"][4].send_best_effort(0)
+
+    @staticmethod
+    def vc_kinds(network):
+        """How many VCs are in each state a checkpoint stores differently."""
+        kinds = {"untouched": 0, "bound_silent": 0, "buffering": 0, "drained": 0}
+        for router in network.routers:
+            for port in router.input_ports:
+                for vc in port.vcs:
+                    if vc.buffer:
+                        kinds["buffering"] += 1
+                    elif isinstance(vc.buffer, deque):
+                        kinds["drained"] += 1
+                    elif vc.connection_id is not None:
+                        kinds["bound_silent"] += 1
+                    else:
+                        kinds["untouched"] += 1
+        return kinds
 
     @staticmethod
     def fingerprint(state):
@@ -449,22 +609,40 @@ class TestLinkLanesCheckpoint:
         if (arena_before or arena_after) and columnar.load_numpy() is None:
             pytest.skip("the arena needs NumPy")
         straight = self.build(arena=False)
-        straight["sim"].run(self.CYCLES)
+        straight["sim"].run(self.CYCLES // 2)
+        self.burst(straight)
+        straight["sim"].run(self.CYCLES - self.CYCLES // 2)
         reference = self.fingerprint(straight)
         assert reference[0]
 
         state = self.build(arena=arena_before)
         state["sim"].run(self.CYCLES // 2)
+        self.burst(state)
         while not (
-            state["network"].flits_in_flight() and state["network"].credits_in_flight()
+            state["network"].flits_in_flight()
+            and state["network"].credits_in_flight()
+            and state["network"].total_buffered()
         ):
+            assert state["sim"].now < self.CYCLES, "no such cycle"
             state["sim"].run(1)
+        # Every kind of VC is in the snapshot: never used or released
+        # (stored as constructor arguments), bound but silent (placeholder
+        # buffer), holding flits, and bound with a drained deque.
+        kinds = self.vc_kinds(state["network"])
+        assert all(kinds.values()), kinds
+        released = sum(
+            router.stats.get_counter("packet_vcs_released")
+            + router.stats.get_counter("connections_closed")
+            for router in state["network"].routers
+        )
+        assert released >= 6
         path = tmp_path / "lanes.ckpt"
         CheckpointCodec.save(path, state, kind="test", cycle=state["sim"].now)
         del state
         _, resumed = CheckpointCodec.load(path, expect_kind="test")
         assert resumed["network"].flits_in_flight() > 0
         assert resumed["network"].credits_in_flight() > 0
+        assert self.vc_kinds(resumed["network"]) == kinds
         resumed["network"].set_network_arena(arena_after)
         resumed["sim"].run(self.CYCLES - resumed["sim"].now)
         assert self.fingerprint(resumed) == reference

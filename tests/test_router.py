@@ -1,5 +1,7 @@
 """Tests for the Router top level: connection lifecycle and the flit path."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.bandwidth import BandwidthRequest
@@ -88,6 +90,48 @@ class TestConnectionLifecycle:
         assert router.admission.outputs[1].allocated_cycles == 0
         assert router.input_ports[0].vcs[vc_index].is_free
         assert router.input_ports[0].find_free_vc() == 0
+
+    def test_free_pool_hands_out_the_lowest_free_vc(self):
+        router, _ = make_router()
+        port = router.input_ports[0]
+        assert port.free_vc_count() == 8
+        opened = [open_cbr(router, i + 1, cycles=1) for i in range(4)]
+        assert opened == [0, 1, 2, 3]
+        assert port.free_vc_count() == 4
+        router.close_connection(2, 0, 1, 1, BandwidthRequest(1))
+        router.close_connection(4, 0, 3, 1, BandwidthRequest(1))
+        assert port.free_vc_count() == 6
+        assert port.find_free_vc() == 1
+        assert open_cbr(router, 9, cycles=1) == 1
+        assert port.find_free_vc() == 3
+        router.check_invariants()
+        port.mark_bound(5)  # pool says bound, VC 5 is not
+        with pytest.raises(AssertionError, match="free pool desync at 0.5"):
+            router.check_invariants()
+
+    def test_idle_vcs_own_no_buffer_storage(self):
+        """Per-VC storage follows the VCs in use (paper §3.2: the VC
+        memory is one shared RAM per link, not a FIFO per channel)."""
+
+        def deques(router):
+            return sum(
+                isinstance(vc.buffer, deque)
+                for port in router.input_ports
+                for vc in port.vcs
+            )
+
+        router, sim = make_router(small_config(num_ports=8, vcs_per_port=256))
+        assert deques(router) == 0
+        vc_index = open_cbr(router)
+        assert deques(router) == 0  # bound, nothing received yet
+        router.inject(0, vc_index, data_flit())
+        router.inject(0, vc_index, data_flit())
+        assert deques(router) == 1
+        sim.run(4)
+        assert router.buffered_flits() == 0
+        router.close_connection(1, 0, vc_index, 1, BandwidthRequest(4))
+        assert deques(router) == 0
+        router.check_invariants()
 
     def test_close_wrong_connection_rejected(self):
         router, _ = make_router()
@@ -222,6 +266,9 @@ class TestFlitPath:
         router.inject(0, vc_index, data_flit())
         router.inject(0, vc_index, data_flit())
         assert router.buffered_flits() == 2
+        other = open_cbr(router, 2, input_port=3, output_port=2)
+        router.inject(3, other, data_flit(2))
+        assert router.buffered_flits() == 3
 
     def test_reset_statistics(self):
         router, sim = make_router()

@@ -1,5 +1,8 @@
 """Tests for virtual channel state and buffer semantics."""
 
+import pickle
+from collections import deque
+
 import pytest
 
 from repro.core.flit import Flit, FlitType
@@ -44,7 +47,6 @@ class TestBinding:
         vc.static_priority = 0.7
         vc.interarrival_cycles = 10.0
         vc.serviced_this_round = 2
-        vc.history.add(4)
         vc.release()
         assert vc.is_free
         assert vc.allocated_cycles == 0
@@ -53,7 +55,24 @@ class TestBinding:
         assert vc.static_priority == 0.0
         assert vc.interarrival_cycles == 1.0
         assert vc.serviced_this_round == 0
-        assert not vc.history
+
+    @pytest.mark.parametrize("slot", VirtualChannel.__slots__)
+    def test_release_restores_constructor_default(self, slot):
+        """Over ``__slots__``, so a slot added later cannot be forgotten:
+        an untouched VC is checkpointed as its constructor arguments, which
+        is only sound if release() really leaves nothing behind."""
+        vc = make_vc()
+        vc.bind(1, ServiceClass.VBR, 2, 3)
+        vc.enqueue(data_flit(), now=0)
+        vc.dequeue(now=1)
+        dirty = object()
+        for name in VirtualChannel.__slots__:
+            if name not in ("port", "index", "capacity", "buffer"):
+                setattr(vc, name, dirty)
+        vc.release()
+        fresh = make_vc()
+        assert type(getattr(vc, slot)) is type(getattr(fresh, slot))
+        assert getattr(vc, slot) == getattr(fresh, slot)
 
     def test_release_with_buffered_flits_rejected(self):
         vc = make_vc()
@@ -121,7 +140,74 @@ class TestBuffer:
         assert vc.occupancy == 1
         assert not vc.is_full
 
+    def test_no_deque_until_first_flit_and_none_after_release(self):
+        vc = make_vc()
+        assert not isinstance(vc.buffer, deque)
+        assert vc.occupancy == 0 and not vc.is_full and vc.head() is None
+        vc.bind(1, ServiceClass.CBR, 0)
+        assert not isinstance(vc.buffer, deque)  # bound but silent
+        vc.enqueue(data_flit(), now=0)
+        assert isinstance(vc.buffer, deque)
+        vc.dequeue(now=1)
+        assert isinstance(vc.buffer, deque)  # kept while the VC is in use
+        vc.release()
+        assert not isinstance(vc.buffer, deque)
+
     def test_repr(self):
         vc = make_vc()
         assert "port=0" in repr(vc)
         assert "index=5" in repr(vc)
+
+
+class TestPickle:
+    def test_untouched_vc_pickles_as_constructor_arguments(self):
+        vc = make_vc()
+        assert vc.__reduce_ex__(pickle.HIGHEST_PROTOCOL) == (
+            VirtualChannel,
+            (0, 5, 4),
+        )
+        used = make_vc()
+        used.bind(1, ServiceClass.CBR, 0)
+        used.enqueue(data_flit(), now=0)
+        used.dequeue(now=1)
+        used.release()
+        assert used.__reduce_ex__(pickle.HIGHEST_PROTOCOL) == (
+            VirtualChannel,
+            (0, 5, 4),
+        )
+
+    def test_bound_silent_vc_round_trips_and_still_allocates(self):
+        """The placeholder is recognised by type: the copy that comes out
+        of a pickle must turn into a deque at its first flit too."""
+        vc = make_vc()
+        vc.bind(7, ServiceClass.VBR, output_port=3, output_vc=11)
+        vc.permanent_cycles = 3
+        vc.serviced_this_round = 2
+        copy = pickle.loads(pickle.dumps(vc, pickle.HIGHEST_PROTOCOL))
+        for slot in VirtualChannel.__slots__:
+            assert getattr(copy, slot) == getattr(vc, slot), slot
+        flit = data_flit()
+        copy.enqueue(flit, now=4)
+        assert isinstance(copy.buffer, deque)
+        assert copy.head() is flit and flit.ready_time == 4
+
+    def test_buffering_vc_round_trips_with_its_flits(self):
+        vc = make_vc()
+        vc.bind(1, ServiceClass.CBR, 0)
+        vc.enqueue(data_flit(created=1), now=1)
+        vc.enqueue(data_flit(created=2), now=2)
+        copy = pickle.loads(pickle.dumps(vc, pickle.HIGHEST_PROTOCOL))
+        assert copy.occupancy == 2
+        assert [f.created for f in copy.buffer] == [1, 2]
+        assert copy.connection_id == 1
+
+    def test_unbound_vc_that_was_written_to_keeps_its_state(self):
+        """Only an *untouched* VC is reduced to its arguments: flits
+        injected into an unbound VC leave a serviced count behind that a
+        resumed run must see."""
+        vc = make_vc()
+        vc.enqueue(data_flit(), now=0)
+        vc.dequeue(now=1)
+        vc.serviced_this_round = 1
+        copy = pickle.loads(pickle.dumps(vc, pickle.HIGHEST_PROTOCOL))
+        assert copy.serviced_this_round == 1
