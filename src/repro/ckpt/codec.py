@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoint format (schema ``ckpt/4``).
+"""Versioned on-disk checkpoint format (schema ``ckpt/5``).
 
 A checkpoint file is::
 
@@ -50,6 +50,11 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/5``: the pickled graph changed shape for the per-hop budget —
+#: ``ActivitySet`` holds a raw mask, each link end is one ``_LinkEnd`` whose
+#: bound methods are the routers' handlers, ``_HostOutput`` carries its
+#: consumer and ``Router.output_flits`` replaces the ``output<p>_flits``
+#: scalars — so a ``ckpt/4`` file would restore objects missing slots.
 #: ``ckpt/4``: the payload is a stream of records from one pickler (names,
 #: then each component) where ``ckpt/3`` holds one pickled dict, and an
 #: untouched ``VirtualChannel`` is stored as its constructor arguments.
@@ -59,7 +64,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/4"
+CKPT_SCHEMA = "ckpt/5"
 
 
 class CheckpointError(RuntimeError):
@@ -165,7 +170,7 @@ class CheckpointHeader:
 
 
 class CheckpointCodec:
-    """Reads and writes ``ckpt/4`` checkpoint files."""
+    """Reads and writes ``ckpt/5`` checkpoint files."""
 
     schema = CKPT_SCHEMA
 

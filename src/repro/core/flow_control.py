@@ -28,6 +28,10 @@ class LinkFlowControl:
     The ``credits_available`` bit vector mirrors the counters so the link
     scheduler can fold credit state into its bit-parallel candidate
     selection.
+
+    :meth:`consume` and :meth:`replenish` run once per flit hop and are
+    held to the per-hop budget (DESIGN.md §7h): guards are inline
+    comparisons, the availability bit one raw write when it changes.
     """
 
     def __init__(
@@ -67,37 +71,39 @@ class LinkFlowControl:
 
     def consume(self, vc: int) -> None:
         """Spend one credit: a flit was forwarded downstream on ``vc``."""
-        self._check(vc)
+        if not 0 <= vc < self.num_vcs:
+            raise IndexError(f"vc {vc} out of range [0, {self.num_vcs})")
         if self.infinite:
             return
-        if self._credits[vc] <= 0:
+        credits = self._credits
+        remaining = credits[vc] - 1
+        if remaining < 0:
             raise CreditError(
                 f"flit sent on vc {vc} without credit: protocol violation"
             )
-        self._credits[vc] -= 1
-        if self._credits[vc] == 0:
-            self.credits_available.clear(vc)
+        credits[vc] = remaining
+        if not remaining:
+            self.credits_available._bits &= ~(1 << vc)
             if self.availability_listener is not None:
                 self.availability_listener(vc, False)
 
     def replenish(self, vc: int) -> None:
         """Return one credit: downstream freed a buffer slot on ``vc``."""
-        self._check(vc)
+        if not 0 <= vc < self.num_vcs:
+            raise IndexError(f"vc {vc} out of range [0, {self.num_vcs})")
         if self.infinite:
             return
-        if self._credits[vc] >= self.buffer_depth:
+        credits = self._credits
+        held = credits[vc]
+        if held >= self.buffer_depth:
             raise CreditError(
                 f"credit overflow on vc {vc}: more credits returned than "
                 f"buffer slots ({self.buffer_depth})"
             )
-        was_blocked = self._credits[vc] == 0
-        self._credits[vc] += 1
-        if was_blocked:
-            # The availability bit only changes on the 0 -> 1 transition;
-            # skipping the redundant set keeps this per-flit path off the
-            # wide bit vector (one big-int allocation per call at high VC
-            # counts).
-            self.credits_available.set(vc)
+        credits[vc] = held + 1
+        if not held:
+            # The availability bit only changes on the 0 -> 1 transition.
+            self.credits_available._bits |= 1 << vc
             if self.availability_listener is not None:
                 self.availability_listener(vc, True)
 

@@ -16,6 +16,7 @@ scheduled synchronously with data, above data-stream priority.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from ..obs.recorder import NULL_RECORDER
@@ -227,9 +228,8 @@ class Router:
         # of thousands of times per experiment.
         self._round_length = config.round_length
         self._port_mask = (1 << config.num_ports) - 1
-        self._output_flit_keys = [
-            f"output{p}_flits" for p in range(config.num_ports)
-        ]
+        #: Flits sent per output port: all a transit hop records (§7h).
+        self.output_flits = [0] * config.num_ports
         # Candidate lists are never mutated by schedulers, so idle ports
         # can all share one empty list; busy cycles start from a copy of
         # the all-idle template and fill in only the active ports.
@@ -460,7 +460,8 @@ class Router:
             self.rau.register_connection(
                 connection_id, input_port, vc_index, output_port, output_vc
             )
-        self.connection_stats[connection_id] = ConnectionStats()
+        if output_vc < 0:  # flits leave the network here: see _deliver
+            self.connection_stats[connection_id] = ConnectionStats()
         self.stats.counter("connections_admitted")
         self.tracer.record(
             self.sim.now,
@@ -510,8 +511,6 @@ class Router:
         scheduler = self.link_schedulers[input_port]
         scheduler.refresh_round_state(vc)
         scheduler.invalidate_vc(vc)
-        if connection_id not in self.connection_stats:
-            self.connection_stats[connection_id] = ConnectionStats()
         self.stats.counter("packet_vcs_opened")
         return vc_index
 
@@ -599,12 +598,16 @@ class Router:
         the caller models upstream flow control and must retry after a
         credit returns.  Control-class flits attempt asynchronous VCT
         cut-through first (§3.4).
+
+        Held to the per-hop budget (DESIGN.md §7h): one buffer-length read,
+        ``VirtualChannel.enqueue`` inline, a write per status bit that
+        changes, and no statistics (those are :meth:`_deliver`'s).
         """
         vcs = self.input_ports[input_port].vcs
         # The caller names the VC: check it, because the status bits
         # below are written longhand (no ``BitVector`` range check) and
         # a negative index would alias another VC.
-        if not 0 <= vc_index < len(vcs):
+        if not 0 <= vc_index < self.config.vcs_per_port:
             raise IndexError(f"vc {vc_index} out of range [0, {len(vcs)})")
         vc = vcs[vc_index]
         flit_type = flit.flit_type
@@ -615,11 +618,33 @@ class Router:
         ):
             return True
         bit = 1 << vc_index
-        if vc.is_full:
+        buffer = vc.buffer
+        occupancy = len(buffer)
+        if occupancy >= vc.capacity:
             self._input_buffer_full[input_port]._bits |= bit
             self.stats.counter("inject_blocked")
             return False
-        vc.enqueue(flit, self.sim.now)
+        if occupancy:
+            buffer.append(flit)
+        else:
+            # The flit becomes head: stamp it, publish the VC (and the
+            # port, if idle) and mark its priority terms dirty — also
+            # while the columnar engine is off, so its mask stays current.
+            flit.ready_time = self.sim.now
+            if type(buffer) is tuple:
+                buffer = vc.buffer = deque()
+            buffer.append(flit)
+            flits_available = self._flits_available[input_port]
+            if not flits_available._bits:
+                activity = self.activity
+                if activity._bits:
+                    activity._bits |= 1 << input_port
+                else:
+                    activity.set(input_port)  # idle router: wakes its ticker
+            flits_available._bits |= bit
+            self.link_schedulers[input_port]._terms_dirty |= bit
+        if occupancy + 1 >= vc.capacity:
+            self._input_buffer_full[input_port]._bits |= bit
         tracer = self.tracer
         if tracer.enabled:
             tracer.record(
@@ -634,15 +659,6 @@ class Router:
             recorder.flit_inject(
                 self.sim.now, input_port, vc_index, flit.connection_id, flit.flit_id
             )
-        self._flits_available[input_port]._bits |= bit
-        self.activity.set(input_port)
-        if len(vc.buffer) == 1:
-            # The flit became head: its priority terms need (re)caching.
-            # Maintained unconditionally (one int OR) so the columnar
-            # engine's dirty mask is current even before it is enabled.
-            self.link_schedulers[input_port]._terms_dirty |= bit
-        if vc.is_full:
-            self._input_buffer_full[input_port]._bits |= bit
         return True
 
     def _try_immediate_cut_through(
@@ -708,7 +724,7 @@ class Router:
         """
         activity = self.activity
         busy_outputs = self._immediate_busy_outputs
-        port_bits = activity.as_int() & self._port_mask
+        port_bits = activity._bits & self._port_mask
         if self._legacy_kernel or port_bits or busy_outputs:
             if self._legacy_kernel:
                 candidate_lists = []
@@ -739,8 +755,6 @@ class Router:
             switch_scheduler = self.switch_scheduler
             grants = switch_scheduler.schedule(candidate_lists, cycle)
             switch_scheduler.schedule_calls += 1
-            if grants:
-                switch_scheduler.grants_issued += len(grants)
             if self.checked:
                 validate_grants(
                     grants,
@@ -748,15 +762,19 @@ class Router:
                     self.switch_scheduler.output_concurrency,
                 )
             if grants:
+                flits = len(grants)
+                switch_scheduler.grants_issued += flits
                 # The grant set satisfies the matching property by
                 # construction (and validate_grants just proved it when
-                # checking is on), so skip configure()'s re-validation.
-                self.crossbar.install(
-                    {grant.input_port: grant.output_port for grant in grants}
-                )
+                # checking is on), so skip configure()'s re-validation;
+                # every configured input moves exactly one flit.
+                matching = {}
+                for grant in grants:
+                    matching[grant.input_port] = grant.output_port
+                self.crossbar.install(matching)
+                self.crossbar.flits_switched += flits
                 for grant in grants:
                     self._transmit(grant, cycle)
-                flits = len(grants)
             else:
                 self.crossbar.configure({})
                 flits = 0
@@ -773,7 +791,11 @@ class Router:
         # Keep the router active while the crossbar holds a configuration:
         # the tick after the last transmission tears it down (and counts
         # the reconfiguration) exactly as the always-ticking kernel did.
-        activity.assign(self._act_crossbar, flits != 0)
+        if flits:
+            if not activity._bits >> self._act_crossbar & 1:
+                activity.set(self._act_crossbar)
+        elif activity._bits >> self._act_crossbar & 1:
+            activity.clear(self._act_crossbar)
         if (cycle + 1) % self._round_length == 0:
             recorder = self.recorder
             if recorder.enabled:
@@ -829,21 +851,28 @@ class Router:
         input_port = grant.input_port
         vc_index = grant.vc_index
         vc = self.input_ports[input_port].vcs[vc_index]
-        self.crossbar.transmit(input_port)
-        flit = vc.dequeue(cycle + 1)
+        # ``VirtualChannel.dequeue`` inline and status bits longhand (the
+        # grant's indices are the router's own): see DESIGN.md §7h.
+        buffer = vc.buffer
+        if not buffer:
+            raise RuntimeError(f"VC {input_port}.{vc_index} empty")
+        flit = buffer.popleft()
         scheduler = self.link_schedulers[input_port]
-        # Status bits longhand: the grant's indices are the router's own.
         bit = 1 << vc_index
-        if vc.buffer:
-            # The successor became head: mark its terms dirty for the
-            # columnar engine (the object path re-checks head identity).
+        if buffer:
+            # The successor becomes head: stamp it, and mark its terms
+            # dirty for the columnar engine (the object path re-checks
+            # head identity).
+            buffer[0].ready_time = cycle + 1
             scheduler._terms_dirty |= bit
         else:
             flits_available = self._flits_available[input_port]
             flits_available._bits &= ~bit
             if not flits_available._bits:
-                self.activity.clear(input_port)
-        self._input_buffer_full[input_port]._bits &= ~bit
+                self.activity._bits &= ~(1 << input_port)
+        buffer_full = self._input_buffer_full[input_port]
+        if buffer_full._bits & bit:
+            buffer_full._bits ^= bit
         recorder = self.recorder
         if recorder.enabled:
             recorder.flit_grant(
@@ -858,6 +887,15 @@ class Router:
     def _deliver(
         self, flit: Flit, vc: VirtualChannel, output_port: int, depart_time: int
     ) -> None:
+        """Send ``flit`` through ``output_port``.
+
+        The statistics rule (DESIGN.md §7h): delay and jitter samples are
+        folded only where a flit leaves through an output with no
+        downstream VC — the single-router sink, a host port in a network.
+        A transit hop bumps ``output_flits`` and nothing else (a live
+        tracer or recorder still sees every hop); network results are
+        read at ``NetworkInterface.end_to_end``.
+        """
         flit.depart_time = depart_time
         delay = depart_time - flit.created
         tracer = self.tracer
@@ -874,25 +912,29 @@ class Router:
             recorder.flit_deliver(
                 depart_time, output_port, delay, flit.connection_id, flit.flit_id
             )
-        stats = self.connection_stats.get(flit.connection_id)
-        if stats is not None:
-            stats.record_flit(delay)
-        self.stats.observe("switch_delay", delay)
-        if self.delay_histogram is not None:
-            self.delay_histogram.add(delay)
-        scalars = self.stats.scalars
-        key = self._output_flit_keys[output_port]
-        scalars[key] = scalars.get(key, 0.0) + 1.0
+        self.output_flits[output_port] += 1
+        service_class = vc.service_class
+        is_packet = service_class is _CONTROL or service_class is _BEST_EFFORT
         output_vc = vc.output_vc
         if output_vc >= 0:
             self.output_flow[output_port].consume(output_vc)
+        else:
+            stats = self.connection_stats.get(flit.connection_id)
+            if stats is None and is_packet:
+                # A packet's VC is opened before its route is known, so
+                # its entry is made where it turns out to leave.
+                stats = self.connection_stats[flit.connection_id] = ConnectionStats()
+            if stats is not None:
+                stats.record_flit(delay)
+            self.stats.observe("switch_delay", delay)
+            if self.delay_histogram is not None:
+                self.delay_histogram.add(delay)
         handler = self.output_handlers[output_port]
         if handler is not None:
             handler(flit, output_vc)
         # VCT packets release their virtual channel once fully sent (§3.4).
-        service_class = vc.service_class
         if (
-            (service_class is _CONTROL or service_class is _BEST_EFFORT)
+            is_packet
             and flit.is_tail
             and not vc.buffer
             and vc.connection_id is not None
@@ -901,7 +943,6 @@ class Router:
 
     def _release_packet_vc(self, vc: VirtualChannel) -> None:
         port = self.input_ports[vc.port]
-        connection_id = vc.connection_id
         self.scrub_vc_scheduling_state(vc.port, vc.index)
         vc.release()
         port.status.vector("connection_active").clear(vc.index)
@@ -910,7 +951,6 @@ class Router:
             self.rau.mappings.remove_by_input((vc.port, vc.index))
         self.stats.counter("packet_vcs_released")
         # Packet connection stats stay: the id may be reused for reporting.
-        del connection_id
 
     # ----- reporting --------------------------------------------------------
 
@@ -922,6 +962,7 @@ class Router:
         """
         self.catch_up()
         self.stats = StatsRegistry()
+        self.output_flits = [0] * self.config.num_ports
         for connection_id in list(self.connection_stats):
             self.connection_stats[connection_id] = ConnectionStats()
         if self.delay_histogram is not None:

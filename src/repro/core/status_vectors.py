@@ -139,7 +139,7 @@ class BitVector:
 
 
 class ActivitySet:
-    """A component's activity bits, backed by a :class:`BitVector`.
+    """A component's activity bits: one raw integer mask.
 
     The simulation kernel asks each ticker it is stepping "do you have
     work this cycle?", so the answer must be O(1).  An ``ActivitySet`` gives
@@ -160,53 +160,59 @@ class ActivitySet:
     back on the kernel's awake list, so nobody polls idle components.
     """
 
-    __slots__ = ("_bits", "on_wake")
+    __slots__ = ("width", "_bits", "on_wake")
 
     def __init__(self, width: int) -> None:
-        self._bits = BitVector(width)
+        if width <= 0:
+            raise ValueError(f"ActivitySet width must be positive, got {width}")
+        self.width = width
+        self._bits = 0  # the raw mask: the router reads it inline (§7h)
         self.on_wake: Optional[Callable[[], None]] = None
 
     def set(self, index: int) -> None:
         """Mark activity source ``index`` busy."""
-        vec = self._bits
-        if vec._bits == 0:
-            vec.set(index)
+        self._check(index)
+        bits = self._bits
+        self._bits = bits | 1 << index
+        if not bits:
             hook = self.on_wake
             if hook is not None:
                 hook()
-        else:
-            vec.set(index)
 
     def clear(self, index: int) -> None:
         """Mark activity source ``index`` idle."""
-        self._bits.clear(index)
+        self._check(index)
+        self._bits &= ~(1 << index)
 
     def assign(self, index: int, busy: bool) -> None:
         """Set activity source ``index`` to ``busy``."""
         if busy:
             self.set(index)
         else:
-            self._bits.clear(index)
+            self.clear(index)
 
     def test(self, index: int) -> bool:
         """Read activity source ``index``."""
-        return self._bits.test(index)
+        self._check(index)
+        return bool(self._bits >> index & 1)
+
+    def _check(self, index: int) -> None:
+        if not 0 <= index < self.width:
+            raise IndexError(f"bit {index} out of range [0, {self.width})")
 
     def active(self) -> bool:
         """True while any activity source is busy (one integer test)."""
-        # Reaches through the BitVector: the kernel polls this once per
-        # cycle for every ticker on its awake list.
-        return self._bits._bits != 0
+        return self._bits != 0
 
     def as_int(self) -> int:
         """Raw mask of busy sources (for masked multi-bit reads)."""
-        return self._bits._bits
+        return self._bits
 
     def __bool__(self) -> bool:
-        return self._bits._bits != 0
+        return self._bits != 0
 
     def __repr__(self) -> str:
-        return f"ActivitySet(width={self._bits.width}, bits=0x{self._bits.as_int():x})"
+        return f"ActivitySet(width={self.width}, bits=0x{self._bits:x})"
 
 
 class StatusBank:

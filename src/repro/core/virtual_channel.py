@@ -203,13 +203,15 @@ class VirtualChannel:
         return len(self.buffer) >= self.capacity
 
     def enqueue(self, flit: Flit, now: int) -> None:
-        """Accept an arriving flit; stamps ready_time if it becomes head."""
-        if self.is_full:
+        """Accept an arriving flit; stamps ready_time if it becomes head.
+        (``Router.inject`` carries this body inline: keep them in step.)"""
+        buffer = self.buffer
+        occupancy = len(buffer)
+        if occupancy >= self.capacity:
             raise RuntimeError(
                 f"VC {self.port}.{self.index} overflow: flow control failed"
             )
-        buffer = self.buffer
-        if not buffer:
+        if not occupancy:
             flit.ready_time = now
             if type(buffer) is tuple:
                 buffer = self.buffer = deque()
@@ -220,16 +222,16 @@ class VirtualChannel:
         return self.buffer[0] if self.buffer else None
 
     def dequeue(self, now: int) -> Flit:
-        """Remove the head flit (it won switch arbitration at ``now``)."""
-        if not self.buffer:
+        """Remove the head flit (it won switch arbitration at ``now``).
+        (``Router._transmit`` carries this body inline: keep them in step.)"""
+        buffer = self.buffer
+        if not buffer:
             raise RuntimeError(f"VC {self.port}.{self.index} empty")
-        flit = self.buffer.popleft()
-        if self.buffer:
-            successor = self.buffer[0]
-            # The next flit becomes head now; it cannot have been ready
-            # before it arrived, nor before its predecessor left.
-            if successor.ready_time is None:
-                successor.ready_time = now
+        flit = buffer.popleft()
+        if buffer:
+            # The next flit becomes head now — of this VC, exactly once:
+            # overwrite whatever stamp it carries from an earlier hop.
+            buffer[0].ready_time = now
         return flit
 
     def __repr__(self) -> str:

@@ -23,7 +23,7 @@ control plane does under churn:
 
 Everything in the workload is picklable (bound-method events, no
 closures), so long churn runs checkpoint and resume through the
-``ckpt/4`` codec exactly like the other experiment classes.
+``ckpt/5`` codec exactly like the other experiment classes.
 """
 
 from __future__ import annotations
@@ -860,7 +860,7 @@ class ChurnWorkload:
     # ----- checkpoint / resume ------------------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete workload state to ``path`` (``ckpt/4``)."""
+        """Write the complete workload state to ``path`` (``ckpt/5``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

@@ -366,7 +366,7 @@ class NetworkExperiment:
     # ----- checkpoint / resume ----------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete cluster state to ``path`` (``ckpt/4``)."""
+        """Write the complete cluster state to ``path`` (``ckpt/5``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},
@@ -487,8 +487,12 @@ def attach_delivery_log(experiment: NetworkExperiment) -> List[tuple]:
     """
     log: List[tuple] = []
     network = experiment.network
-    for key, handler in list(network._host_delivery.items()):
-        network._host_delivery[key] = _LoggedDelivery(network.sim, log, handler)
+    # Through set_host_delivery, not the registry dict: the host ports'
+    # output handlers hold their consumer directly.
+    for (node, port), handler in list(network._host_delivery.items()):
+        network.set_host_delivery(
+            node, port, _LoggedDelivery(network.sim, log, handler)
+        )
     return log
 
 

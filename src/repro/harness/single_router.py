@@ -335,7 +335,7 @@ class SingleRouterExperiment:
     # ----- checkpoint / resume ----------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete experiment state to ``path`` (``ckpt/4``)."""
+        """Write the complete experiment state to ``path`` (``ckpt/5``)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

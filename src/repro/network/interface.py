@@ -66,7 +66,9 @@ class NetworkInterface:
 
     def _on_delivery(self, node: int, port: int, flit: Flit) -> None:
         latency = self.network.sim.now - flit.created
-        stats = self.end_to_end.setdefault(flit.connection_id, ConnectionStats())
+        stats = self.end_to_end.get(flit.connection_id)
+        if stats is None:
+            stats = self.end_to_end[flit.connection_id] = ConnectionStats()
         stats.record_flit(latency)
         self.flits_received += 1
         if flit.flit_type is FlitType.BEST_EFFORT:

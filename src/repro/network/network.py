@@ -38,73 +38,80 @@ from .topology import Topology
 # Callback for flits reaching a host port: (node, host_port, flit).
 HostDelivery = Callable[[int, int, Flit], None]
 
+_BEST_EFFORT_FLIT = FlitType.BEST_EFFORT
 
-class _LinkOutput:
-    """Output handler for a router-to-router link.
 
-    A class (not a closure) so networks are picklable for checkpointing;
-    the flit-in-flight itself travels as a lane record for the same
-    reason.
+class _LinkEnd:
+    """Router ``node``'s end of the link on ``port``: its output handler
+    (:meth:`send`) and the credit-return handler of its input VCs
+    (:meth:`credit`, for the reverse direction) both land at the
+    neighbour's ``remote_port``.  Lanes, clock and counters are resolved
+    once at wiring time, so a call is one tuple and one append (DESIGN.md
+    §7h).  A class (not closures) so networks pickle for checkpointing;
+    the flit-in-flight travels as a lane record for the same reason.
     """
 
-    __slots__ = ("network", "node", "port", "neighbor", "remote_port")
+    __slots__ = ("sim", "lanes", "latency", "scalars", "node", "port",
+                 "neighbor", "remote_port")
 
     def __init__(
         self, network: "Network", node: int, port: int, neighbor: int
     ) -> None:
-        self.network = network
+        self.sim = network.sim
+        self.lanes = network._lanes
+        self.latency = network.link_latency
+        self.scalars = network.stats.scalars
         self.node = node
         self.port = port
         self.neighbor = neighbor
         self.remote_port = network.topology.port_of(neighbor, node)
 
-    def __call__(self, flit: Flit, output_vc: int) -> None:
+    def send(self, flit: Flit, output_vc: int) -> None:
         if output_vc < 0:
             raise RuntimeError(
                 f"flit left router {self.node} port {self.port} without a "
                 "downstream VC binding"
             )
-        network = self.network
-        network.stats.counter("link_flits")
-        network._lanes.setdefault(
-            network.sim.now + network.link_latency, []
-        ).append((self.neighbor, self.remote_port, output_vc, flit))
+        self.scalars["link_flits"] += 1
+        record = (self.neighbor, self.remote_port, output_vc, flit)
+        due = self.sim.now + self.latency
+        try:
+            self.lanes[due].append(record)
+        except KeyError:
+            self.lanes[due] = [record]
 
-
-class _CreditReturn:
-    """Credit-return handler for the upstream side of a link (picklable)."""
-
-    __slots__ = ("network", "neighbor", "upstream_port")
-
-    def __init__(self, network: "Network", neighbor: int, upstream_port: int) -> None:
-        self.network = network
-        self.neighbor = neighbor
-        self.upstream_port = upstream_port
-
-    def __call__(self, vc_index: int) -> None:
-        network = self.network
-        network._lanes.setdefault(
-            network.sim.now + network.link_latency, []
-        ).append((self.neighbor, self.upstream_port, vc_index))
+    def credit(self, vc_index: int) -> None:
+        record = (self.neighbor, self.remote_port, vc_index)
+        due = self.sim.now + self.latency
+        try:
+            self.lanes[due].append(record)
+        except KeyError:
+            self.lanes[due] = [record]
 
 
 class _HostOutput:
-    """Output handler for a host port: hands flits to the attached
-    network interface (picklable)."""
+    """Output handler for a host port: hands flits to the consumer
+    :meth:`Network.set_host_delivery` resolved (picklable)."""
 
-    __slots__ = ("network", "node", "port")
+    __slots__ = ("scalars", "node", "port", "consumer")
 
-    def __init__(self, network: "Network", node: int, port: int) -> None:
-        self.network = network
+    def __init__(
+        self,
+        network: "Network",
+        node: int,
+        port: int,
+        consumer: Optional[HostDelivery] = None,
+    ) -> None:
+        self.scalars = network.stats.scalars
         self.node = node
         self.port = port
+        self.consumer = consumer
 
     def __call__(self, flit: Flit, output_vc: int) -> None:
-        network = self.network
-        network.stats.counter("host_deliveries")
-        handler = network._host_delivery.get((self.node, self.port))
-        if handler is not None:
-            handler(self.node, self.port, flit)
+        self.scalars["host_deliveries"] += 1
+        consumer = self.consumer
+        if consumer is not None:
+            consumer(self.node, self.port, flit)
 
 
 class Network:
@@ -148,6 +155,9 @@ class Network:
         self.rng = rng
         self.link_latency = link_latency
         self.stats = StatsRegistry()
+        # The link handlers hold this dict (and ``_lanes`` below) by
+        # reference and bump their counters in place: never rebind either.
+        self.stats.scalars.update(link_flits=0, host_deliveries=0)
         self.adaptive = AdaptiveRouter(topology)
         if routing not in ("adaptive", "dimension_order"):
             raise ValueError(f"unknown routing discipline {routing!r}")
@@ -221,14 +231,19 @@ class Network:
         records = self._lanes.pop(cycle, None)
         if records is not None:
             routers = self.routers
-            arrive = self._arrive
             for record in records:
-                if len(record) == 4:
-                    node, port, vc_index, flit = record
-                    arrive(routers[node], node, port, vc_index, flit)
-                else:
+                if len(record) == 3:
                     node, port, vc_index = record
                     routers[node].output_flow[port].replenish(vc_index)
+                    continue
+                node, port, vc_index, flit = record
+                if flit.flit_type is _BEST_EFFORT_FLIT:
+                    self._arrive(node, port, vc_index, flit)
+                elif not routers[node].inject(port, vc_index, flit):
+                    raise RuntimeError(
+                        f"credited flit refused at router {node} port {port} "
+                        f"vc {vc_index}"
+                    )
 
     def _active(self) -> bool:
         """Pending lanes keep the kernel stepping: fast-forward can never
@@ -258,49 +273,39 @@ class Network:
             for port in range(self.config.num_ports):
                 neighbor = self.topology.neighbor_on_port(node, port)
                 if neighbor is not None:
-                    router.set_output_handler(
-                        port, _LinkOutput(self, node, port, neighbor)
-                    )
-                    # Credits for router ``node``'s input port ``port``
-                    # return to the upstream router's output flow control
-                    # for the reverse direction.
-                    router.set_credit_return_handler(
-                        port,
-                        _CreditReturn(
-                            self, neighbor, self.topology.port_of(neighbor, node)
-                        ),
-                    )
+                    end = _LinkEnd(self, node, port, neighbor)
+                    router.set_output_handler(port, end.send)
+                    router.set_credit_return_handler(port, end.credit)
                 else:
                     router.set_output_handler(port, _HostOutput(self, node, port))
 
     def set_host_delivery(self, node: int, port: int, handler: HostDelivery) -> None:
-        """Attach a consumer (network interface) to a host port."""
+        """Attach a consumer (network interface) to a host port.
+
+        The port's output handler is rebuilt around ``handler``, so the
+        per-flit path looks nothing up; registering again replaces it.
+        """
         if self.topology.neighbor_on_port(node, port) is not None:
             raise ValueError(f"port {port} of node {node} is a link port")
         self._host_delivery[(node, port)] = handler
+        self.routers[node].set_output_handler(
+            port, _HostOutput(self, node, port, handler)
+        )
 
     # ----- arrivals -----------------------------------------------------------
 
-    def _arrive(
-        self, router: Router, node: int, port: int, vc_index: int, flit: Flit
-    ) -> None:
-        """A flit finished crossing a link into ``router``."""
-        if flit.flit_type is FlitType.BEST_EFFORT:
-            # Route the packet now (§3.4): its VC was reserved by the
-            # upstream router with no output assigned yet.
-            accepted = router.inject(port, vc_index, flit)
-            if not accepted:
-                raise RuntimeError(
-                    f"credited flit refused at router {node} port {port}"
-                )
-            self._route_best_effort(node, port, vc_index)
-            return
-        accepted = router.inject(port, vc_index, flit)
-        if not accepted:
+    def _arrive(self, node: int, port: int, vc_index: int, flit: Flit) -> None:
+        """A best-effort flit finished crossing a link into router ``node``.
+
+        Route the packet now (§3.4): its VC was reserved by the upstream
+        router with no output assigned yet.  Connection flits need no
+        routing and are injected by :meth:`_tick` directly.
+        """
+        if not self.routers[node].inject(port, vc_index, flit):
             raise RuntimeError(
-                f"credited flit refused at router {node} port {port} "
-                f"vc {vc_index}"
+                f"credited flit refused at router {node} port {port}"
             )
+        self._route_best_effort(node, port, vc_index)
 
     # ----- best-effort routing -------------------------------------------------
 

@@ -214,7 +214,9 @@ class ConnectionStats:
     Delay is the time between a flit becoming ready at the switch and the
     flit leaving the switch.  Jitter follows the paper's definition: the
     difference in the delays of successive flits on a connection, folded in
-    as absolute values.
+    as absolute values.  A router keeps an entry only for connections
+    whose flits leave the network through it (``Router._deliver``); the
+    end-to-end series live at ``NetworkInterface.end_to_end``.
     """
 
     delay: RunningStats = field(default_factory=RunningStats)

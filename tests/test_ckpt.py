@@ -1,4 +1,4 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/4`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/5`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
@@ -267,21 +267,23 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/3`` payload is one pickled dict, not a stream of
-        records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
+        """A ``ckpt/4`` graph predates the per-hop budget: its activity
+        sets, link handlers and host outputs lack the slots the per-flit
+        path now reads.  A ``ckpt/3`` payload is one pickled dict, not a
+        stream of records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
         wake hooks (the arena held them, or nobody): resumed here its
         routers would sleep for ever.  A ``ckpt/1`` file also keeps
-        in-flight flits as heap events.  Refuse all three up front."""
+        in-flight flits as heap events.  Refuse all four up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
-        for previous in ("ckpt/3", "ckpt/2", "ckpt/1"):
+        for previous in ("ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1"):
             self._rewrite_header(path, lambda r: r.update(schema=previous))
             for read in (CheckpointCodec.read_header, CheckpointCodec.load):
                 with pytest.raises(CheckpointSchemaError) as excinfo:
                     read(path)
                 error = excinfo.value
-                assert (error.found, error.expected) == (previous, "ckpt/4")
-                assert previous in str(error) and "ckpt/4" in str(error)
+                assert (error.found, error.expected) == (previous, CKPT_SCHEMA)
+                assert previous in str(error) and CKPT_SCHEMA in str(error)
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "state.ckpt"
