@@ -7,8 +7,6 @@ router cycle.  Useful for catching performance regressions in the
 simulation engine itself.
 """
 
-import pytest
-
 from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
 from repro.core.priority import BiasedPriority
@@ -112,18 +110,10 @@ def test_router_cycles_per_second(benchmark):
     assert benchmark(run_chunk) > 0
 
 
-@pytest.mark.parametrize("kernel", ["legacy", "activity"])
-def test_kernel_before_after_light_load(benchmark, kernel):
-    """The before/after comparison behind ``scripts/perf_gate.py``.
-
-    One 124 Mbps CBR stream through the 8x8 router — the 10%-link-load
-    point where the activity kernel fast-forwards 80% of cycles.  The
-    ``legacy`` variant runs the seed kernel (every ticker ticks every
-    cycle); comparing the two benchmark medians reproduces the gated
-    speedup in ``BENCH_kernel.json``.
-    """
-    sim, router = build_cbr_scenario(kernel == "activity", connections=1)
-    assert sim.kernel == kernel
+def test_kernel_light_load(benchmark):
+    """One 124 Mbps CBR stream through the 8x8 router — the 10%-link-load
+    point where the kernel fast-forwards 80% of cycles."""
+    sim, router = build_cbr_scenario(connections=1)
 
     def run_chunk():
         sim.run(1000)

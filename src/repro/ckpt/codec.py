@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoint format (schema ``ckpt/5``).
+"""Versioned on-disk checkpoint format (schema ``ckpt/6``).
 
 A checkpoint file is::
 
@@ -50,6 +50,11 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/6``: one engine — ``Simulator``, ``_Ticker``, ``Router``,
+#: ``LinkScheduler`` and the three experiment specs lost the fields that
+#: selected or fed the deleted engines, so a ``ckpt/5`` file would restore
+#: objects carrying attributes nothing reads and specs that no longer
+#: compare equal to the ones a harness builds.
 #: ``ckpt/5``: the pickled graph changed shape for the per-hop budget —
 #: ``ActivitySet`` holds a raw mask, each link end is one ``_LinkEnd`` whose
 #: bound methods are the routers' handlers, ``_HostOutput`` carries its
@@ -64,7 +69,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/5"
+CKPT_SCHEMA = "ckpt/6"
 
 
 class CheckpointError(RuntimeError):
@@ -170,7 +175,7 @@ class CheckpointHeader:
 
 
 class CheckpointCodec:
-    """Reads and writes ``ckpt/5`` checkpoint files."""
+    """Reads and writes ``ckpt/6`` checkpoint files."""
 
     schema = CKPT_SCHEMA
 

@@ -85,10 +85,6 @@ def _add_spec_arguments(
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--warmup", type=int, default=20000, help="warm-up cycles")
     parser.add_argument("--cycles", type=int, default=100000, help="measured cycles")
-    parser.add_argument(
-        "--columnar", action="store_true",
-        help="columnar (NumPy) scheduling state; needs the repro[fast] extra",
-    )
 
 
 def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
@@ -114,12 +110,6 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
         default="adaptive",
         help="probe + best-effort routing (dimension_order needs a grid)",
     )
-    parser.add_argument(
-        "--arena", action="store_true",
-        help="network arena: pool every router's columnar state in "
-             "network-wide arrays (idle routers are skipped either way); "
-             "needs the repro[fast] extra",
-    )
 
 
 def _spec_from_args(
@@ -136,7 +126,6 @@ def _spec_from_args(
         warmup_cycles=args.warmup,
         measure_cycles=args.cycles,
         telemetry=telemetry or getattr(args, "telemetry", False),
-        columnar_state=getattr(args, "columnar", False),
     )
 
 
@@ -349,8 +338,6 @@ def _network_spec_from_args(
         warmup_cycles=args.warmup,
         measure_cycles=args.cycles,
         seed=args.seed,
-        columnar_state=getattr(args, "columnar", False),
-        network_arena=args.arena,
         topology=args.topology,
         routing=args.routing,
     )
@@ -656,8 +643,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
         police=not args.no_police,
         slos=tuple(args.slo),
         exact_setup_stats=args.exact_setup_stats,
-        columnar_state=args.columnar,
-        network_arena=args.arena,
     )
     checkpointing = None
     if args.checkpoint_dir is not None:
@@ -1147,10 +1132,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     network_parser.add_argument("--warmup", type=int, default=5000)
     network_parser.add_argument("--cycles", type=int, default=20000)
     network_parser.add_argument("--seed", type=int, default=1)
-    network_parser.add_argument(
-        "--columnar", action="store_true",
-        help="columnar (NumPy) scheduling state; needs the repro[fast] extra",
-    )
     network_parser.add_argument("--json", action="store_true")
     network_parser.set_defaults(func=cmd_network)
 
@@ -1226,16 +1207,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the run-health HTML dashboard (rollup page in "
              "--axis mode); implies --telemetry",
     )
-    churn_parser.add_argument(
-        "--columnar", action="store_true",
-        help="columnar (NumPy) scheduling state; needs the repro[fast] extra",
-    )
-    churn_parser.add_argument(
-        "--arena", action="store_true",
-        help="network arena: pool every router's columnar state in "
-             "network-wide arrays (idle routers are skipped either way); "
-             "needs the repro[fast] extra",
-    )
     churn_parser.add_argument("--json", action="store_true", help="JSON output")
     churn_parser.set_defaults(func=cmd_churn)
 
@@ -1244,7 +1215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     inspect_parser = ckpt_sub.add_parser(
         "inspect",
         help="dump a checkpoint's header and component sizes",
-        description="Print a ckpt/5 checkpoint's header without unpickling "
+        description="Print a ckpt/6 checkpoint's header without unpickling "
         "it.  Component sizes are the bytes each component added to the "
         "payload, in dump order, and sum to the payload size.  Size follows "
         "the VCs in use: an idle VC costs ~15 bytes, so an 8x256-VC router "

@@ -24,7 +24,6 @@ import heapq
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from ..sim.rng import SeededRng
-from .columnar import ColumnarState
 from .config import RouterConfig
 from .priority import PriorityScheme
 from .status_vectors import StatusBank
@@ -32,9 +31,8 @@ from .virtual_channel import ServiceClass, VirtualChannel
 
 # Priority offset pushing VBR excess-bandwidth service below every
 # in-contract data stream but far above best-effort traffic (whose class
-# offset is -1e12).  Canonically defined next to the columnar mirror that
-# precomputes it per VC; re-exported here for its historical importers.
-from .columnar import VBR_EXCESS_OFFSET  # noqa: E402  (re-export)
+# offset is -1e12).
+VBR_EXCESS_OFFSET = -1e9
 
 
 def _winner_sort_key(winner):
@@ -69,8 +67,6 @@ class LinkScheduler:
         credit_check: Callable[[int, int], bool],
         selection: str = "priority",
         rng: Optional[SeededRng] = None,
-        fast_path: bool = True,
-        columnar: bool = False,
     ) -> None:
         """``credit_check(output_port, output_vc)`` must report downstream
         credit.
@@ -104,16 +100,11 @@ class LinkScheduler:
         self.credit_check = credit_check
         self.selection = selection
         self.rng = rng
-        #: Fused bit-parallel candidate walk (the default).  The reference
-        #: per-VC walk is kept behind ``fast_path=False`` so perf_gate can
-        #: prove the two produce bit-identical streams.
-        self.fast_path = fast_path
         self.candidates_offered = 0
         self.cycles_with_candidates = 0
         # Size of the eligible set before candidate-set truncation, summed
-        # per scan (sampled by the flight recorder).  Fast path counts set
-        # bits in the fused mask; reference counts the pool it built —
-        # provably equal while the vectors are in sync.
+        # per scan (sampled by the flight recorder): the set bits of the
+        # fused mask.
         self.eligible_vcs_total = 0
         # VBR service-tier accounting (§4.4): flits granted within the
         # permanent allocation vs in the excess (permanent..peak) tier.
@@ -133,7 +124,7 @@ class LinkScheduler:
         self._candidate_limit = config.candidates
         self._enforce = config.enforce_round_budgets
         # Integer dispatch code for the priority scheme's time dependence
-        # (see PriorityScheme.time_dependence); keeps the fast-path inner
+        # (see PriorityScheme.time_dependence); keeps the scan's inner
         # loop to an int compare instead of a string compare.
         self._scheme_dep = {"static": 0, "aging": 1, "hashed": 2}.get(
             scheme.time_dependence, 3
@@ -146,81 +137,9 @@ class LinkScheduler:
         # (``rotating`` must still advance its pointer, ``random`` is
         # kept on the general path with it).
         self._lone_vc_fast = selection in ("per_output", "priority")
-        # Columnar (structure-of-arrays) engine: the per-VC hot state is
-        # mirrored into NumPy columns and the candidate scan and round
-        # fold run vectorized (see columnar.py / DESIGN.md §7e).  The
-        # object graph stays authoritative, so the flag can be flipped
-        # mid-run.  ``_terms_dirty`` is the lazy-resync bitmask of VCs
-        # whose head flit or binding changed since their row was synced;
-        # it is maintained unconditionally (a single int OR) so enabling
-        # columnar mid-run needs no scan.
-        self._columnar_enabled = columnar
-        self._columnar: Optional[ColumnarState] = None
-        self._terms_dirty = 0
-        # Network-arena pooling: when adopted into a ColumnarPool the
-        # bank's columns become slice views of the network-global
-        # chunks (same values, shared storage).  None = standalone.
-        self._columnar_pool = None
-        self._columnar_pool_key = None
-        if columnar:
-            # Eager build: fail fast with the typed error when NumPy is
-            # missing instead of at the first busy cycle.
-            self._ensure_columnar()
-
-    # ----- columnar mirror ---------------------------------------------------
-
-    def _ensure_columnar(self) -> ColumnarState:
-        """Build (or return) the columnar bank, synced from the objects.
-
-        Also the post-restore rebuild path: checkpoints never contain the
-        arrays (see ``__getstate__``), so the first use after a restore
-        lands here and reconstructs every column from the authoritative
-        object graph, with all priority-term rows marked dirty.
-        """
-        cols = self._columnar
-        if cols is None:
-            cols = ColumnarState(
-                self.config.vcs_per_port,
-                self.config.vbr_excess_discipline == "priority",
-                num_outputs=self.config.num_ports,
-                pool=self._columnar_pool,
-                pool_key=self._columnar_pool_key,
-            )
-            for vc in self.vcs:
-                cols.sync_cold(vc)
-            self._terms_dirty = (1 << self.config.vcs_per_port) - 1
-            self._columnar = cols
-        return cols
-
-    def set_columnar(self, enabled: bool) -> None:
-        """Enable/disable the columnar engine mid-run.
-
-        Both directions are free: the object graph is always current, so
-        enabling just (re)builds the mirror and disabling drops it.
-        """
-        self._columnar_enabled = enabled
-        if enabled:
-            self._ensure_columnar()
-        else:
-            self._columnar = None
-
-    def adopt_columnar_pool(self, pool, key) -> None:
-        """Re-home this scheduler's bank into a :class:`ColumnarPool`.
-
-        Installed by the network arena (key = (router id, input port)).
-        Adoption is permanent and value-preserving: an existing bank is
-        rebuilt from the authoritative object graph into pool views, and
-        every later (re)build — including post-restore — lands on the
-        same pool rows.
-        """
-        self._columnar_pool = pool
-        self._columnar_pool_key = key
-        if self._columnar is not None:
-            self._columnar = None
-            self._ensure_columnar()
 
     def invalidate_vc(self, vc: VirtualChannel) -> None:
-        """Drop the VC's cached priority terms and resync its columns.
+        """Drop the VC's cached priority terms.
 
         The cache is keyed on (head-flit identity, connection id); this
         resets both components so a torn-down-and-readmitted connection
@@ -231,20 +150,6 @@ class LinkScheduler:
         """
         vc.prio_flit = None
         vc.prio_conn = None
-        self._terms_dirty |= 1 << vc.index
-        if self._columnar is not None:
-            self._columnar.sync_cold(vc)
-
-    def __getstate__(self):
-        """Pickle without the NumPy bank (rebuilt lazily from objects).
-
-        Keeps checkpoints written under ``columnar_state=True`` loadable
-        on hosts without NumPy and guarantees restore re-derives every
-        column from the canonical object graph.
-        """
-        state = self.__dict__.copy()
-        state["_columnar"] = None
-        return state
 
     # ----- round accounting --------------------------------------------------
 
@@ -261,23 +166,6 @@ class LinkScheduler:
             | self._vbr_serviced._bits
             | self._connection_active._bits
         )
-        if self._columnar_enabled and bits:
-            # Vectorized fold: with serviced counters about to reset, no
-            # touched VC stays exhausted and the only surviving offset is
-            # the precomputed excess tier — computed for all touched rows
-            # at once, then mirrored back into the objects (which remain
-            # authoritative for invariants, telemetry and flag flips).
-            cols = self._ensure_columnar()
-            idx = cols.indices_of(bits)
-            offsets = cols.fold_round(idx, self._enforce)
-            for vc_index, offset in zip(idx.tolist(), offsets.tolist()):
-                vc = vcs[vc_index]
-                vc.serviced_this_round = 0
-                vc.round_offset = offset
-            self._exhausted._bits &= ~bits
-            self._cbr_serviced.clear_all()
-            self._vbr_serviced.clear_all()
-            return
         while bits:
             low = bits & -bits
             bits ^= low
@@ -310,7 +198,7 @@ class LinkScheduler:
         holds the cases where the gate returns None, ``vc.round_offset``
         the offset it would return otherwise.  Called whenever an input of
         the gate changes — a flit serviced, a round boundary, a (re)bind
-        or renegotiation — so the fast path never evaluates the gate.
+        or renegotiation — so the scan never evaluates the gate.
         """
         exhausted = False
         offset = 0.0
@@ -331,15 +219,15 @@ class LinkScheduler:
                     offset = VBR_EXCESS_OFFSET
         self._exhausted.assign(vc.index, exhausted)
         vc.round_offset = offset
-        cols = self._columnar
-        if cols is not None:
-            cols.round_offset[vc.index] = offset
-
-    # ----- candidate selection -----------------------------------------------
 
     def _round_gate(self, vc: VirtualChannel) -> Optional[float]:
         """Priority offset for the VC's current round tier, or None when
-        the VC has exhausted its round budget."""
+        the VC has exhausted its round budget.
+
+        Evaluated from scratch and never on the scheduling path: it is
+        what :meth:`Router.check_invariants` (and the reference walk in
+        ``tests/reference_scheduler.py``) hold the state cached by
+        :meth:`refresh_round_state` against."""
         if not self.config.enforce_round_budgets:
             return 0.0
         if vc.service_class is ServiceClass.CBR:
@@ -363,12 +251,14 @@ class LinkScheduler:
         # offsets in the priority scheme place them.
         return 0.0
 
+    # ----- candidate selection -----------------------------------------------
+
     def eligible_vcs(self) -> List[int]:
         """Indices of VCs passing the bit-vector schedulability test."""
         return list(self.status.eligible_for_service().indices())
 
     def fused_mask(self) -> int:
-        """The fast path's eligibility mask as a raw integer:
+        """The scan's eligibility mask as a raw integer:
         ``flits & credits & routed & ~exhausted``."""
         return (
             self._flits_available._bits
@@ -378,17 +268,12 @@ class LinkScheduler:
         )
 
     def candidates(self, now: int, limit: Optional[int] = None) -> List[Candidate]:
-        """The candidate set offered to the switch scheduler this cycle."""
-        if self._columnar_enabled:
-            return self._candidates_columnar(now, limit)
-        if not self.fast_path:
-            return self._candidates_reference(now, limit)
-        return self._candidates_fused(now, limit)
+        """The candidate set offered to the switch scheduler this cycle.
 
-    def _candidates_fused(
-        self, now: int, limit: Optional[int] = None
-    ) -> List[Candidate]:
-        """The fused bit-parallel scalar scan (the object-graph fast path)."""
+        One fused bit-parallel scan: the wide AND of the status vectors
+        (§4.1) names the eligible VCs, and only those are visited.  Ties
+        go to the highest priority, then the lowest VC index.
+        """
         if limit is None:
             limit = self._candidate_limit
         mask = (
@@ -532,191 +417,6 @@ class LinkScheduler:
             )
         return self._select(pool, limit)
 
-    def _candidates_columnar(
-        self, now: int, limit: Optional[int] = None
-    ) -> List[Candidate]:
-        """Vectorized candidate scan over the columnar state bank.
-
-        Bit-identical to the fused scalar scan: same eligibility mask,
-        same float evaluation order for the priorities, same deterministic
-        tie-breaking (lowest VC index on equal priority), same counter
-        updates.  Per-cycle schemes (``time_dependence == 'percycle'``)
-        have no cacheable term structure, so they fall back to the scalar
-        walk; the rotating and random selections reuse ``_select`` on a
-        pool built from the arrays so the scan pointer and RNG draw
-        stream advance exactly as in the scalar path.
-        """
-        if self._scheme_dep == 3:
-            return (
-                self._candidates_fused(now, limit)
-                if self.fast_path
-                else self._candidates_reference(now, limit)
-            )
-        if limit is None:
-            limit = self._candidate_limit
-        mask = (
-            self._flits_available._bits
-            & self._credits_available._bits
-            & self._routed._bits
-            & ~self._exhausted._bits
-        )
-        if not mask:
-            return []
-        cols = self._ensure_columnar()
-        dirty = self._terms_dirty & mask
-        if dirty:
-            self._sync_terms(cols, dirty)
-            self._terms_dirty &= ~dirty
-        port = self.port
-        if self._per_output_fast:
-            # Selection runs on the output-group table: one row-wise
-            # argmin/argmax finds every output's winner without sorting
-            # the eligible set.  Static schemes with budgets unenforced
-            # compare precomputed sortable keys (priorities cannot change
-            # between term syncs); time-varying schemes evaluate the
-            # whole priority column — three vector ops beat per-row
-            # gathers once a meaningful slice of the bank is eligible.
-            self.eligible_vcs_total += mask.bit_count()
-            if self._scheme_dep == 0 and not self._enforce:
-                order = cols.select_static_per_output(mask, limit)
-                chosen = [
-                    Candidate(priority, port, vc_index, output_port)
-                    for priority, vc_index, output_port in zip(
-                        cols.prio_base[order].tolist(),
-                        order.tolist(),
-                        cols.output_port[order].tolist(),
-                    )
-                ]
-            else:
-                full = cols.priorities_full(
-                    now, self._scheme_dep, with_offset=self._enforce
-                )
-                rows, prs, present = cols.select_dynamic_per_output(full, mask)
-                # An output's winner row already identifies its port (the
-                # table row index *is* the output), so ordering and limit
-                # truncation run on a plain list of at most num_ports
-                # tuples — same key as the fused scan's winner sort.
-                winners = [
-                    (pr, row, out)
-                    for out, (pr, row, ok) in enumerate(
-                        zip(prs.tolist(), rows.tolist(), present.tolist())
-                    )
-                    if ok
-                ]
-                winners.sort(key=_winner_sort_key)
-                if len(winners) > limit:
-                    winners = winners[:limit]
-                chosen = [
-                    Candidate(pr, port, row, out) for pr, row, out in winners
-                ]
-            self.candidates_offered += len(chosen)
-            self.cycles_with_candidates += 1
-            return chosen
-        if self._scheme_dep == 0 and not self._enforce:
-            if self.selection == "priority":
-                n = mask.bit_count()
-                order = cols.select_static_priority(mask, n, limit)
-                self.eligible_vcs_total += n
-                chosen = [
-                    Candidate(priority, port, vc_index, output_port)
-                    for priority, vc_index, output_port in zip(
-                        cols.prio_base[order].tolist(),
-                        order.tolist(),
-                        cols.output_port[order].tolist(),
-                    )
-                ]
-                self.candidates_offered += len(chosen)
-                self.cycles_with_candidates += 1
-                return chosen
-        idx = cols.indices_of(mask)
-        priorities = cols.priorities(
-            idx, now, self._scheme_dep, with_offset=self._enforce
-        )
-        out = cols.output_port[idx]
-        if self.selection == "priority":
-            self.eligible_vcs_total += idx.size
-            order = cols.select_priority(idx, priorities, limit)
-            chosen = [
-                Candidate(priority, port, vc_index, output_port)
-                for priority, vc_index, output_port in zip(
-                    priorities[order].tolist(),
-                    idx[order].tolist(),
-                    out[order].tolist(),
-                )
-            ]
-            self.candidates_offered += len(chosen)
-            self.cycles_with_candidates += 1
-            return chosen
-        # Rotating / random: the selection itself is stateful (scan
-        # pointer, RNG stream), so materialize the ascending-index pool
-        # and reuse the scalar selector verbatim.
-        pool = [
-            Candidate(priority, port, vc_index, output_port)
-            for priority, vc_index, output_port in zip(
-                priorities.tolist(), idx.tolist(), out.tolist()
-            )
-        ]
-        return self._select(pool, limit)
-
-    def _sync_terms(self, cols: ColumnarState, bits: int) -> None:
-        """Replay ``cache_terms`` for the dirty rows in ``bits``.
-
-        Amortized exactly like the scalar cache: one scheme call per head
-        flit change, not per cycle.  Updates the object-side cache too so
-        the scalar and columnar engines stay interchangeable mid-run.
-        """
-        vcs = self.vcs
-        scheme = self.scheme
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            vc_index = low.bit_length() - 1
-            vc = vcs[vc_index]
-            buffer = vc.buffer
-            if not buffer:
-                raise RuntimeError(
-                    f"status vector out of sync: vc {self.port}.{vc_index} "
-                    "flagged available but empty"
-                )
-            flit = buffer[0]
-            base, div, key = scheme.cache_terms(vc, flit)
-            vc.prio_base, vc.prio_div, vc.prio_key = base, div, key
-            vc.prio_flit = flit
-            vc.prio_conn = vc.connection_id
-            cols.set_terms(vc_index, base, div, key, flit.created)
-
-    def _candidates_reference(
-        self, now: int, limit: Optional[int] = None
-    ) -> List[Candidate]:
-        """The original per-VC candidate walk, kept as the identity oracle
-        for the fused fast path (cf. the legacy kernel behind PR 1's
-        ``allow_fast_forward=False``)."""
-        if limit is None:
-            limit = self._candidate_limit
-        pool: List[Candidate] = []
-        for vc_index in self._flits_available.indices():
-            vc = self.vcs[vc_index]
-            flit = vc.head()
-            if flit is None:
-                raise RuntimeError(
-                    f"status vector out of sync: vc {self.port}.{vc_index} "
-                    "flagged available but empty"
-                )
-            if vc.output_port < 0:
-                # Not yet routed (a blocked best-effort packet waiting for
-                # a downstream VC, §3.4): not schedulable.
-                continue
-            if not self.credit_check(vc.output_port, vc.output_vc):
-                continue
-            offset = self._round_gate(vc)
-            if offset is None:
-                continue
-            priority = self.scheme.priority(vc, flit, now) + offset
-            pool.append(Candidate(priority, self.port, vc_index, vc.output_port))
-        if not pool:
-            return []
-        return self._select(pool, limit)
-
     def _select(self, pool: List[Candidate], limit: int) -> List[Candidate]:
         """Draw the offered candidate set from the eligible ``pool``."""
         self.eligible_vcs_total += len(pool)
@@ -731,8 +431,6 @@ class LinkScheduler:
             chosen.sort(key=Candidate.sort_key)
         elif self.selection == "rotating":
             chosen = self._rotating_select(pool, limit)
-        elif self.selection == "per_output":
-            chosen = self._per_output_select(pool, limit)
         elif len(pool) > limit:
             chosen = heapq.nsmallest(limit, pool, key=Candidate.sort_key)
         else:
@@ -740,16 +438,6 @@ class LinkScheduler:
         self.candidates_offered += len(chosen)
         self.cycles_with_candidates += 1
         return chosen
-
-    def _per_output_select(self, pool: List[Candidate], limit: int) -> List[Candidate]:
-        """Best flit per requested output, then the top ``limit`` of those."""
-        best_per_output: dict = {}
-        for candidate in pool:
-            incumbent = best_per_output.get(candidate.output_port)
-            if incumbent is None or candidate.sort_key() < incumbent.sort_key():
-                best_per_output[candidate.output_port] = candidate
-        chosen = sorted(best_per_output.values(), key=Candidate.sort_key)
-        return chosen[:limit]
 
     def _rotating_select(self, pool: List[Candidate], limit: int) -> List[Candidate]:
         """Round-robin scan from the rotating pointer, then priority order.

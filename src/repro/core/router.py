@@ -127,19 +127,11 @@ class Router:
         tracer=None,
         delay_histogram_bins: int = 0,
         recorder=None,
-        scheduler_fast_path: bool = True,
-        columnar_state: bool = False,
     ) -> None:
         """``sink_outputs=True`` models the single-router evaluation: output
         links drain into ideal sinks with unlimited downstream credit.  A
         network embeds the router with ``sink_outputs=False`` and wires
-        output handlers and real credit state per link.
-
-        ``columnar_state=True`` switches the link schedulers to the
-        vectorized columnar engine (requires the NumPy ``[fast]`` extra;
-        raises :class:`~repro.core.columnar.ColumnarUnavailableError`
-        otherwise).  Bit-identical to the object-graph paths and
-        flippable mid-run via :meth:`set_columnar_state`."""
+        output handlers and real credit state per link."""
         self.config = config
         self.scheme = scheme
         self.switch_scheduler = switch_scheduler
@@ -175,12 +167,9 @@ class Router:
                 self._credit_check,
                 selection=selection,
                 rng=rng.spawn(f"link{port}") if rng is not None else None,
-                fast_path=scheduler_fast_path,
-                columnar=columnar_state,
             )
             for port in range(config.num_ports)
         ]
-        self.columnar_state = columnar_state
         # Fast-path credit mirroring: each (output_port, output_vc) in use
         # maps to the single input VC bound to it; the output links'
         # availability listeners push downstream 0<->1 credit transitions
@@ -237,15 +226,11 @@ class Router:
         self._no_candidate_lists: List[List] = [
             self._no_candidates for _ in range(config.num_ports)
         ]
-        # The legacy (seed) kernel polls every port every cycle; the
-        # activity kernel polls only ports whose activity bit is set.
-        self._legacy_kernel = not sim.allow_fast_forward
         self._ticker = self.sim.add_ticker(
             self.tick,
             activity=self.activity,
             on_skip=self.account_idle_cycles,
             name=name,
-            on_restore=self.rebuild_derived_state,
         )
 
     # ----- wiring ------------------------------------------------------------
@@ -269,34 +254,6 @@ class Router:
             self._downstream_users, self._credits_vectors, output_port
         )
 
-    # ----- columnar engine ---------------------------------------------------
-
-    def set_columnar_state(self, enabled: bool) -> None:
-        """Flip the columnar scheduling engine on or off mid-run.
-
-        Free in both directions: the object graph stays authoritative
-        while columnar is on, so enabling rebuilds the array mirror from
-        it and disabling simply drops the arrays.  Raises
-        ``ColumnarUnavailableError`` when enabling without NumPy.
-        """
-        for scheduler in self.link_schedulers:
-            scheduler.set_columnar(enabled)
-        self.columnar_state = enabled
-
-    def rebuild_derived_state(self) -> None:
-        """Rebuild non-pickled derived state after a checkpoint restore.
-
-        Invoked by ``Simulator.restore`` through the ticker's
-        ``on_restore`` hook.  The columnar array banks are deliberately
-        dropped from checkpoints (see ``LinkScheduler.__getstate__``);
-        rebuilding them eagerly here keeps the first post-restore cycle
-        off the allocation path and surfaces a missing-NumPy error at
-        restore time instead of mid-run.
-        """
-        if self.columnar_state:
-            for scheduler in self.link_schedulers:
-                scheduler._ensure_columnar()
-
     def catch_up(self) -> None:
         """Account this router's deferred idle cycles up to now.
 
@@ -312,19 +269,19 @@ class Router:
         self.sim.catch_up(self._ticker)
 
     def invalidate_priority_cache(self, input_port: int, vc_index: int) -> None:
-        """Drop one VC's cached priority terms (object and columnar).
+        """Drop one VC's cached priority terms.
 
         Must be called after mutating any input of the priority
         computation outside the router's own APIs — e.g. the connection
         manager rewriting ``static_priority`` or a bandwidth
         renegotiation rewriting ``interarrival_cycles`` while a head
-        flit sits parked on the VC.  Without it the scheduling fast
-        paths keep serving the stale terms until the head flit drains.
+        flit sits parked on the VC.  Without it the candidate scan
+        keeps serving the stale terms until the head flit drains.
         """
         vc = self.input_ports[input_port].vcs[vc_index]
         self.link_schedulers[input_port].invalidate_vc(vc)
 
-    # ----- route state (fast-path vector maintenance) -----------------------
+    # ----- route state (scan vector maintenance) ----------------------------
 
     def _register_route_state(
         self, input_port: int, vc_index: int, output_port: int, output_vc: int
@@ -361,7 +318,7 @@ class Router:
             self._downstream_users.pop((vc.output_port, vc.output_vc), None)
 
     def scrub_vc_scheduling_state(self, input_port: int, vc_index: int) -> None:
-        """Reset a VC's fast-path scheduling bits ahead of its release.
+        """Reset a VC's scheduling bits ahead of its release.
 
         Must run while the VC still holds its route (the downstream-user
         map is keyed by it).  Clears the routed/credits mirroring and the
@@ -387,7 +344,7 @@ class Router:
         The only supported way to set ``vc.output_port``/``vc.output_vc``
         after binding: it keeps the ``routed`` and ``credits_available``
         status vectors and the downstream-user map in sync, which the
-        scheduling fast path depends on.  Used by best-effort routing
+        candidate scan depends on.  Used by best-effort routing
         (a blocked packet routed once a downstream VC frees up, §3.4) and
         by probe-driven connection establishment (§3.5).
         """
@@ -403,8 +360,7 @@ class Router:
         vc.output_vc = output_vc
         self._register_route_state(input_port, vc_index, output_port, output_vc)
         # Route context feeds the cached priority terms (class offsets,
-        # interarrival) and the columnar output column — invalidate so
-        # the next scan recomputes and resyncs.
+        # interarrival) — invalidate so the next scan recomputes.
         self.link_schedulers[input_port].invalidate_vc(vc)
 
     # ----- connection management ------------------------------------------------
@@ -582,7 +538,7 @@ class Router:
             vc.peak_cycles = new.effective_peak
         # The new contract may change which round tier the VC sits in
         # right now (e.g. a raised allocation un-exhausts it mid-round)
-        # and feeds the cached priority terms and columnar columns.
+        # and feeds the cached priority terms.
         scheduler = self.link_schedulers[input_port]
         scheduler.refresh_round_state(vc)
         scheduler.invalidate_vc(vc)
@@ -627,9 +583,8 @@ class Router:
         if occupancy:
             buffer.append(flit)
         else:
-            # The flit becomes head: stamp it, publish the VC (and the
-            # port, if idle) and mark its priority terms dirty — also
-            # while the columnar engine is off, so its mask stays current.
+            # The flit becomes head: stamp it and publish the VC (and
+            # the port, if idle).
             flit.ready_time = self.sim.now
             if type(buffer) is tuple:
                 buffer = vc.buffer = deque()
@@ -642,7 +597,6 @@ class Router:
                 else:
                     activity.set(input_port)  # idle router: wakes its ticker
             flits_available._bits |= bit
-            self.link_schedulers[input_port]._terms_dirty |= bit
         if occupancy + 1 >= vc.capacity:
             self._input_buffer_full[input_port]._bits |= bit
         tracer = self.tracer
@@ -712,9 +666,7 @@ class Router:
     def tick(self, cycle: int) -> None:
         """One flit cycle: schedule, reconfigure, transmit, account.
 
-        Under the legacy (seed) kernel every link scheduler is polled every
-        cycle, exactly as the seed engine did.  Under the activity kernel
-        the per-port activity bits — which mirror ``flits_available`` —
+        The per-port activity bits — which mirror ``flits_available`` —
         gate the polling: an idle port contributes an empty candidate set
         either way, so the short-circuit is behaviour-preserving.  A cycle
         with no buffered flits and no cut-through anywhere skips switch
@@ -725,33 +677,21 @@ class Router:
         activity = self.activity
         busy_outputs = self._immediate_busy_outputs
         port_bits = activity._bits & self._port_mask
-        if self._legacy_kernel or port_bits or busy_outputs:
-            if self._legacy_kernel:
-                candidate_lists = []
-                for scheduler in self.link_schedulers:
-                    candidates = scheduler.candidates(cycle)
-                    if busy_outputs:
-                        candidates = [
-                            c
-                            for c in candidates
-                            if c.output_port not in busy_outputs
-                        ]
-                    candidate_lists.append(candidates)
-            else:
-                candidate_lists = self._no_candidate_lists.copy()
-                bits = port_bits
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    port = low.bit_length() - 1
-                    candidates = self.link_schedulers[port].candidates(cycle)
-                    if busy_outputs:
-                        candidates = [
-                            c
-                            for c in candidates
-                            if c.output_port not in busy_outputs
-                        ]
-                    candidate_lists[port] = candidates
+        if port_bits or busy_outputs:
+            candidate_lists = self._no_candidate_lists.copy()
+            bits = port_bits
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                port = low.bit_length() - 1
+                candidates = self.link_schedulers[port].candidates(cycle)
+                if busy_outputs:
+                    candidates = [
+                        c
+                        for c in candidates
+                        if c.output_port not in busy_outputs
+                    ]
+                candidate_lists[port] = candidates
             switch_scheduler = self.switch_scheduler
             grants = switch_scheduler.schedule(candidate_lists, cycle)
             switch_scheduler.schedule_calls += 1
@@ -860,11 +800,9 @@ class Router:
         scheduler = self.link_schedulers[input_port]
         bit = 1 << vc_index
         if buffer:
-            # The successor becomes head: stamp it, and mark its terms
-            # dirty for the columnar engine (the object path re-checks
-            # head identity).
+            # The successor becomes head: stamp it (the scan re-checks
+            # head identity, so its cached terms need no invalidation).
             buffer[0].ready_time = cycle + 1
-            scheduler._terms_dirty |= bit
         else:
             flits_available = self._flits_available[input_port]
             flits_available._bits &= ~bit
@@ -989,7 +927,7 @@ class Router:
         * ``input_buffer_full`` is only set on genuinely full VCs;
         * the free-VC pools mirror connection bindings;
         * ``connection_active`` matches bound VCs;
-        * the fast-path vectors hold: ``routed`` mirrors resolved output
+        * the scan's vectors hold: ``routed`` mirrors resolved output
           ports, ``credits_available`` mirrors :meth:`_credit_check` on
           routed VCs, and ``round_budget_exhausted`` plus the cached
           ``round_offset`` reproduce the reference round gate;

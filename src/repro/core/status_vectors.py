@@ -234,7 +234,7 @@ class StatusBank:
         "vbr_service_requested",
         "vbr_bandwidth_serviced",
         "connection_active",
-        # Fast-path vectors (see DESIGN.md "scheduling fast path"): a VC's
+        # Scan vectors (see DESIGN.md §7, "Candidate scan"): a VC's
         # output port is resolved / its round budget is spent, maintained
         # incrementally so candidate selection is one fused AND.
         "routed",

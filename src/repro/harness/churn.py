@@ -103,12 +103,6 @@ class ChurnSpec:
     #: Extra horizon after the expected last teardown for stragglers.
     drain_cycles: int = 100_000
     seed: int = 1
-    allow_fast_forward: bool = True
-    scheduler_fast_path: bool = True
-    #: Columnar state engine knob (see ExperimentSpec.columnar_state).
-    columnar_state: bool = False
-    #: Network-wide arena knob (DESIGN.md §7f).  Requires NumPy.
-    network_arena: bool = False
     telemetry: bool = False
     #: Telemetry sampling period (cycles), when ``telemetry`` is on.
     telemetry_every: int = 1000
@@ -281,7 +275,7 @@ class ChurnWorkload:
             round_factor=spec.round_factor,
             enforce_round_budgets=False,
         )
-        sim = Simulator(allow_fast_forward=spec.allow_fast_forward)
+        sim = Simulator()
         recorder = None
         if spec.telemetry:
             recorder = FlightRecorder(
@@ -304,9 +298,6 @@ class ChurnWorkload:
             sim,
             rng.spawn("network"),
             recorder=recorder,
-            scheduler_fast_path=spec.scheduler_fast_path,
-            columnar_state=spec.columnar_state,
-            network_arena=spec.network_arena,
         )
         self.spec = spec
         self.topology = topology

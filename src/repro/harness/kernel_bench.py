@@ -1,18 +1,14 @@
-"""Before/after instrumentation for the simulation kernel.
+"""Deterministic scenarios and measurements for the gates.
 
-The activity-driven kernel (``Simulator(allow_fast_forward=True)``) must
-be cycle-for-cycle identical to the legacy seed kernel
-(``allow_fast_forward=False``) on seeded runs, and it must be *faster* at
-the light loads the paper's QoS experiments live at.  This module builds
-the deterministic CBR scenarios used to check both claims — by
-``scripts/perf_gate.py`` (which writes ``BENCH_kernel.json``) and by
-``benchmarks/bench_kernel.py`` (pytest-benchmark trend lines).
+This module builds the seeded CBR scenarios that ``scripts/perf_gate.py``
+(which writes ``BENCH_kernel.json``), ``repro.ckpt.verify`` and
+``benchmarks/bench_kernel.py`` (pytest-benchmark trend lines) run.
 
 The scenarios pin every source to phase 0, so arrivals from all
 connections cluster on the same cycle and the router genuinely idles
 between clusters: at 124 Mbps per stream (10% of the 1.24 Gbps link) the
 inter-arrival is exactly 10 flit cycles and 8 of every 10 cycles carry no
-work.  That is the activity kernel's best case *and* a real operating
+work.  That is the wake-driven kernel's best case *and* a real operating
 point — a router serving a handful of constant-rate multimedia streams.
 """
 
@@ -45,7 +41,7 @@ from ..traffic.rates import MBPS
 #: 10% of the paper's 1.24 Gbps link: inter-arrival of exactly 10 cycles.
 TEN_PCT_RATE_BPS = 124e6
 
-#: One delivered flit, as compared across kernels: (connection, sequence,
+#: One delivered flit, as compared across runs: (connection, sequence,
 #: created cycle, depart cycle).
 DeliveryRecord = Tuple[int, int, int, int]
 
@@ -70,7 +66,6 @@ class DeliveryLog:
 
 
 def build_cbr_scenario(
-    allow_fast_forward: bool,
     connections: int,
     rate_bps: float = TEN_PCT_RATE_BPS,
     delivered: Optional[List[DeliveryRecord]] = None,
@@ -82,14 +77,14 @@ def build_cbr_scenario(
     ``(3 i + 1) mod 8`` (a fixed conflict-free permutation), so every
     stream can move one flit per cycle and the measurement isolates
     kernel overhead rather than contention.  Pass ``delivered`` to record
-    per-flit delivery timestamps for cross-kernel identity checks; leave
+    per-flit delivery timestamps for identity checks; leave
     it None for throughput timing (the recording callback is not part of
     the simulator's own cost).
     """
     if not 1 <= connections <= 8:
         raise ValueError(f"connections must be in [1, 8], got {connections}")
     config = RouterConfig(enforce_round_budgets=False)
-    sim = Simulator(allow_fast_forward=allow_fast_forward)
+    sim = Simulator()
     router = Router(
         config, BiasedPriority(), GreedyPriorityScheduler(), sim, recorder=recorder
     )
@@ -113,75 +108,6 @@ def build_cbr_scenario(
     return sim, router
 
 
-def run_identity_check(connections: int, cycles: int) -> dict:
-    """Run the scenario under both kernels and compare everything.
-
-    Returns a dict with ``identical`` plus the individual comparisons;
-    ``fast_forwarded_fraction`` reports how much of the run the activity
-    kernel skipped (the legacy kernel must skip nothing).
-    """
-    results = {}
-    for mode in (False, True):
-        delivered: List[DeliveryRecord] = []
-        sim, router = build_cbr_scenario(mode, connections, delivered=delivered)
-        sim.run(cycles)
-        router.check_invariants()
-        results[mode] = (delivered, dict(router.stats.scalars), sim)
-    legacy, activity = results[False], results[True]
-    flits_identical = legacy[0] == activity[0]
-    stats_identical = legacy[1] == activity[1]
-    return {
-        "identical": flits_identical and stats_identical,
-        "flits_identical": flits_identical,
-        "stats_identical": stats_identical,
-        "flits_delivered": len(legacy[0]),
-        "legacy_fast_forwarded": legacy[2].fast_forwarded_cycles,
-        "fast_forwarded_fraction": activity[2].fast_forwarded_cycles / cycles,
-    }
-
-
-def measure_cycles_per_second(
-    allow_fast_forward: bool,
-    connections: int,
-    cycles: int,
-    repeats: int = 5,
-    clock: Callable[[], float] = time.perf_counter,
-) -> dict:
-    """Best-of-``repeats`` simulated-cycles-per-wall-second.
-
-    Each repeat builds a fresh scenario, so the timed region is purely
-    ``Simulator.run``.  The best repeat is reported — on a shared machine
-    the minimum time is the least contaminated by scheduling noise.
-    """
-    if cycles <= 0:
-        raise ValueError(f"cycles must be positive, got {cycles}")
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    best = None
-    ff_fraction = 0.0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            sim, router = build_cbr_scenario(allow_fast_forward, connections)
-            start = clock()
-            sim.run(cycles)
-            elapsed = clock() - start
-            if best is None or elapsed < best:
-                best = elapsed
-                ff_fraction = sim.fast_forwarded_cycles / cycles
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return {
-        "cycles": cycles,
-        "repeats": repeats,
-        "seconds": best,
-        "cycles_per_sec": cycles / best,
-        "fast_forwarded_fraction": ff_fraction,
-    }
-
-
 def measure_obs_overhead(
     connections: int,
     cycles: int,
@@ -190,7 +116,7 @@ def measure_obs_overhead(
 ) -> dict:
     """Wall cost of carrying a *disabled* flight recorder.
 
-    Times the activity-kernel scenario twice per repeat — once with the
+    Times the CBR scenario twice per repeat — once with the
     shared ``NULL_RECORDER`` default (the PR-1 hot path plus inert branch
     checks) and once with a constructed-but-disabled
     :class:`~repro.obs.FlightRecorder` attached (``enabled=False``,
@@ -225,9 +151,9 @@ def measure_obs_overhead(
         disabled_recorder = FlightRecorder(manifest={})
         disabled_recorder.set_enabled(False)
         return {
-            "baseline": build_cbr_scenario(True, connections, recorder=None)[0],
+            "baseline": build_cbr_scenario(connections, recorder=None)[0],
             "disabled": build_cbr_scenario(
-                True, connections, recorder=disabled_recorder
+                connections, recorder=disabled_recorder
             )[0],
         }
 
@@ -298,52 +224,25 @@ def measure_obs_overhead(
 #: connections than there are VCs to reach 90% load.
 SCHED_BENCH_RATE_SET = (5 * MBPS, 10 * MBPS, 20 * MBPS)
 
-#: The columnar-engine stress mix: 2.5 Mbps streams only.  At 90% load
-#: with :data:`HIGH_VC_COUNT` VCs per port the planner packs ~446
-#: connections per input port — past the 256 VCs the paper's baseline MMR
-#: provisions per link — and the phase-aligned bursts keep hundreds of
-#: VCs simultaneously eligible.  This is the regime the columnar gates
-#: time: per-scan work is large enough that a handful of whole-column
-#: vector ops beat hundreds of per-object priority evaluations.
-HIGH_VC_RATE_SET = (2.5 * MBPS,)
-
-#: VCs per input port for the high-VC columnar gate scenario ("256+ VCs
-#: per link"): double the paper's per-link provisioning, the design point
-#: §6 sizes the wide status banks for.
-HIGH_VC_COUNT = 512
-
 
 def build_saturated_scenario(
-    scheduler_fast_path: bool,
     target_load: float = 0.9,
     seed: int = 7,
     delivered: Optional[List[DeliveryRecord]] = None,
-    rate_set: Tuple[float, ...] = SCHED_BENCH_RATE_SET,
-    columnar_state: bool = False,
-    vcs_per_port: Optional[int] = None,
 ) -> Tuple[Simulator, Router]:
     """An 8x8 router loaded to ``target_load`` with many small CBR streams.
 
-    This is the link scheduler's worst case and the fast path's target
-    operating point: LoadPlanner packs hundreds of randomly-placed
-    connections from ``rate_set`` (default
-    :data:`SCHED_BENCH_RATE_SET`), all phase-aligned (like
-    :func:`build_cbr_scenario`), so every busy cycle scans a large
-    eligible set and ``candidates()`` dominates the run.  The connection
-    plan and static priorities derive from ``seed``, so two builds
-    differing only in ``scheduler_fast_path`` / ``columnar_state``
-    execute the same workload and must deliver bit-identical flit
-    streams.  Pass :data:`HIGH_VC_RATE_SET` with ``vcs_per_port=512`` to
-    pack ~446 connections per port, the columnar engine's target regime.
+    This is the link scheduler's worst case: LoadPlanner packs hundreds
+    of randomly-placed connections from :data:`SCHED_BENCH_RATE_SET`, all
+    phase-aligned (like :func:`build_cbr_scenario`), so every busy cycle
+    scans a large eligible set and ``candidates()`` dominates the run.
+    The connection plan and static priorities derive from ``seed``, so
+    two builds execute the same workload and must deliver bit-identical
+    flit streams.
     """
-    if vcs_per_port is None:
-        config = RouterConfig(enforce_round_budgets=False)
-    else:
-        config = RouterConfig(
-            enforce_round_budgets=False, vcs_per_port=vcs_per_port
-        )
+    config = RouterConfig(enforce_round_budgets=False)
     rng = SeededRng(seed, "sched-bench")
-    sim = Simulator(allow_fast_forward=True)
+    sim = Simulator()
     router = Router(
         config,
         BiasedPriority(),
@@ -351,15 +250,13 @@ def build_saturated_scenario(
         sim,
         selection="per_output",
         rng=rng.spawn("router"),
-        scheduler_fast_path=scheduler_fast_path,
-        columnar_state=columnar_state,
     )
     if delivered is not None:
         handler = DeliveryLog(delivered)
         for port in range(config.num_ports):
             router.set_output_handler(port, handler)
     plan = LoadPlanner(
-        config, rng.spawn("plan"), rate_set=rate_set
+        config, rng.spawn("plan"), rate_set=SCHED_BENCH_RATE_SET
     ).plan(target_load)
     priority_rng = rng.spawn("static-priority")
     for item in plan.specs:
@@ -386,183 +283,6 @@ def build_saturated_scenario(
             phase=0,
         ).start()
     return sim, router
-
-
-def run_sched_identity_check(
-    cycles: int, target_load: float = 0.9, seed: int = 7
-) -> dict:
-    """Run the saturated scenario with both scheduler paths and compare.
-
-    The fused bit-vector path must reproduce the reference per-VC walk's
-    flit stream and statistics exactly; ``check_invariants`` additionally
-    audits every status vector against its brute-force predicate at the
-    end of each run.
-    """
-    results = {}
-    for fast_path in (False, True):
-        delivered: List[DeliveryRecord] = []
-        sim, router = build_saturated_scenario(
-            fast_path, target_load, seed, delivered=delivered
-        )
-        sim.run(cycles)
-        router.check_invariants()
-        results[fast_path] = (delivered, dict(router.stats.scalars))
-    reference, fused = results[False], results[True]
-    flits_identical = reference[0] == fused[0]
-    stats_identical = reference[1] == fused[1]
-    return {
-        "identical": flits_identical and stats_identical,
-        "flits_identical": flits_identical,
-        "stats_identical": stats_identical,
-        "flits_delivered": len(reference[0]),
-        "target_load": target_load,
-    }
-
-
-def measure_sched_cycles_per_second(
-    scheduler_fast_path: bool,
-    cycles: int,
-    repeats: int = 5,
-    target_load: float = 0.9,
-    seed: int = 7,
-    clock: Callable[[], float] = time.perf_counter,
-) -> dict:
-    """Best-of-``repeats`` throughput of the saturated-load scenario.
-
-    Same protocol as :func:`measure_cycles_per_second` (fresh scenario
-    per repeat, GC off, best time reported) on the scheduler-bound
-    workload, with the link-scheduler path selected by
-    ``scheduler_fast_path``.
-    """
-    if cycles <= 0:
-        raise ValueError(f"cycles must be positive, got {cycles}")
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    best = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            sim, router = build_saturated_scenario(
-                scheduler_fast_path, target_load, seed
-            )
-            start = clock()
-            sim.run(cycles)
-            elapsed = clock() - start
-            if best is None or elapsed < best:
-                best = elapsed
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return {
-        "cycles": cycles,
-        "repeats": repeats,
-        "target_load": target_load,
-        "seconds": best,
-        "cycles_per_sec": cycles / best,
-    }
-
-
-def run_columnar_identity_check(
-    cycles: int,
-    target_load: float = 0.9,
-    seed: int = 7,
-    rate_set: Tuple[float, ...] = SCHED_BENCH_RATE_SET,
-    vcs_per_port: Optional[int] = None,
-) -> dict:
-    """Run the saturated scenario under all three engines and compare.
-
-    The columnar (NumPy array) engine must reproduce the reference per-VC
-    walk *and* the fused bit-vector fast path exactly: delivered flit
-    streams, scalar statistics, and the end-of-run invariant audit.  The
-    three-way comparison localises any divergence — columnar-vs-fast
-    isolates the array kernels, fast-vs-reference the bit vectors.
-    """
-    engines = {
-        "reference": dict(scheduler_fast_path=False),
-        "fast": dict(scheduler_fast_path=True),
-        "columnar": dict(scheduler_fast_path=True, columnar_state=True),
-    }
-    results = {}
-    for name, kwargs in engines.items():
-        delivered: List[DeliveryRecord] = []
-        sim, router = build_saturated_scenario(
-            target_load=target_load,
-            seed=seed,
-            delivered=delivered,
-            rate_set=rate_set,
-            vcs_per_port=vcs_per_port,
-            **kwargs,
-        )
-        sim.run(cycles)
-        router.check_invariants()
-        results[name] = (delivered, dict(router.stats.scalars))
-    reference = results["reference"]
-    comparisons = {
-        f"{name}_{what}_identical": results[name][i] == reference[i]
-        for name in ("fast", "columnar")
-        for i, what in enumerate(("flits", "stats"))
-    }
-    return {
-        "identical": all(comparisons.values()),
-        **comparisons,
-        "flits_delivered": len(reference[0]),
-        "target_load": target_load,
-        "rates_mbps": [rate / MBPS for rate in rate_set],
-    }
-
-
-def measure_columnar_cycles_per_second(
-    columnar_state: bool,
-    cycles: int,
-    repeats: int = 5,
-    target_load: float = 0.9,
-    seed: int = 7,
-    rate_set: Tuple[float, ...] = HIGH_VC_RATE_SET,
-    vcs_per_port: int = HIGH_VC_COUNT,
-    clock: Callable[[], float] = time.perf_counter,
-) -> dict:
-    """Best-of-``repeats`` throughput of the high-VC scenario.
-
-    Same protocol as :func:`measure_sched_cycles_per_second` but on the
-    ~446-connections-per-port, 512-VC workload (:data:`HIGH_VC_RATE_SET`
-    at :data:`HIGH_VC_COUNT`) and with the scheduler fast path always on
-    — the speedup gated in ``BENCH_columnar.json`` is columnar over the
-    *current best* scalar path, not over the reference walk.
-    """
-    if cycles <= 0:
-        raise ValueError(f"cycles must be positive, got {cycles}")
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    best = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            sim, router = build_saturated_scenario(
-                True,
-                target_load,
-                seed,
-                rate_set=rate_set,
-                columnar_state=columnar_state,
-                vcs_per_port=vcs_per_port,
-            )
-            start = clock()
-            sim.run(cycles)
-            elapsed = clock() - start
-            if best is None or elapsed < best:
-                best = elapsed
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return {
-        "cycles": cycles,
-        "repeats": repeats,
-        "target_load": target_load,
-        "rates_mbps": [rate / MBPS for rate in rate_set],
-        "seconds": best,
-        "cycles_per_sec": cycles / best,
-    }
 
 
 def measure_sweep_speedup(
@@ -630,7 +350,7 @@ def run_trace_validation(connections: int, cycles: int) -> dict:
     )
     delivered: List[DeliveryRecord] = []
     sim, router = build_cbr_scenario(
-        True, connections, delivered=delivered, recorder=recorder
+        connections, delivered=delivered, recorder=recorder
     )
     sim.run(cycles)
     payload = recorder.chrome_trace()

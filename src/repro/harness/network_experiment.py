@@ -84,18 +84,9 @@ class NetworkExperimentSpec:
     warmup_cycles: int = 5000
     measure_cycles: int = 20000
     seed: int = 1
-    # Kernel mode knob (see ExperimentSpec.allow_fast_forward).
-    allow_fast_forward: bool = True
-    # Link-scheduler mode knob (see ExperimentSpec.scheduler_fast_path).
-    scheduler_fast_path: bool = True
-    # Columnar state engine knob (see ExperimentSpec.columnar_state).
-    columnar_state: bool = False
     # Attach a shared flight recorder across all routers (see
     # ExperimentSpec.telemetry).
     telemetry: bool = False
-    # Network arena knob (DESIGN.md §7f): pooled columnar state.
-    # Requires NumPy.
-    network_arena: bool = False
     #: ``"irregular"`` (default), ``"mesh<W>x<H>"`` or ``"torus<W>x<H>"``.
     #: Grid topologies fix their own node count; ``num_nodes`` and
     #: ``mean_degree`` apply to the irregular default only.
@@ -197,7 +188,7 @@ class NetworkExperiment:
             round_factor=spec.round_factor,
             enforce_round_budgets=False,
         )
-        sim = Simulator(allow_fast_forward=spec.allow_fast_forward)
+        sim = Simulator()
         recorder = None
         if spec.telemetry:
             recorder = FlightRecorder(
@@ -220,9 +211,6 @@ class NetworkExperiment:
             sim,
             rng.spawn("network"),
             recorder=recorder,
-            scheduler_fast_path=spec.scheduler_fast_path,
-            columnar_state=spec.columnar_state,
-            network_arena=spec.network_arena,
             routing=spec.routing,
         )
         manager = ConnectionManager(
@@ -480,10 +468,10 @@ def attach_delivery_log(experiment: NetworkExperiment) -> List[tuple]:
     """Record every host-delivered flit, in delivery order.
 
     Returns a live list of ``(cycle, node, port, connection_id,
-    sequence, created)`` tuples — the delivered-flit stream the arena
-    identity gates compare bit-for-bit against the event-driven
-    baseline.  (Flit ids are process-global and differ between runs, so
-    the fingerprint uses per-connection sequence numbers instead.)
+    sequence, created)`` tuples — the delivered-flit stream the
+    identity checks compare bit-for-bit.  (Flit ids are process-global
+    and differ between runs, so the fingerprint uses per-connection
+    sequence numbers instead.)
     """
     log: List[tuple] = []
     network = experiment.network

@@ -74,19 +74,6 @@ class ExperimentSpec:
     # Bins for the per-flit delay histogram (0 disables; enables p50/p99
     # tail reporting on the result).
     delay_histogram_bins: int = 0
-    # Kernel mode: False forces the pre-activity spin-every-cycle kernel.
-    # Results are cycle-for-cycle identical either way (the perf gate
-    # checks this); the knob exists for before/after benchmarking.
-    allow_fast_forward: bool = True
-    # Link-scheduler mode: False forces the reference per-VC eligibility
-    # walk instead of the fused status-vector mask.  Candidate streams are
-    # bit-identical either way (the perf gate checks this too).
-    scheduler_fast_path: bool = True
-    # Columnar (NumPy) scheduling state: mirrors the hot per-VC fields
-    # into flat arrays and vectorizes the candidate scan.  Bit-identical
-    # to the object-graph engines (the perf gate checks all three ways);
-    # requires the optional `repro[fast]` extra.
-    columnar_state: bool = False
     # Attach a flight recorder (flit trace, telemetry rings, kernel
     # profile); warm-up samples are discarded with the statistics.
     telemetry: bool = False
@@ -176,7 +163,7 @@ class SingleRouterExperiment:
     ) -> None:
         rng = SeededRng(spec.seed, "experiment")
         config = spec.config.with_(candidates=spec.candidates)
-        sim = Simulator(allow_fast_forward=spec.allow_fast_forward)
+        sim = Simulator()
         scheme = make_priority_scheme(spec.priority)
         switch_scheduler = build_switch_scheduler(spec, rng)
         selection = "random" if spec.scheduler == "dec" else spec.selection
@@ -206,8 +193,6 @@ class SingleRouterExperiment:
             sink_outputs=True,
             delay_histogram_bins=spec.delay_histogram_bins,
             recorder=recorder,
-            scheduler_fast_path=spec.scheduler_fast_path,
-            columnar_state=spec.columnar_state,
         )
         if recorder is not None:
             recorder.attach(sim)

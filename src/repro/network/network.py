@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.arena import NetworkArena
 from ..core.config import RouterConfig
 from ..core.flit import Flit, FlitType
 from ..core.priority import PriorityScheme
@@ -128,20 +127,15 @@ class Network:
         link_latency: int = 1,
         selection: str = "per_output",
         recorder=None,
-        scheduler_fast_path: bool = True,
-        columnar_state: bool = False,
-        network_arena: bool = False,
         routing: str = "adaptive",
     ) -> None:
         """``recorder`` (a :class:`repro.obs.FlightRecorder`) is shared by
         every router; its telemetry channels are namespaced by router name
         (``router3.link_utilisation``) so per-node series stay separate.
 
-        ``network_arena=True`` pools every router's columnar banks (see
-        :mod:`repro.core.arena`); ``routing`` selects the best-effort and
-        connection routing discipline: ``"adaptive"`` (minimal adaptive +
-        up*/down* escape, the default) or ``"dimension_order"`` (XY, grid
-        topologies only)."""
+        ``routing`` selects the best-effort and connection routing
+        discipline: ``"adaptive"`` (minimal adaptive + up*/down* escape,
+        the default) or ``"dimension_order"`` (XY, grid topologies only)."""
         if link_latency < 1:
             raise ValueError(f"link_latency must be >= 1, got {link_latency}")
         if config.num_ports < topology.num_ports:
@@ -172,7 +166,6 @@ class Network:
         # registered *before* the routers: arrivals and credits land
         # after the cycle's heap events and before any router ticks.
         self._lanes: Dict[int, list] = {}
-        self.arena: Optional[NetworkArena] = None
         sim.add_ticker(self._tick, activity=self._active, name="network-links")
         if scheduler_factory is None:
             scheduler_factory = lambda node: GreedyPriorityScheduler()  # noqa: E731
@@ -187,8 +180,6 @@ class Network:
                 rng=rng.spawn(f"router{node}"),
                 sink_outputs=False,
                 recorder=recorder,
-                scheduler_fast_path=scheduler_fast_path,
-                columnar_state=columnar_state,
             )
             for node in range(topology.num_nodes)
         ]
@@ -199,27 +190,6 @@ class Network:
         # Pending unrouted best-effort packets per router: (port, vc_index).
         self._unrouted: Dict[int, List[Tuple[int, int]]] = {}
         self._wire()
-        if network_arena:
-            self.set_network_arena(True)
-
-    # ----- arena ------------------------------------------------------------
-
-    @property
-    def network_arena(self) -> bool:
-        """True while the routers' columnar banks are pooled network-wide."""
-        return self.arena is not None
-
-    def set_network_arena(self, enabled: bool) -> None:
-        """Pool (or stop pooling) the columnar banks, also mid-run.
-
-        Free in both directions: the object graph is always authoritative
-        and banks already re-homed stay on their pool rows.  Raises
-        :class:`~repro.core.columnar.ColumnarUnavailableError` when
-        enabling without NumPy.
-        """
-        if enabled == (self.arena is not None):
-            return
-        self.arena = NetworkArena(self) if enabled else None
 
     # ----- link plane -------------------------------------------------------
 

@@ -539,8 +539,7 @@ class ProbeProtocol:
                 router.input_ports[hop.entry_port].vcs[
                     hop.vc_index
                 ].interarrival_cycles = interarrival_cycles
-                # Centralised invalidation: drops the cached terms on
-                # both the object and columnar engines.
+                # Centralised invalidation of the cached priority terms.
                 router.invalidate_priority_cache(hop.entry_port, hop.vc_index)
         self.renegotiations_applied += 1
         return True

@@ -1,8 +1,8 @@
 """Kernel profiling: where do the simulator's cycles actually go?
 
-``BENCH_kernel.json`` shows the activity kernel's fast-forward advantage
-collapsing from 3.4x at 10% load to ~1.5x fully loaded — but the kernel
-itself could not say *which ticker* eats the difference.  A
+The kernel's fast-forward advantage shrinks as load rises — 80% of cycles
+are skipped at 10% link load, few when every port is busy — but the
+kernel itself cannot say *which ticker* eats the difference.  A
 :class:`KernelProfiler` plugs into :meth:`repro.sim.engine.Simulator.set_profiler`
 and accounts, per registered ticker, how many cycles it ticked, how many
 it skipped, and how much wall time its ticks cost; plus the fast-forward

@@ -44,14 +44,10 @@ disables the jump.
 ordinary simulator state and pickle with it, so a run resumed from a
 snapshot taken with most tickers asleep replays identically.
 
-``Simulator(allow_fast_forward=False)`` selects the **legacy kernel**: a
-faithful reproduction of the seed engine, which invokes every registered
-ticker on every cycle — no gating, no wake hooks, no skip accounting, no
-fast-forward.  Components keep publishing activity (the bits are cheap)
-but the kernel ignores it, and they fall back to their original
-scan-everything code paths.  The perf gate uses the legacy kernel as the
-"before" measurement and checks the two kernels are cycle-for-cycle
-identical on seeded runs.
+The executable specification of the dispatch and idle-accounting rules is
+``tests/polling_kernel.py`` — every ticker polled every cycle — which
+``tests/test_kernel_contract.py`` and ``tests/test_activity_kernel.py``
+compare this kernel against.
 """
 
 from __future__ import annotations
@@ -79,8 +75,7 @@ class _Ticker:
     """
 
     __slots__ = (
-        "index", "tick", "active", "on_skip", "name", "on_restore",
-        "pushed", "asleep_since",
+        "index", "tick", "active", "on_skip", "name", "pushed", "asleep_since",
     )
 
     def __init__(
@@ -90,7 +85,6 @@ class _Ticker:
         active: Optional[ActivityPredicate],
         on_skip: Optional[SkipHook],
         name: Optional[str],
-        on_restore: Optional[Callable[[], None]],
         pushed: bool,
     ) -> None:
         self.index = index
@@ -98,7 +92,6 @@ class _Ticker:
         self.active = active
         self.on_skip = on_skip
         self.name = name
-        self.on_restore = on_restore
         #: Gated by an ``ActivitySet`` whose ``on_wake`` the kernel owns:
         #: the ticker may leave the awake list.
         self.pushed = pushed
@@ -134,12 +127,9 @@ class Simulator:
     flit size.
     """
 
-    def __init__(self, allow_fast_forward: bool = True) -> None:
+    def __init__(self) -> None:
         self.now = 0
         self.events = EventQueue()
-        #: True selects the wake-driven kernel; False the legacy (seed)
-        #: kernel that ticks every ticker every cycle.
-        self.allow_fast_forward = allow_fast_forward
         #: Cycles skipped by fast-forward so far (reporting only).
         self.fast_forwarded_cycles = 0
         self._tickers: List[_Ticker] = []
@@ -158,7 +148,6 @@ class Simulator:
         activity: Any = None,
         on_skip: Optional[SkipHook] = None,
         name: Optional[str] = None,
-        on_restore: Optional[Callable[[], None]] = None,
     ) -> _Ticker:
         """Register a per-cycle callback ``tick(cycle)``; returns its handle.
 
@@ -179,15 +168,6 @@ class Simulator:
 
         Omitting ``activity`` marks the ticker always-active; the kernel
         then never skips it and never fast-forwards past it.
-
-        The legacy kernel (``allow_fast_forward=False``) ignores both
-        ``activity`` and ``on_skip`` and ticks every ticker every cycle.
-
-        ``on_restore``, if given, is invoked (in registration order) by
-        :meth:`restore` after a snapshot is unpickled.  Components that
-        keep derived state deliberately excluded from checkpoints — e.g.
-        the columnar scheduling arrays, rebuilt from the object graph —
-        use it to reconstruct that state before the first resumed cycle.
         """
         predicate: Optional[ActivityPredicate] = None
         pushed = False
@@ -197,14 +177,12 @@ class Simulator:
             predicate = activity
         elif hasattr(activity, "active"):
             predicate = activity.active
-            pushed = self.allow_fast_forward and hasattr(activity, "on_wake")
+            pushed = hasattr(activity, "on_wake")
         else:
             raise TypeError(
                 f"activity must be callable or have .active(), got {activity!r}"
             )
-        ticker = _Ticker(
-            len(self._tickers), tick, predicate, on_skip, name, on_restore, pushed
-        )
+        ticker = _Ticker(len(self._tickers), tick, predicate, on_skip, name, pushed)
         if pushed:
             if activity.on_wake is not None:
                 raise ValueError(
@@ -284,22 +262,15 @@ class Simulator:
         """Request that :meth:`run` return after the current cycle."""
         self._stopped = True
 
-    @property
-    def kernel(self) -> str:
-        """The selected kernel: ``"activity"`` or ``"legacy"``."""
-        return "activity" if self.allow_fast_forward else "legacy"
-
     def step(self) -> None:
         """Execute one cycle: due events first, then the awake tickers.
 
-        Under the wake-driven kernel only the awake list is visited (see
-        the module docstring for the dispatch rule); every deferred idle
-        span is delivered before returning.  Under the legacy kernel every
-        ticker runs unconditionally, exactly as the seed engine did.
+        Only the awake list is visited (see the module docstring for the
+        dispatch rule); every deferred idle span is delivered before
+        returning.
         """
         self._step()
-        if self.allow_fast_forward:
-            self._flush()
+        self._flush()
 
     def _step(self) -> None:
         profiler = self._profiler
@@ -318,37 +289,30 @@ class Simulator:
             profiler.on_cycle()
         self._in_tick_phase = True
         try:
-            if self.allow_fast_forward:
-                woken = self._woken
-                if woken:
-                    self._admit(-1)
-                awake = self._awake
-                position = 0
-                # By position, not by iterator: a tick may wake (insert)
-                # tickers further down the list, and sleepers are deleted.
-                while position < len(awake):
-                    ticker = awake[position]
-                    active = ticker.active
-                    if active is None or active():
-                        if profiler is None:
-                            ticker.tick(now)
-                        else:
-                            self._tick_profiled(ticker, now)
-                        if woken:
-                            self._admit(ticker.index)
-                    elif ticker.pushed:
-                        del awake[position]
-                        ticker.asleep_since = now
-                        continue
+            woken = self._woken
+            if woken:
+                self._admit(-1)
+            awake = self._awake
+            position = 0
+            # By position, not by iterator: a tick may wake (insert)
+            # tickers further down the list, and sleepers are deleted.
+            while position < len(awake):
+                ticker = awake[position]
+                active = ticker.active
+                if active is None or active():
+                    if profiler is None:
+                        ticker.tick(now)
                     else:
-                        self._skip(ticker, now, 1)
-                    position += 1
-            elif profiler is None:
-                for ticker in self._tickers:
-                    ticker.tick(now)
-            else:
-                for ticker in self._tickers:
-                    self._tick_profiled(ticker, now)
+                        self._tick_profiled(ticker, now)
+                    if woken:
+                        self._admit(ticker.index)
+                elif ticker.pushed:
+                    del awake[position]
+                    ticker.asleep_since = now
+                    continue
+                else:
+                    self._skip(ticker, now, 1)
+                position += 1
         finally:
             self._in_tick_phase = False
         self.now = now + 1
@@ -453,12 +417,11 @@ class Simulator:
         self._stopped = False
         end = self.now + cycles
         executed = 0
-        fast_forward = self.allow_fast_forward
         idle = self._idle
         peek_time = self.events.peek_time
         step = self._step
         while self.now < end and not self._stopped:
-            if fast_forward and idle():
+            if idle():
                 next_time = peek_time()
                 target = end if next_time is None else min(int(next_time), end)
                 if target > self.now:
@@ -466,8 +429,7 @@ class Simulator:
                     continue
             step()
             executed += 1
-        if fast_forward:
-            self._flush()
+        self._flush()
         return executed
 
     def run_until(self, time: int) -> int:
@@ -523,10 +485,4 @@ class Simulator:
         sim = pickle.loads(blob)
         if not isinstance(sim, cls):
             raise TypeError(f"snapshot does not contain a {cls.__name__}")
-        # Let components rebuild derived state that snapshots exclude by
-        # design (e.g. columnar NumPy banks, reconstructed from the
-        # authoritative object graph).
-        for ticker in sim._tickers:
-            if ticker.on_restore is not None:
-                ticker.on_restore()
         return sim

@@ -5,36 +5,54 @@ registration order: busy (or ungated) means ``tick(now)``, idle means
 ``on_skip(now, 1)``.  No awake list, no deferral, no fast-forward — the
 every-ticker-every-cycle loop the wake-driven kernel must be
 indistinguishable from (same ticks, same idle cycles).  Test-side only.
+
+It carries the members a ``Router``, a ``Network``, a traffic source or a
+flight recorder reaches for on its simulator, so whole scenarios can be
+built on it (``TestKernelIdentity``); the event queue is the shipped
+``EventQueue`` — ticker dispatch is what this file specifies, not event
+order.
 """
 
-import heapq
+from repro.sim.events import EventQueue
 
 
 class PollingKernel:
+    #: Never skips a cycle (the flight recorder samples the ratio).
+    fast_forwarded_cycles = 0
+
     def __init__(self):
         self.now = 0
         self.tickers = []  # (tick, gate or None, on_skip or None)
-        self._events = []  # heap of (time, sequence, action)
-        self._sequence = 0
+        self.events = EventQueue()
         self._stopped = False
 
-    def add_ticker(self, tick, activity=None, on_skip=None):
+    def add_ticker(self, tick, activity=None, on_skip=None, name=None):
         gate = activity
         if activity is not None and not callable(activity):
             gate = activity.active
         self.tickers.append((tick, gate, on_skip))
+        return len(self.tickers) - 1
 
-    def schedule(self, delay, action):
-        heapq.heappush(self._events, (self.now + delay, self._sequence, action))
-        self._sequence += 1
+    def schedule(self, delay, action, payload=None, priority=0):
+        return self.schedule_at(self.now + delay, action, payload, priority)
+
+    def schedule_at(self, time, action, payload=None, priority=0):
+        return self.events.push(time, action, payload, priority)
+
+    def catch_up(self, ticker):
+        """Nothing is ever deferred: every idle cycle was accounted as it
+        passed."""
+
+    def set_profiler(self, profiler):
+        """Unprofiled: the profile is the shipped kernel's own business."""
 
     def stop(self):
         self._stopped = True
 
     def step(self):
         now = self.now
-        while self._events and self._events[0][0] <= now:
-            heapq.heappop(self._events)[2]()
+        while (event := self.events.pop_due(now)) is not None:
+            event.fire()
         # The live list: a ticker registered by a tick joins this pass.
         for tick, gate, on_skip in self.tickers:
             if gate is None or gate():
@@ -45,6 +63,8 @@ class PollingKernel:
 
     def run(self, cycles):
         self._stopped = False
-        end = self.now + cycles
+        start = self.now
+        end = start + cycles
         while self.now < end and not self._stopped:
             self.step()
+        return self.now - start

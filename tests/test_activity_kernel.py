@@ -3,9 +3,9 @@
 Covers the kernel mechanics (activity gating, idle fast-forward, the
 delay=0 ticker-context rule; dispatch order and idle accounting are in
 test_kernel_contract.py, against a polling oracle) and the determinism
-guarantee: the activity-driven kernel must be cycle-for-cycle identical
-to the spin-every-cycle kernel on seeded runs — same delivered-flit
-timestamps, same counters.
+guarantee: the wake-driven kernel must be cycle-for-cycle identical to
+the poll-every-ticker-every-cycle oracle (``tests/polling_kernel.py``) on
+seeded runs — same delivered-flit timestamps, same counters.
 """
 
 import pytest
@@ -16,14 +16,18 @@ from repro.core.priority import BiasedPriority
 from repro.core.router import Router
 from repro.core.status_vectors import ActivitySet
 from repro.core.switch_scheduler import GreedyPriorityScheduler
+from repro.harness import network_experiment
 from repro.harness.network_experiment import (
+    NetworkExperiment,
     NetworkExperimentSpec,
-    run_network_experiment,
+    attach_delivery_log,
 )
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
 from repro.sim.trace import Tracer
 from repro.traffic.cbr import CbrSource
+
+from tests.polling_kernel import PollingKernel
 
 
 class TestActivitySet:
@@ -148,26 +152,6 @@ class TestFastForward:
         assert len(ticked) == 50
         assert sim.fast_forwarded_cycles == 0
 
-    def test_legacy_kernel_ticks_every_cycle(self):
-        # allow_fast_forward=False selects the legacy (seed) kernel: every
-        # ticker runs every cycle and activity/on_skip are ignored, so the
-        # ticker does its own idle accounting exactly as the seed did.
-        sim = Simulator(allow_fast_forward=False)
-        assert sim.kernel == "legacy"
-        assert Simulator().kernel == "activity"
-        acts = ActivitySet(1)  # never active
-        ticked = []
-        skips = []
-        sim.add_ticker(
-            ticked.append,
-            activity=acts,
-            on_skip=lambda start, count: skips.append((start, count)),
-        )
-        sim.run(10)
-        assert sim.fast_forwarded_cycles == 0
-        assert ticked == list(range(10))
-        assert skips == []
-
     def test_stop_during_fast_forward_region(self):
         sim = Simulator()
         acts = ActivitySet(1)
@@ -228,10 +212,10 @@ class TestTickerContextScheduling:
         assert order == ["outer", "inner"]
 
 
-def _run_single_router(allow_fast_forward, cycles=6000, connections=8, rate=20e6):
-    """A seeded single-router CBR scenario; returns delivery log and stats."""
+def _run_single_router(sim, cycles=6000, connections=8, rate=20e6):
+    """A seeded single-router CBR scenario on kernel ``sim``; returns
+    delivery log and stats."""
     config = RouterConfig(enforce_round_budgets=False)
-    sim = Simulator(allow_fast_forward=allow_fast_forward)
     router = Router(config, BiasedPriority(), GreedyPriorityScheduler(), sim)
     tracer = Tracer(capacity=100000, categories=("round",))
     router.tracer = tracer
@@ -262,41 +246,59 @@ def _run_single_router(allow_fast_forward, cycles=6000, connections=8, rate=20e6
     return delivered, dict(router.stats.scalars), rounds, sim
 
 
+def _run_multihop(monkeypatch, kernel):
+    """A seeded 12-node network experiment built on ``kernel``."""
+    monkeypatch.setattr(network_experiment, "Simulator", kernel)
+    experiment = NetworkExperiment(
+        NetworkExperimentSpec(
+            target_link_load=0.1,
+            num_nodes=12,
+            vcs_per_port=16,
+            warmup_cycles=500,
+            measure_cycles=2000,
+            seed=11,
+        )
+    )
+    assert type(experiment.sim) is kernel
+    log = attach_delivery_log(experiment)
+    tracer = Tracer(capacity=100000, categories=("round",))
+    for router in experiment.network.routers:
+        router.tracer = tracer
+    result = experiment.result()
+    experiment.network.check_invariants()
+    counters = [dict(router.stats.scalars) for router in experiment.network.routers]
+    rounds = [r.time for r in tracer.records()]
+    return log, counters, sorted(rounds), result
+
+
 class TestKernelIdentity:
     def test_single_router_bit_identical(self):
-        """Same seeded run, fast-forward off vs on: identical delivered-flit
-        timestamps, counters and round-boundary trace."""
-        legacy = _run_single_router(False)
-        activity = _run_single_router(True)
-        assert activity[0] == legacy[0]  # delivered flits, cycle for cycle
-        assert activity[1] == legacy[1]  # every stats counter, incl. cycles
-        assert activity[2] == legacy[2]  # round boundaries at the same cycles
-        assert legacy[3].fast_forwarded_cycles == 0
+        """Same seeded run on the polling oracle and on ``Simulator``:
+        identical delivered-flit timestamps, counters and round-boundary
+        trace."""
+        polled = _run_single_router(PollingKernel())
+        activity = _run_single_router(Simulator())
+        assert activity[0] == polled[0]  # delivered flits, cycle for cycle
+        assert activity[1] == polled[1]  # every stats counter, incl. cycles
+        assert activity[2] == polled[2]  # round boundaries at the same cycles
         assert activity[3].fast_forwarded_cycles > 0  # the speedup is real
 
-    def test_multihop_network_identical(self):
-        """Seeded multihop network experiment: identical end-to-end per-flit
-        statistics under both kernels."""
-        results = {}
-        for mode in (False, True):
-            spec = NetworkExperimentSpec(
-                target_link_load=0.1,
-                num_nodes=6,
-                vcs_per_port=16,
-                warmup_cycles=500,
-                measure_cycles=2000,
-                seed=11,
-                allow_fast_forward=mode,
+    def test_multihop_network_identical(self, monkeypatch):
+        """Seeded 12-node network experiment: identical delivered log,
+        per-router counters, round boundaries and end-to-end per-flit
+        statistics on both kernels."""
+        polled = _run_multihop(monkeypatch, PollingKernel)
+        activity = _run_multihop(monkeypatch, Simulator)
+        assert activity[0] and activity[0] == polled[0]
+        assert activity[1] == polled[1]
+        assert activity[2] == polled[2]
+        for name in ("streams", "mean_hops", "by_hops"):
+            assert getattr(activity[3], name) == getattr(polled[3], name)
+        for stats in ("delay_cycles", "jitter_cycles"):
+            ours, theirs = getattr(activity[3], stats), getattr(polled[3], stats)
+            assert (ours.count, ours.mean, ours.variance) == (
+                theirs.count, theirs.mean, theirs.variance
             )
-            results[mode] = run_network_experiment(spec)
-        legacy, activity = results[False], results[True]
-        assert activity.streams == legacy.streams
-        assert activity.mean_hops == legacy.mean_hops
-        assert activity.delay_cycles.count == legacy.delay_cycles.count
-        assert activity.delay_cycles.mean == legacy.delay_cycles.mean
-        assert activity.delay_cycles.variance == legacy.delay_cycles.variance
-        assert activity.jitter_cycles.mean == legacy.jitter_cycles.mean
-        assert activity.by_hops == legacy.by_hops
 
     def test_idle_router_accounts_cycles_and_rounds(self):
         """A router with no traffic still reports every cycle and every

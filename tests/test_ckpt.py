@@ -1,4 +1,4 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/5`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/6`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
@@ -18,7 +18,6 @@ from repro.ckpt.codec import (
     CheckpointMismatchError,
     CheckpointSchemaError,
 )
-from repro.core import columnar
 from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
 from repro.core.flit import Flit, FlitType
@@ -267,16 +266,18 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/4`` graph predates the per-hop budget: its activity
+        """A ``ckpt/5`` graph carries the fields that selected the deleted
+        engines on its simulator, tickers, routers, link schedulers and
+        specs.  A ``ckpt/4`` graph predates the per-hop budget: its activity
         sets, link handlers and host outputs lack the slots the per-flit
         path now reads.  A ``ckpt/3`` payload is one pickled dict, not a
         stream of records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
         wake hooks (the arena held them, or nobody): resumed here its
         routers would sleep for ever.  A ``ckpt/1`` file also keeps
-        in-flight flits as heap events.  Refuse all four up front."""
+        in-flight flits as heap events.  Refuse all five up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
-        for previous in ("ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1"):
+        for previous in ("ckpt/5", "ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1"):
             self._rewrite_header(path, lambda r: r.update(schema=previous))
             for read in (CheckpointCodec.read_header, CheckpointCodec.load):
                 with pytest.raises(CheckpointSchemaError) as excinfo:
@@ -324,8 +325,8 @@ class TestSchemaAndProvenanceChecks:
 class TestSimulatorSnapshot:
     def test_snapshot_restore_is_bit_identical(self):
         delivered_a, delivered_b = [], []
-        sim_a, _ = build_cbr_scenario(True, connections=8, delivered=delivered_a)
-        sim_b, _ = build_cbr_scenario(True, connections=8, delivered=delivered_b)
+        sim_a, _ = build_cbr_scenario(connections=8, delivered=delivered_a)
+        sim_b, _ = build_cbr_scenario(connections=8, delivered=delivered_b)
         sim_a.run(600)
 
         sim_b.run(300)
@@ -355,7 +356,7 @@ class TestSimulatorSnapshot:
 
     def test_restored_simulator_is_detached(self):
         delivered = []
-        sim, _ = build_cbr_scenario(True, connections=4, delivered=delivered)
+        sim, _ = build_cbr_scenario(connections=4, delivered=delivered)
         sim.run(200)
         blob = sim.snapshot()
         count = len(delivered)
@@ -540,7 +541,7 @@ class TestLinkLanesCheckpoint:
     CYCLES = 600
 
     @staticmethod
-    def build(arena):
+    def build():
         topology = mesh(3, 3)
         config = RouterConfig(
             num_ports=topology.num_ports,
@@ -554,7 +555,6 @@ class TestLinkLanesCheckpoint:
             "ckpt-lanes",
             [(0, 8, 120e6), (2, 6, 55e6), (7, 1, 55e6), (5, 3, 20e6)],
             link_latency=2,
-            network_arena=arena,
         )
         for _ in range(6):
             state["interfaces"][4].send_best_effort(0)
@@ -603,21 +603,15 @@ class TestLinkLanesCheckpoint:
             dict(network.stats.scalars),
         )
 
-    @pytest.mark.parametrize(
-        "arena_before, arena_after",
-        [(False, False), (True, True), (False, True), (True, False)],
-    )
-    def test_resume_with_flits_on_the_links(self, tmp_path, arena_before, arena_after):
-        if (arena_before or arena_after) and columnar.load_numpy() is None:
-            pytest.skip("the arena needs NumPy")
-        straight = self.build(arena=False)
+    def test_resume_with_flits_on_the_links(self, tmp_path):
+        straight = self.build()
         straight["sim"].run(self.CYCLES // 2)
         self.burst(straight)
         straight["sim"].run(self.CYCLES - self.CYCLES // 2)
         reference = self.fingerprint(straight)
         assert reference[0]
 
-        state = self.build(arena=arena_before)
+        state = self.build()
         state["sim"].run(self.CYCLES // 2)
         self.burst(state)
         while not (
@@ -645,7 +639,6 @@ class TestLinkLanesCheckpoint:
         assert resumed["network"].flits_in_flight() > 0
         assert resumed["network"].credits_in_flight() > 0
         assert self.vc_kinds(resumed["network"]) == kinds
-        resumed["network"].set_network_arena(arena_after)
         resumed["sim"].run(self.CYCLES - resumed["sim"].now)
         assert self.fingerprint(resumed) == reference
 
@@ -659,7 +652,7 @@ class TestSleepingRoutersCheckpoint:
     CHECKPOINT_AT = 300  # mid-round: boundaries fall at 255, 511, ...
 
     @staticmethod
-    def build(arena):
+    def build():
         topology = torus(4, 4)
         config = RouterConfig(
             num_ports=topology.num_ports,
@@ -674,23 +667,16 @@ class TestSleepingRoutersCheckpoint:
             "ckpt-asleep",
             [(0, 1, 20e6), (10, 11, 5e6)],
             routing="dimension_order",
-            network_arena=arena,
         )
 
-    @pytest.mark.parametrize(
-        "arena_before, arena_after",
-        [(False, False), (True, True), (False, True), (True, False)],
-    )
-    def test_resume_with_most_routers_asleep(self, tmp_path, arena_before, arena_after):
-        if (arena_before or arena_after) and columnar.load_numpy() is None:
-            pytest.skip("the arena needs NumPy")
+    def test_resume_with_most_routers_asleep(self, tmp_path):
         fingerprint = TestLinkLanesCheckpoint.fingerprint
-        straight = self.build(arena=False)
+        straight = self.build()
         straight["sim"].run(self.CYCLES)
         reference = fingerprint(straight)
         assert reference[0]
 
-        state = self.build(arena=arena_before)
+        state = self.build()
         state["sim"].run(self.CHECKPOINT_AT)
         asleep = [t for t in state["sim"]._tickers if t.asleep_since is not None]
         assert len(asleep) >= 12
@@ -705,7 +691,6 @@ class TestSleepingRoutersCheckpoint:
         # The hooks came back wired to the restored simulator's own queue.
         for router in resumed["network"].routers:
             assert router.activity.on_wake.woken is sim._woken
-        resumed["network"].set_network_arena(arena_after)
         sim.run(self.CYCLES - sim.now)
         assert any(t.asleep_since is not None for t in sim._tickers)
         assert fingerprint(resumed) == reference

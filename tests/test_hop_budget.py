@@ -10,9 +10,10 @@ import pytest
 
 from tests.hop_budget import HopBudget, budget_spec
 
-#: Calls per flit hop of :func:`budget_spec` measured when the budget was
-#: written.  The parent commit (7436230) reads 78.85 on the same scenario.
-MEASURED_CALLS_PER_HOP = 46.68
+#: Calls per flit hop of :func:`budget_spec`.  46.68 until ``candidates``
+#: became the scan itself instead of dispatching to it (one frame per
+#: scan, 1.16 per hop); 78.85 before the budget was written (7436230).
+MEASURED_CALLS_PER_HOP = 45.53
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +23,19 @@ def budget():
 
 def test_calls_per_hop_within_budget(budget):
     """mesh4x4, XY routing, 60 % link load, 1 200 cycles, seed 11:
-    2 124 807 calls for 45 519 flit hops = 46.68 per hop (parent commit:
-    3 589 203 = 78.85)."""
+    2 072 507 calls for 45 519 flit hops = 45.53 per hop (was 2 124 807 =
+    46.68 with the ``candidates`` dispatch frame, 3 589 203 = 78.85
+    before the budget)."""
     print()
     print(budget.table())
     assert budget.hops == 45519  # the scenario itself has not moved
     assert budget.calls_per_hop <= MEASURED_CALLS_PER_HOP * 1.05
+
+
+def test_candidates_is_the_scan(budget):
+    """One frame per scan: no body behind ``LinkScheduler.candidates``."""
+    assert budget.calls("candidates", "core/link_scheduler.py") > 0
+    assert budget.calls("_candidates_fused") == 0
 
 
 def test_transit_hops_fold_no_statistics(budget):

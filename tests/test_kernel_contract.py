@@ -332,12 +332,6 @@ class TestOneSetOneTicker:
             sim.add_ticker(lambda cycle: None, activity=gate)
         assert len(sim._tickers) == 1
 
-    def test_legacy_kernel_takes_no_hook(self):
-        sim = Simulator(allow_fast_forward=False)
-        gate = ActivitySet(1)
-        sim.add_ticker(lambda cycle: None, activity=gate)
-        assert gate.on_wake is None
-
 
 class TestCatchUp:
     def test_catch_up_splits_the_span_and_keeps_the_ticker_asleep(self):

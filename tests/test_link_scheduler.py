@@ -10,6 +10,8 @@ from repro.core.status_vectors import StatusBank
 from repro.core.virtual_channel import ServiceClass, VirtualChannel
 from repro.sim.rng import SeededRng
 
+from tests.reference_scheduler import reference_candidates
+
 
 def build(
     num_vcs=8,
@@ -81,13 +83,12 @@ class TestCandidateSelection:
     def test_credit_gating(self):
         scheduler, vcs, status = build(credit_ok=False)
         activate(vcs, status, 0, output_port=1)
-        # The fast path reads the credits_available vector (the router
-        # mirrors downstream credit state into it); the reference path
+        # The scan reads the credits_available vector (the router
+        # mirrors downstream credit state into it); the reference walk
         # polls the credit_check callable.  Gate both.
         status.vector("credits_available").clear(0)
         assert scheduler.candidates(now=5) == []
-        scheduler.fast_path = False
-        assert scheduler.candidates(now=5) == []
+        assert reference_candidates(scheduler, 5) == []
 
     def test_desynchronised_status_vector_detected(self):
         scheduler, vcs, status = build()
@@ -95,9 +96,8 @@ class TestCandidateSelection:
         status.vector("routed").set(3)  # keep it in the fused mask
         with pytest.raises(RuntimeError, match="out of sync"):
             scheduler.candidates(now=0)
-        scheduler.fast_path = False
         with pytest.raises(RuntimeError, match="out of sync"):
-            scheduler.candidates(now=0)
+            reference_candidates(scheduler, 0)
 
     def test_priority_order_in_output(self):
         scheduler, vcs, status = build(selection="priority")

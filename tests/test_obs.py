@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.config import RouterConfig
+from repro.harness import churn, network_experiment
 from repro.harness.churn import ChurnSpec, ChurnWorkload
 from repro.harness.kernel_bench import build_cbr_scenario
 from repro.harness.network_experiment import (
@@ -30,6 +31,9 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.trace_export import DELIVER, GRANT, INJECT
+from repro.sim.engine import Simulator
+
+from tests.polling_kernel import PollingKernel
 
 
 class TestTimeSeries:
@@ -117,7 +121,7 @@ class TestManifest:
 class TestKernelProfiler:
     def test_simulator_integration_accounts_every_cycle(self):
         recorder = FlightRecorder(manifest={})
-        sim, _router = build_cbr_scenario(True, 1, recorder=recorder)
+        sim, _router = build_cbr_scenario(1, recorder=recorder)
         sim.run(2000)
         profile = recorder.kernel_snapshot()
         assert (
@@ -132,7 +136,7 @@ class TestKernelProfiler:
     def test_detached_profiler_leaves_simulator_unprofiled(self):
         recorder = FlightRecorder(manifest={})
         recorder.set_enabled(False)
-        sim, _router = build_cbr_scenario(True, 1, recorder=recorder)
+        sim, _router = build_cbr_scenario(1, recorder=recorder)
         sim.run(500)
         assert recorder.profiler.stepped_cycles == 0
 
@@ -144,7 +148,7 @@ class TestKernelProfiler:
     def test_every_ticker_cycle_is_a_tick_or_a_skip_under_deferral(self):
         # Sleeping routers' skips reach the profiler late and merged, but
         # once run() has returned they are all there.
-        experiment = _sparse_torus(allow_fast_forward=True)
+        experiment = _sparse_torus()
         experiment.run_to(experiment.total_cycles)
         profiler = experiment.recorder.profiler
         assert profiler.fast_forwarded_cycles > 0
@@ -155,7 +159,7 @@ class TestKernelProfiler:
             )
 
 
-def _sparse_torus(allow_fast_forward):
+def _sparse_torus():
     return NetworkExperiment(
         NetworkExperimentSpec(
             target_link_load=0.02,
@@ -165,12 +169,11 @@ def _sparse_torus(allow_fast_forward):
             measure_cycles=6000,
             seed=9,
             telemetry=True,
-            allow_fast_forward=allow_fast_forward,
         )
     )
 
 
-def _recorded_churn(allow_fast_forward):
+def _recorded_churn():
     return ChurnWorkload(
         ChurnSpec(
             num_sessions=60,
@@ -180,7 +183,6 @@ def _recorded_churn(allow_fast_forward):
             num_nodes=8,
             seed=3,
             telemetry=True,
-            allow_fast_forward=allow_fast_forward,
         )
     )
 
@@ -188,27 +190,30 @@ def _recorded_churn(allow_fast_forward):
 class TestIdleReplayIsSpanPure:
     """A sleeping router's round boundaries are sampled when it wakes,
     not when they happen.  The recorded series must not show it: every
-    telemetry channel is sample-for-sample equal to the legacy kernel's,
-    which ticks every router every cycle.  The one exception is
+    telemetry channel is sample-for-sample equal to the polling oracle's
+    (``tests/polling_kernel.py``), which ticks every router every cycle.  The one exception is
     ``kernel.fast_forward_ratio``, which samples ``sim.now`` and the
     fast-forward count — kernel-dependent by definition."""
 
     @pytest.mark.parametrize("build", (_sparse_torus, _recorded_churn))
-    def test_series_equal_the_legacy_kernels(self, build):
+    def test_series_equal_the_polling_kernels(self, build, monkeypatch):
         series = {}
-        for allow_fast_forward in (True, False):
-            run = build(allow_fast_forward)
+        for kernel in (Simulator, PollingKernel):
+            monkeypatch.setattr(network_experiment, "Simulator", kernel)
+            monkeypatch.setattr(churn, "Simulator", kernel)
+            run = build()
+            assert type(run.sim) is kernel
             run.result()
             snapshot = run.recorder.telemetry.snapshot()
             snapshot.pop("kernel.fast_forward_ratio", None)
-            series[allow_fast_forward] = snapshot
-        assert series[True].keys() == series[False].keys()
+            series[kernel] = snapshot
+        assert series[Simulator].keys() == series[PollingKernel].keys()
         assert any(
             ".vc_occupancy" in name or ".cbr_cycles_reserved" in name
-            for name in series[True]
+            for name in series[Simulator]
         )
-        for name, channel in series[True].items():
-            assert channel == series[False][name], name
+        for name, channel in series[Simulator].items():
+            assert channel == series[PollingKernel][name], name
 
 
 class TestFlightRecorder:

@@ -1,11 +1,12 @@
 """Regression tests: the priority-term cache vs mid-flight control words.
 
-The fused and columnar candidate scans cache each VC's priority terms
+The fused candidate scan caches each VC's priority terms
 while the same head flit sits parked under the same connection.  A
 SET_PRIORITY / SET_BANDWIDTH control word (or a teardown-and-readmission
 reusing the VC) changes the inputs of that computation *without* moving
 the head flit, so every such site must drop the cached terms — the
-reference walk recomputes from scratch each cycle and is the oracle.
+reference walk (``tests/reference_scheduler.py``) recomputes from scratch
+each cycle and is the oracle.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from repro.core.status_vectors import StatusBank
 from repro.core.virtual_channel import ServiceClass, VirtualChannel
 from repro.harness.churn import ChurnSpec, run_churn_experiment
 from repro.sim.rng import SeededRng
+
+from tests.reference_scheduler import reference_candidates
 
 
 def build_scheduler(scheme):
@@ -51,15 +54,6 @@ def park_flit(vcs, status, index, interarrival=100.0, static=0.25):
     status.vector("connection_active").set(index)
     status.vector("routed").set(index)
     return vc
-
-
-def reference_candidates(scheduler, now):
-    saved = scheduler.fast_path
-    scheduler.fast_path = False
-    try:
-        return scheduler.candidates(now)
-    finally:
-        scheduler.fast_path = saved
 
 
 class TestRenegotiationInvalidatesCache:
@@ -114,7 +108,7 @@ class TestRenegotiationInvalidatesCache:
 
 
 class TestChurnDrivenIdentity:
-    def test_renegotiating_churn_fast_path_matches_reference(self):
+    def test_renegotiating_churn_fast_path_matches_reference(self, monkeypatch):
         """Churn with heavy renegotiation over parked flits: the fused
         scan must reproduce the reference walk's workload bit for bit.
         Fails pre-fix: renegotiate_bandwidth rewrites interarrival while
@@ -129,12 +123,9 @@ class TestChurnDrivenIdentity:
             renegotiation_fraction=0.9,
             seed=23,
         )
-        reference = run_churn_experiment(
-            ChurnSpec(scheduler_fast_path=False, **kwargs)
-        )
-        fast = run_churn_experiment(
-            ChurnSpec(scheduler_fast_path=True, **kwargs)
-        )
+        fast = run_churn_experiment(ChurnSpec(**kwargs))
+        monkeypatch.setattr(LinkScheduler, "candidates", reference_candidates)
+        reference = run_churn_experiment(ChurnSpec(**kwargs))
         for field in (
             "established",
             "blocked",

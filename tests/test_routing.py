@@ -1,10 +1,31 @@
-"""Tests for EPB, up*/down* and the adaptive routing relation."""
+"""Tests for EPB, up*/down*, the adaptive routing relation and
+dimension-order routing."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.topology import Topology, hypercube, irregular, mesh, ring
+from repro.harness.network_experiment import (
+    NetworkExperiment,
+    NetworkExperimentSpec,
+)
+from repro.network.topology import (
+    Topology,
+    TopologyError,
+    hypercube,
+    irregular,
+    mesh,
+    ring,
+    torus,
+)
 from repro.routing.adaptive import AdaptiveRouter
+from repro.routing.deadlock import verify_deadlock_free
+from repro.routing.dimension_order import (
+    DimensionOrderRouter,
+    dimension_order_relation,
+    dimension_order_search,
+    next_hop,
+    require_grid,
+)
 from repro.routing.epb import count_minimal_paths, epb_search, profitable_ports
 from repro.routing.history import HistoryStore
 from repro.routing.updown import UpDownRouting
@@ -250,3 +271,75 @@ class TestAdaptiveRouter:
         src, dst = 0, nodes - 1
         path = router.route(src, dst, prefer_adaptive=False)
         assert path[-1] == dst
+
+
+class TestDimensionOrderRouting:
+    def test_next_hop_goes_x_then_y(self):
+        topo = mesh(4, 4)
+        # node 0 -> node 15: cross X first (0->1->2->3), then Y.
+        assert next_hop(topo, 0, 15) == 1
+        assert next_hop(topo, 3, 15) == 7
+        assert next_hop(topo, 15, 15) is None
+
+    def test_torus_wrap_takes_shorter_way(self):
+        topo = torus(5, 5)
+        # 0 -> 4 along X: wrapping backward (0 -> 4) is 1 hop.
+        assert next_hop(topo, 0, 4) == 4
+
+    def test_search_walks_single_minimal_path(self):
+        topo = mesh(4, 4)
+        probe = dimension_order_search(topo, 0, 15, lambda n, p, x: True)
+        assert probe.success
+        assert probe.path[0] == 0 and probe.path[-1] == 15
+        assert len(probe.path) == topo.distance(0, 15) + 1
+        assert probe.backtracks == 0
+
+    def test_search_fails_without_backtracking(self):
+        topo = mesh(4, 4)
+        # Refuse every link out of node 1 (the only DOR first hop 0->15).
+        probe = dimension_order_search(
+            topo, 0, 15, lambda n, p, x: n != 1
+        )
+        assert not probe.success
+        assert probe.backtracks == 0
+
+    def test_requires_grid_metadata(self):
+        bare = Topology(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(TopologyError):
+            require_grid(bare)
+        with pytest.raises(TopologyError):
+            DimensionOrderRouter(bare)
+
+    def test_mesh_relation_is_deadlock_free(self):
+        # Satellite guarantee: XY order on a mesh yields an acyclic
+        # channel-dependency graph (Dally-Seitz), so saturated runs
+        # cannot wedge.
+        for dims in ((4, 4), (3, 5), (8, 2)):
+            topo = mesh(*dims)
+            assert verify_deadlock_free(topo, dimension_order_relation(topo)) is None
+
+    def test_torus_wrap_closes_dependency_cycles(self):
+        # Documented limitation: without datelines the torus wrap links
+        # close rings in the dependency graph.
+        topo = torus(4, 4)
+        assert verify_deadlock_free(topo, dimension_order_relation(topo)) is not None
+
+    def test_saturated_mesh_drains(self):
+        spec = NetworkExperimentSpec(
+            target_link_load=0.9,
+            topology="mesh4x4",
+            routing="dimension_order",
+            best_effort_rate=2.0,
+            warmup_cycles=500,
+            measure_cycles=2000,
+            seed=3,
+        )
+        experiment = NetworkExperiment(spec)
+        experiment.run_to(experiment.total_cycles)
+        network = experiment.network
+        # Stop all injection, run the drain horizon: a deadlock-free
+        # network must empty its buffers.
+        for dst, stream in experiment.streams:
+            stream.source.stop_time = experiment.sim.now
+        experiment.sim.run(5000)
+        assert network.total_buffered() == 0

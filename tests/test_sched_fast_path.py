@@ -1,4 +1,4 @@
-"""Property tests for the bit-parallel scheduling fast path.
+"""Property tests for the fused bit-parallel candidate scan.
 
 Drives a small mesh network through seeded-random workloads — CBR and
 VBR streams, best-effort packets (which route lazily), finite link
@@ -7,8 +7,8 @@ enforcement — then pauses at arbitrary points and checks that:
 
 * the fused eligibility mask ``flits & credits & routed & ~exhausted``
   equals the brute-force per-VC predicate the reference walk evaluates;
-* the fast-path candidate set is identical to the reference walk's
-  under all four selection modes;
+* the scan's candidate set is identical to the reference walk's
+  (``tests/reference_scheduler.py``) under all four selection modes;
 * the routers' cross-structure invariants hold (vector/state sync).
 """
 
@@ -23,6 +23,8 @@ from repro.network.topology import mesh
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
 from repro.traffic.vbr import MpegProfile
+
+from tests.reference_scheduler import reference_candidates
 
 NODES = 4
 CBR_RATES = (10e6, 20e6, 40e6)
@@ -80,7 +82,7 @@ def brute_force_mask(router, port):
 
 
 def assert_modes_identical(scheduler, now):
-    """Fast-path candidates == reference candidates, all four modes.
+    """Scan candidates == reference candidates, all four modes.
 
     Rotating mode mutates the scan pointer and random mode draws from
     the rng, so both are saved/replayed so the two walks see identical
@@ -90,7 +92,6 @@ def assert_modes_identical(scheduler, now):
     saved = (
         scheduler.selection,
         scheduler._per_output_fast,
-        scheduler.fast_path,
         scheduler._scan_pointer,
         scheduler.rng,
         scheduler.candidates_offered,
@@ -101,14 +102,12 @@ def assert_modes_identical(scheduler, now):
         for mode in SELECTION_MODES:
             scheduler.selection = mode
             scheduler._per_output_fast = mode == "per_output"
-            scheduler._scan_pointer = saved[3]
+            scheduler._scan_pointer = saved[2]
             scheduler.rng = SeededRng(2024, f"probe-{mode}")
-            scheduler.fast_path = True
             fast = scheduler.candidates(now)
-            scheduler._scan_pointer = saved[3]
+            scheduler._scan_pointer = saved[2]
             scheduler.rng = SeededRng(2024, f"probe-{mode}")
-            scheduler.fast_path = False
-            reference = scheduler.candidates(now)
+            reference = reference_candidates(scheduler, now)
             assert fast == reference, (
                 f"selection={mode} port={scheduler.port}: "
                 f"fast={fast} reference={reference}"
@@ -117,7 +116,6 @@ def assert_modes_identical(scheduler, now):
         (
             scheduler.selection,
             scheduler._per_output_fast,
-            scheduler.fast_path,
             scheduler._scan_pointer,
             scheduler.rng,
             scheduler.candidates_offered,
