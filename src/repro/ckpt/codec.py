@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoint format (schema ``ckpt/6``).
+"""Versioned on-disk checkpoint format (schema ``ckpt/7``).
 
 A checkpoint file is::
 
@@ -50,6 +50,9 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/7``: offers and grants are plain tuples — ``Router`` lost its
+#: shared empty offer lists and ``LinkScheduler`` its two selection-mode
+#: flags, so a ``ckpt/6`` file would restore attributes nothing reads.
 #: ``ckpt/6``: one engine — ``Simulator``, ``_Ticker``, ``Router``,
 #: ``LinkScheduler`` and the three experiment specs lost the fields that
 #: selected or fed the deleted engines, so a ``ckpt/5`` file would restore
@@ -69,7 +72,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/6"
+CKPT_SCHEMA = "ckpt/7"
 
 
 class CheckpointError(RuntimeError):
@@ -175,7 +178,7 @@ class CheckpointHeader:
 
 
 class CheckpointCodec:
-    """Reads and writes ``ckpt/6`` checkpoint files."""
+    """Reads and writes ``ckpt/7`` checkpoint files."""
 
     schema = CKPT_SCHEMA
 

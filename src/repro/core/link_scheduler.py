@@ -16,12 +16,19 @@ Round-based accounting implements the paper's QoS discipline:
   servicing the excess bandwidth of one connection before moving to the
   next one");
 * control packets ride above all data, best-effort below.
+
+Offers and grants are plain tuples.  An *offer* is
+``(rank, input_port, vc_index, output_port)`` with
+``rank = -(priority + round_offset)``, so ascending tuple order is the
+arbitration order: highest priority, then lowest input port, then lowest
+VC index.  Every offer list is handed on in that order, and a *grant* is
+an offer without its rank, ``(input_port, vc_index, output_port)``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..sim.rng import SeededRng
 from .config import RouterConfig
@@ -34,24 +41,9 @@ from .virtual_channel import ServiceClass, VirtualChannel
 # offset is -1e12).
 VBR_EXCESS_OFFSET = -1e9
 
-
-def _winner_sort_key(winner):
-    """Per-output winner order: same as ``Candidate.sort_key`` restricted
-    to one input port — descending priority, then lowest VC index."""
-    return (-winner[0], winner[1])
-
-
-class Candidate(NamedTuple):
-    """One virtual channel offered to the switch scheduler this cycle."""
-
-    priority: float
-    input_port: int
-    vc_index: int
-    output_port: int
-
-    def sort_key(self):
-        """Descending priority, then lowest VC index (deterministic)."""
-        return (-self.priority, self.input_port, self.vc_index)
+#: One offer to the switch scheduler: ``(rank, input_port, vc_index,
+#: output_port)``, ordered as the module docstring states.
+Candidate = Tuple[float, int, int, int]
 
 
 class LinkScheduler:
@@ -129,14 +121,6 @@ class LinkScheduler:
         self._scheme_dep = {"static": 0, "aging": 1, "hashed": 2}.get(
             scheme.time_dependence, 3
         )
-        # The per-output mode folds its selection into the fused scan
-        # (tracking the best flit per output while walking the mask)
-        # instead of building the full pool and reducing it afterwards.
-        self._per_output_fast = selection == "per_output"
-        # One eligible VC needs no ordering under these two selections
-        # (``rotating`` must still advance its pointer, ``random`` is
-        # kept on the general path with it).
-        self._lone_vc_fast = selection in ("per_output", "priority")
 
     def invalidate_vc(self, vc: VirtualChannel) -> None:
         """Drop the VC's cached priority terms.
@@ -253,10 +237,6 @@ class LinkScheduler:
 
     # ----- candidate selection -----------------------------------------------
 
-    def eligible_vcs(self) -> List[int]:
-        """Indices of VCs passing the bit-vector schedulability test."""
-        return list(self.status.eligible_for_service().indices())
-
     def fused_mask(self) -> int:
         """The scan's eligibility mask as a raw integer:
         ``flits & credits & routed & ~exhausted``."""
@@ -268,14 +248,18 @@ class LinkScheduler:
         )
 
     def candidates(self, now: int, limit: Optional[int] = None) -> List[Candidate]:
-        """The candidate set offered to the switch scheduler this cycle.
+        """The offer list handed to the switch scheduler this cycle,
+        ascending (see the module docstring for the tuple shape).
 
         One fused bit-parallel scan: the wide AND of the status vectors
-        (§4.1) names the eligible VCs, and only those are visited.  Ties
-        go to the highest priority, then the lowest VC index.
+        (§4.1) names the eligible VCs, and only those are visited.  An
+        explicit ``limit`` overrides the configured candidate count and
+        must be positive.
         """
         if limit is None:
             limit = self._candidate_limit
+        elif limit <= 0:
+            raise ValueError(f"candidate limit must be positive, got {limit}")
         mask = (
             self._flits_available._bits
             & self._credits_available._bits
@@ -288,96 +272,14 @@ class LinkScheduler:
         port = self.port
         scheme = self.scheme
         dep = self._scheme_dep
-        if not mask & (mask - 1) and self._lone_vc_fast and limit > 0:
-            # A single set bit — most scans of a loaded network: the
-            # same cache check, float order and counters as the general
-            # walks below, without the pool, the sort and the dict.
-            vc_index = mask.bit_length() - 1
-            vc = vcs[vc_index]
-            buffer = vc.buffer
-            if not buffer:
-                raise RuntimeError(
-                    f"status vector out of sync: vc {self.port}.{vc_index} "
-                    "flagged available but empty"
-                )
-            flit = buffer[0]
-            if vc.prio_flit is not flit or vc.prio_conn != vc.connection_id:
-                vc.prio_base, vc.prio_div, vc.prio_key = scheme.cache_terms(
-                    vc, flit
-                )
-                vc.prio_flit = flit
-                vc.prio_conn = vc.connection_id
-            if dep == 1:
-                priority = vc.prio_base + (now - flit.created) / vc.prio_div
-            elif dep == 0:
-                priority = vc.prio_base
-            elif dep == 2:
-                priority = vc.prio_base + (
-                    (vc.prio_key * 31 + now) * 2654435761 & 0xFFFFFFFF
-                ) / 2**32
-            else:
-                priority = scheme.priority(vc, flit, now)
-            self.eligible_vcs_total += 1
-            self.candidates_offered += 1
-            self.cycles_with_candidates += 1
-            return [
-                Candidate(priority + vc.round_offset, port, vc_index, vc.output_port)
-            ]
-        if self._per_output_fast:
-            # Selection fused into the scan: keep only the best flit per
-            # requested output while walking the mask.  An ascending-index
-            # scan with strict ``>`` replacement reproduces the reference
-            # ordering exactly (``sort_key`` ties on equal priority keep
-            # the lowest VC index, i.e. the first one encountered).
-            best: dict = {}
-            count = 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                vc_index = low.bit_length() - 1
-                vc = vcs[vc_index]
-                buffer = vc.buffer
-                if not buffer:
-                    raise RuntimeError(
-                        f"status vector out of sync: vc {self.port}.{vc_index} "
-                        "flagged available but empty"
-                    )
-                flit = buffer[0]
-                if vc.prio_flit is not flit or vc.prio_conn != vc.connection_id:
-                    vc.prio_base, vc.prio_div, vc.prio_key = scheme.cache_terms(
-                        vc, flit
-                    )
-                    vc.prio_flit = flit
-                    vc.prio_conn = vc.connection_id
-                if dep == 1:
-                    priority = vc.prio_base + (now - flit.created) / vc.prio_div
-                elif dep == 0:
-                    priority = vc.prio_base
-                elif dep == 2:
-                    priority = vc.prio_base + (
-                        (vc.prio_key * 31 + now) * 2654435761 & 0xFFFFFFFF
-                    ) / 2**32
-                else:
-                    priority = scheme.priority(vc, flit, now)
-                priority += vc.round_offset
-                count += 1
-                output_port = vc.output_port
-                incumbent = best.get(output_port)
-                if incumbent is None or priority > incumbent[0]:
-                    best[output_port] = (priority, vc_index, output_port)
-            self.eligible_vcs_total += count
-            winners = sorted(best.values(), key=_winner_sort_key)
-            if len(winners) > limit:
-                winners = winners[:limit]
-            chosen = [
-                Candidate(priority, port, vc_index, output_port)
-                for priority, vc_index, output_port in winners
-            ]
-            self.candidates_offered += len(chosen)
-            self.cycles_with_candidates += 1
-            return chosen
+        selection = self.selection
+        per_output = selection == "per_output"
+        # ``per_output`` folds its selection into the walk, keeping only
+        # the best offer per requested output; the other modes collect
+        # the whole pool in ascending VC order and draw from it below.
+        best = {}
         pool: List[Candidate] = []
-        append = pool.append
+        count = 0
         while mask:
             low = mask & -mask
             mask ^= low
@@ -400,52 +302,53 @@ class LinkScheduler:
                 )
                 vc.prio_flit = flit
                 vc.prio_conn = vc.connection_id
-            if dep == 0:
-                priority = vc.prio_base
-            elif dep == 1:
+            if dep == 1:
                 priority = vc.prio_base + (now - flit.created) / vc.prio_div
+            elif dep == 0:
+                priority = vc.prio_base
             elif dep == 2:
                 priority = vc.prio_base + (
                     (vc.prio_key * 31 + now) * 2654435761 & 0xFFFFFFFF
                 ) / 2**32
             else:
                 priority = scheme.priority(vc, flit, now)
-            append(
-                Candidate(
-                    priority + vc.round_offset, port, vc_index, vc.output_port
-                )
+            rank = -(priority + vc.round_offset)
+            output_port = vc.output_port
+            count += 1
+            if not per_output:
+                pool.append((rank, port, vc_index, output_port))
+            elif output_port not in best or rank < best[output_port][0]:
+                # Strict ``<`` in an ascending walk: on equal rank the
+                # lowest VC index, met first, keeps the output.
+                best[output_port] = (rank, port, vc_index, output_port)
+        self.eligible_vcs_total += count
+        if count == 1 and selection != "rotating":
+            # One eligible VC — most scans of a loaded network: nothing
+            # to order, and only ``rotating`` keeps state to advance.
+            offers = [(rank, port, vc_index, output_port)]
+        elif per_output:
+            offers = sorted(best.values())
+            del offers[limit:]
+        elif selection == "priority":
+            offers = (
+                heapq.nsmallest(limit, pool) if len(pool) > limit else sorted(pool)
             )
-        return self._select(pool, limit)
-
-    def _select(self, pool: List[Candidate], limit: int) -> List[Candidate]:
-        """Draw the offered candidate set from the eligible ``pool``."""
-        self.eligible_vcs_total += len(pool)
-        if len(pool) == 1 and self.selection == "priority":
-            # Nothing to order or rotate; a one-flit port is the common
-            # case at light load.
-            chosen = pool
-        elif self.selection == "random":
-            chosen = (
-                self.rng.sample(pool, limit) if len(pool) > limit else list(pool)
-            )
-            chosen.sort(key=Candidate.sort_key)
-        elif self.selection == "rotating":
-            chosen = self._rotating_select(pool, limit)
-        elif len(pool) > limit:
-            chosen = heapq.nsmallest(limit, pool, key=Candidate.sort_key)
+        elif selection == "random":
+            offers = self.rng.sample(pool, limit) if len(pool) > limit else pool
+            offers.sort()
         else:
-            chosen = sorted(pool, key=Candidate.sort_key)
-        self.candidates_offered += len(chosen)
+            offers = self._rotating_select(pool, limit)
+        self.candidates_offered += len(offers)
         self.cycles_with_candidates += 1
-        return chosen
+        return offers
 
     def _rotating_select(self, pool: List[Candidate], limit: int) -> List[Candidate]:
-        """Round-robin scan from the rotating pointer, then priority order.
+        """Round-robin scan from the rotating pointer, then offer order.
 
         The scan decides *which* VCs become candidates (fairly); the
-        returned list is priority-sorted because downstream consumers
-        (the perfect switch, greedy arbitration) treat earlier entries as
-        preferred.
+        returned list is sorted like every offer list because downstream
+        consumers (the perfect switch, greedy arbitration) treat earlier
+        entries as preferred.
 
         The pointer advances on *every* scan, including when the whole
         pool fits within ``limit`` — a hardware rotating encoder steps
@@ -457,12 +360,11 @@ class LinkScheduler:
         # Pool is built in ascending vc_index order; rotate it so the
         # scan starts at the pointer, then take the first ``limit``.
         start = 0
-        for i, candidate in enumerate(pool):
-            if candidate.vc_index >= self._scan_pointer:
+        for i, offer in enumerate(pool):
+            if offer[2] >= self._scan_pointer:
                 start = i
                 break
-        rotated = pool[start:] + pool[:start]
-        chosen = rotated[:limit]
-        self._scan_pointer = (chosen[-1].vc_index + 1) % self.config.vcs_per_port
-        chosen.sort(key=Candidate.sort_key)
+        chosen = (pool[start:] + pool[:start])[:limit]
+        self._scan_pointer = (chosen[-1][2] + 1) % self.config.vcs_per_port
+        chosen.sort()
         return chosen

@@ -219,13 +219,6 @@ class Router:
         self._port_mask = (1 << config.num_ports) - 1
         #: Flits sent per output port: all a transit hop records (§7h).
         self.output_flits = [0] * config.num_ports
-        # Candidate lists are never mutated by schedulers, so idle ports
-        # can all share one empty list; busy cycles start from a copy of
-        # the all-idle template and fill in only the active ports.
-        self._no_candidates: List = []
-        self._no_candidate_lists: List[List] = [
-            self._no_candidates for _ in range(config.num_ports)
-        ]
         self._ticker = self.sim.add_ticker(
             self.tick,
             activity=self.activity,
@@ -667,39 +660,38 @@ class Router:
         """One flit cycle: schedule, reconfigure, transmit, account.
 
         The per-port activity bits — which mirror ``flits_available`` —
-        gate the polling: an idle port contributes an empty candidate set
-        either way, so the short-circuit is behaviour-preserving.  A cycle
-        with no buffered flits and no cut-through anywhere skips switch
+        gate the polling: an idle port offers nothing either way, so the
+        short-circuit is behaviour-preserving.  Only non-empty offer lists
+        reach the switch scheduler, in port order.  A cycle with no
+        buffered flits and no cut-through anywhere skips switch
         scheduling entirely (the schedulers grant nothing and draw no
-        random state on all-empty candidate sets); only the crossbar
-        teardown and the cycle accounting remain.
+        random state when nothing is offered); only the crossbar teardown
+        and the cycle accounting remain.
         """
         activity = self.activity
         busy_outputs = self._immediate_busy_outputs
         port_bits = activity._bits & self._port_mask
         if port_bits or busy_outputs:
-            candidate_lists = self._no_candidate_lists.copy()
+            link_schedulers = self.link_schedulers
+            offer_lists = []
             bits = port_bits
             while bits:
                 low = bits & -bits
                 bits ^= low
-                port = low.bit_length() - 1
-                candidates = self.link_schedulers[port].candidates(cycle)
-                if busy_outputs:
-                    candidates = [
-                        c
-                        for c in candidates
-                        if c.output_port not in busy_outputs
-                    ]
-                candidate_lists[port] = candidates
+                offers = link_schedulers[low.bit_length() - 1].candidates(cycle)
+                if offers and busy_outputs:
+                    offers = [o for o in offers if o[3] not in busy_outputs]
+                if offers:
+                    offer_lists.append(offers)
             switch_scheduler = self.switch_scheduler
-            grants = switch_scheduler.schedule(candidate_lists, cycle)
+            grants = switch_scheduler.schedule(offer_lists, cycle)
             switch_scheduler.schedule_calls += 1
             if self.checked:
                 validate_grants(
                     grants,
                     self.config.num_ports,
-                    self.switch_scheduler.output_concurrency,
+                    switch_scheduler.output_concurrency,
+                    offer_lists,
                 )
             if grants:
                 flits = len(grants)
@@ -709,8 +701,8 @@ class Router:
                 # checking is on), so skip configure()'s re-validation;
                 # every configured input moves exactly one flit.
                 matching = {}
-                for grant in grants:
-                    matching[grant.input_port] = grant.output_port
+                for input_port, _, output_port in grants:
+                    matching[input_port] = output_port
                 self.crossbar.install(matching)
                 self.crossbar.flits_switched += flits
                 for grant in grants:
@@ -788,8 +780,7 @@ class Router:
                     self.tracer.record(cycle, "round", "round boundary")
 
     def _transmit(self, grant: Grant, cycle: int) -> None:
-        input_port = grant.input_port
-        vc_index = grant.vc_index
+        input_port, vc_index, output_port = grant
         vc = self.input_ports[input_port].vcs[vc_index]
         # ``VirtualChannel.dequeue`` inline and status bits longhand (the
         # grant's indices are the router's own): see DESIGN.md §7h.
@@ -820,7 +811,7 @@ class Router:
         handler = self.credit_return_handlers[input_port]
         if handler is not None:
             handler(vc_index)
-        self._deliver(flit, vc, grant.output_port, cycle + 1)
+        self._deliver(flit, vc, output_port, cycle + 1)
 
     def _deliver(
         self, flit: Flit, vc: VirtualChannel, output_port: int, depart_time: int

@@ -14,27 +14,25 @@ Three schedulers cover the evaluation:
 * :class:`PerfectSwitchScheduler` — the lower-bound switch with N-times
   internal bandwidth: every input transmits its best candidate, outputs
   never conflict.
+
+Offers and grants are the plain tuples :mod:`.link_scheduler` describes.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.rng import SeededRng
 from .link_scheduler import Candidate
 
-
-class Grant(NamedTuple):
-    """One scheduled transmission: input port, VC and output port."""
-
-    input_port: int
-    vc_index: int
-    output_port: int
+#: One scheduled transmission: ``(input_port, vc_index, output_port)``,
+#: the offer it grants without its rank.
+Grant = Tuple[int, int, int]
 
 
 class SwitchScheduler(abc.ABC):
-    """Turns per-input candidate sets into a set of grants."""
+    """Turns per-input offer lists into a set of grants."""
 
     name: str = "abstract"
     #: True when the backing switch can accept several flits per output
@@ -47,13 +45,15 @@ class SwitchScheduler(abc.ABC):
 
     @abc.abstractmethod
     def schedule(
-        self, candidate_lists: Sequence[List[Candidate]], now: int
+        self, offer_lists: Sequence[List[Candidate]], now: int
     ) -> List[Grant]:
         """Compute the grants for this flit cycle.
 
-        ``candidate_lists[p]`` is input port ``p``'s candidate set, in the
-        link scheduler's preference order.  Every returned grant must use
-        each input port at most once and respect the output concurrency.
+        ``offer_lists`` holds one list per input port that offers
+        anything, in port order, each list non-empty and ascending as
+        ``LinkScheduler.candidates`` returns it.  Every returned grant
+        must use each input port at most once and respect the output
+        concurrency.
         """
 
     def __repr__(self) -> str:
@@ -63,52 +63,41 @@ class SwitchScheduler(abc.ABC):
 class GreedyPriorityScheduler(SwitchScheduler):
     """The MMR input-driven scheme: global priority-ordered matching.
 
-    All candidates from all ports are considered together, highest
-    priority first; a candidate is granted when both its input port and
-    its output port are still free.  This models concurrent per-output
-    arbiters with priority selection, resolved consistently.
+    All offers from all ports are considered together, highest priority
+    first; an offer is granted when both its input port and its output
+    port are still free.  This models concurrent per-output arbiters with
+    priority selection, resolved consistently.
     """
 
     name = "greedy"
 
     def schedule(
-        self, candidate_lists: Sequence[List[Candidate]], now: int
+        self, offer_lists: Sequence[List[Candidate]], now: int
     ) -> List[Grant]:
-        contributing = [candidates for candidates in candidate_lists if candidates]
-        if not contributing:
+        if not offer_lists:
             return []
-        if len(contributing) == 1:
-            # Every candidate shares one input port, so the full greedy
-            # pass grants exactly the top-priority candidate and skips the
-            # rest (input constraint).  This is the common case at light
+        unmatched = len(offer_lists)
+        if unmatched == 1:
+            # One input port: the greedy pass grants its first offer and
+            # skips the rest (input constraint).  The common case at light
             # load, where a single port has flits buffered in a cycle.
-            candidates = contributing[0]
-            best = (
-                candidates[0]
-                if len(candidates) == 1
-                else min(candidates, key=Candidate.sort_key)
-            )
-            return [Grant(best.input_port, best.vc_index, best.output_port)]
+            return [offer_lists[0][0][1:]]
         merged: List[Candidate] = []
-        for candidates in contributing:
-            merged.extend(candidates)
-        # Each per-input list is already in sort_key order, so Timsort's
-        # run detection makes this close to a k-way merge.
-        merged.sort(key=Candidate.sort_key)
+        for offers in offer_lists:
+            merged += offers
+        # Each list is already ascending, so Timsort's run detection makes
+        # this close to a k-way merge.
+        merged.sort()
         grants: List[Grant] = []
-        inputs_used = set()
-        outputs_used = set()
-        unmatched = len(contributing)
-        for candidate in merged:
-            if candidate.input_port in inputs_used:
+        inputs_used = outputs_used = 0
+        for offer in merged:
+            input_bit = 1 << offer[1]
+            output_bit = 1 << offer[3]
+            if inputs_used & input_bit or outputs_used & output_bit:
                 continue
-            if candidate.output_port in outputs_used:
-                continue
-            inputs_used.add(candidate.input_port)
-            outputs_used.add(candidate.output_port)
-            grants.append(
-                Grant(candidate.input_port, candidate.vc_index, candidate.output_port)
-            )
+            inputs_used |= input_bit
+            outputs_used |= output_bit
+            grants.append(offer[1:])
             unmatched -= 1
             if not unmatched:
                 # Every contributing input holds a grant; the remaining
@@ -135,44 +124,38 @@ class DecScheduler(SwitchScheduler):
         self.iterations = iterations
 
     def schedule(
-        self, candidate_lists: Sequence[List[Candidate]], now: int
+        self, offer_lists: Sequence[List[Candidate]], now: int
     ) -> List[Grant]:
-        # Remaining candidate sets per unmatched input.
+        # Remaining offer lists per unmatched input, in port order.
         remaining: Dict[int, List[Candidate]] = {
-            port: list(candidates)
-            for port, candidates in enumerate(candidate_lists)
-            if candidates
+            offers[0][1]: offers for offers in offer_lists
         }
         grants: List[Grant] = []
         outputs_used = set()
         for _ in range(self.iterations):
             if not remaining:
                 break
-            # Request phase: each input requests every free output it has a
-            # candidate for.
+            # Request phase: each input requests every free output it has
+            # an offer for.
             requests: Dict[int, List[Candidate]] = {}
-            for candidates in remaining.values():
-                for candidate in candidates:
-                    if candidate.output_port not in outputs_used:
-                        requests.setdefault(candidate.output_port, []).append(
-                            candidate
-                        )
+            for offers in remaining.values():
+                for offer in offers:
+                    if offer[3] not in outputs_used:
+                        requests.setdefault(offer[3], []).append(offer)
             if not requests:
                 break
             # Grant phase: each output grants one random request.
             granted: Dict[int, List[Candidate]] = {}
-            for output_port, reqs in requests.items():
+            for reqs in requests.values():
                 choice = self.rng.choice(reqs)
-                granted.setdefault(choice.input_port, []).append(choice)
+                granted.setdefault(choice[1], []).append(choice)
             # Accept phase: each input accepts one random grant.
             for input_port, offers in granted.items():
                 if input_port not in remaining:
                     continue
                 accepted = self.rng.choice(offers)
-                grants.append(
-                    Grant(accepted.input_port, accepted.vc_index, accepted.output_port)
-                )
-                outputs_used.add(accepted.output_port)
+                grants.append(accepted[1:])
+                outputs_used.add(accepted[3])
                 del remaining[input_port]
         return grants
 
@@ -180,8 +163,8 @@ class DecScheduler(SwitchScheduler):
 class PerfectSwitchScheduler(SwitchScheduler):
     """Lower bound: outputs accept any number of flits per cycle.
 
-    Each input simply transmits its highest-preference candidate; only the
-    one-flit-per-input (link bandwidth) constraint remains.
+    Each input simply transmits its first (highest-priority) offer; only
+    the one-flit-per-input (link bandwidth) constraint remains.
     """
 
     name = "perfect"
@@ -192,38 +175,49 @@ class PerfectSwitchScheduler(SwitchScheduler):
         self.output_concurrency = num_ports
 
     def schedule(
-        self, candidate_lists: Sequence[List[Candidate]], now: int
+        self, offer_lists: Sequence[List[Candidate]], now: int
     ) -> List[Grant]:
         grants: List[Grant] = []
-        for candidates in candidate_lists:
-            if candidates:
-                best = candidates[0]
-                grants.append(Grant(best.input_port, best.vc_index, best.output_port))
+        for offers in offer_lists:
+            grants.append(offers[0][1:])
         return grants
 
 
 def validate_grants(
-    grants: Sequence[Grant], num_ports: int, output_concurrency: int = 1
+    grants: Sequence[Grant],
+    num_ports: int,
+    output_concurrency: int = 1,
+    offers: Optional[Sequence[List[Candidate]]] = None,
 ) -> None:
     """Assert the structural invariants every scheduler must uphold.
 
     Used by tests and (cheaply) by the router in checked mode: each input
     port appears at most once, each output port at most
-    ``output_concurrency`` times, all ports in range.
+    ``output_concurrency`` times, all ports in range.  Given ``offers``
+    (the offer lists ``schedule`` was handed), every grant must also be
+    one of them without its rank.
     """
     inputs_seen = set()
     outputs_count: Dict[int, int] = {}
+    offered = (
+        None
+        if offers is None
+        else {offer[1:] for offer_list in offers for offer in offer_list}
+    )
     for grant in grants:
-        if not 0 <= grant.input_port < num_ports:
-            raise ValueError(f"grant input port {grant.input_port} out of range")
-        if not 0 <= grant.output_port < num_ports:
-            raise ValueError(f"grant output port {grant.output_port} out of range")
-        if grant.input_port in inputs_seen:
-            raise ValueError(f"input port {grant.input_port} granted twice")
-        inputs_seen.add(grant.input_port)
-        outputs_count[grant.output_port] = outputs_count.get(grant.output_port, 0) + 1
-        if outputs_count[grant.output_port] > output_concurrency:
+        input_port, _, output_port = grant
+        if not 0 <= input_port < num_ports:
+            raise ValueError(f"grant input port {input_port} out of range")
+        if not 0 <= output_port < num_ports:
+            raise ValueError(f"grant output port {output_port} out of range")
+        if input_port in inputs_seen:
+            raise ValueError(f"input port {input_port} granted twice")
+        inputs_seen.add(input_port)
+        outputs_count[output_port] = outputs_count.get(output_port, 0) + 1
+        if outputs_count[output_port] > output_concurrency:
             raise ValueError(
-                f"output port {grant.output_port} over-committed "
-                f"({outputs_count[grant.output_port]} > {output_concurrency})"
+                f"output port {output_port} over-committed "
+                f"({outputs_count[output_port]} > {output_concurrency})"
             )
+        if offered is not None and tuple(grant) not in offered:
+            raise ValueError(f"grant {tuple(grant)} matches no offer")

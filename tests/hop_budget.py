@@ -1,16 +1,19 @@
 """Calls per flit hop, by layer: the per-hop budget measured without a clock.
 
-cProfile counts every Python and builtin call while a seeded mesh4x4
-``NetworkExperiment`` runs; dividing by the switch grants gives calls per
-flit hop, which repeats exactly for a given tree (DESIGN.md §7h).  Each
-call is attributed to the layer whose entry point it was made under, by
-following the profile's caller edges up to the nearest layer root.
-Test-side only.
+cProfile counts every Python and builtin call while a seeded experiment
+runs — a mesh4x4 ``NetworkExperiment`` (:func:`budget_spec`) or the
+paper's single router at 90 % load (:func:`paper_spec`); dividing by the
+switch grants gives calls per flit hop, which repeats exactly for a given
+tree (DESIGN.md §7h).  Each call is attributed to the layer whose entry
+point it was made under, by following the profile's caller edges up to the
+nearest layer root.  Test-side only; ``python tests/hop_budget.py`` prints
+both tables.
 """
 
 import cProfile
 
 from repro.harness.network_experiment import NetworkExperiment, NetworkExperimentSpec
+from repro.harness.single_router import ExperimentSpec, SingleRouterExperiment
 
 #: (layer, file suffix, function names): the entry point(s) of each layer.
 LAYER_ROOTS = (
@@ -37,6 +40,14 @@ def budget_spec() -> NetworkExperimentSpec:
     )
 
 
+def paper_spec() -> ExperimentSpec:
+    """The Fig. 3/4 point (8x8 router, 90 % load, biased priority,
+    ``per_output`` candidates, greedy arbitration), shortened."""
+    return ExperimentSpec(
+        target_load=0.9, warmup_cycles=500, measure_cycles=2500, seed=11
+    )
+
+
 def _where(code):
     """(file, function name) of a profiler entry's code; builtins arrive
     as their description string and have no file."""
@@ -54,7 +65,9 @@ def _layer_of(code) -> str:
 
 
 class HopBudget:
-    """Call counts of one profiled run, per hop and per layer.
+    """Call counts of one profiled ``experiment.result()``, per hop and
+    per layer.  Hops are the grants the router(s) counted since the last
+    statistics reset; calls cover the whole run, warm-up included.
 
     Read from ``Profile.getstats()``, keyed by code object: ``pstats``
     keys by (file, line, name), under which the generated ``__new__`` of
@@ -62,18 +75,19 @@ class HopBudget:
     and the total depends on memory layout.
     """
 
-    def __init__(self, spec: NetworkExperimentSpec) -> None:
-        experiment = NetworkExperiment(spec)
+    def __init__(self, experiment) -> None:
         profile = cProfile.Profile()
         profile.enable()
         experiment.result()
         profile.disable()
-        network = experiment.network
-        self.hops = sum(r.switch_scheduler.grants_issued for r in network.routers)
-        self.host_deliveries = int(network.stats.get_counter("host_deliveries"))
-        #: Still on the lanes when the run ended: queued, not yet landed.
-        self.flits_in_flight = network.flits_in_flight()
-        self.credits_in_flight = network.credits_in_flight()
+        network = getattr(experiment, "network", None)
+        routers = [experiment.router] if network is None else network.routers
+        self.hops = sum(r.switch_scheduler.grants_issued for r in routers)
+        if network is not None:
+            self.host_deliveries = int(network.stats.get_counter("host_deliveries"))
+            #: Still on the lanes when the run ended: queued, not yet landed.
+            self.flits_in_flight = network.flits_in_flight()
+            self.credits_in_flight = network.credits_in_flight()
         entries = profile.getstats()
         #: code -> total calls, and callee -> {caller: calls on that edge}.
         self.counts = {entry.code: entry.callcount for entry in entries}
@@ -149,4 +163,7 @@ class HopBudget:
 
 
 if __name__ == "__main__":
-    print(HopBudget(budget_spec()).table())
+    print("mesh4x4, 60 % link load")
+    print(HopBudget(NetworkExperiment(budget_spec())).table())
+    print("\nsingle router, 90 % load")
+    print(HopBudget(SingleRouterExperiment(paper_spec())).table())

@@ -3,12 +3,12 @@
 One VC at a time: every VC flagged ``flits_available`` is tested for a
 route, downstream credit and round budget by calling the predicates, and
 its priority comes from ``scheme.priority`` — no fused mask, no cached
-terms, no cached round offset.  Test-side only; install it on a whole run
-with ``monkeypatch.setattr(LinkScheduler, "candidates",
-reference_candidates)``.
+terms, no cached round offset, and none of the scan's selection code: the
+four modes are written out below from their definitions.  It emits the
+scan's tuple shape, ``(-priority, input_port, vc_index, output_port)``.
+Test-side only; install it on a whole run with
+``monkeypatch.setattr(LinkScheduler, "candidates", reference_candidates)``.
 """
-
-from repro.core.link_scheduler import Candidate
 
 
 def reference_candidates(scheduler, now, limit=None):
@@ -16,7 +16,9 @@ def reference_candidates(scheduler, now, limit=None):
     three scan counters exactly as ``candidates`` does."""
     if limit is None:
         limit = scheduler.config.candidates
-    pool = []
+    elif limit <= 0:
+        raise ValueError(f"candidate limit must be positive, got {limit}")
+    pool = []  # (priority, vc_index, output_port), ascending vc_index
     for vc_index in scheduler.status.vector("flits_available").indices():
         vc = scheduler.vcs[vc_index]
         flit = vc.head()
@@ -35,24 +37,61 @@ def reference_candidates(scheduler, now, limit=None):
         if offset is None:
             continue
         priority = scheduler.scheme.priority(vc, flit, now) + offset
-        pool.append(Candidate(priority, scheduler.port, vc_index, vc.output_port))
+        pool.append((priority, vc_index, vc.output_port))
     if not pool:
         return []
-    if scheduler.selection != "per_output":
-        return scheduler._select(pool, limit)
-    chosen = per_output_select(pool, limit)
+    selection = scheduler.selection
+    if selection == "per_output":
+        chosen = by_priority(per_output_best(pool))[:limit]
+    elif selection == "priority":
+        chosen = by_priority(pool)[:limit]
+    elif selection == "random":
+        drawn = scheduler.rng.sample(pool, limit) if len(pool) > limit else pool
+        chosen = by_priority(drawn)
+    else:
+        chosen = by_priority(rotating_draw(scheduler, pool, limit))
     scheduler.eligible_vcs_total += len(pool)
     scheduler.candidates_offered += len(chosen)
     scheduler.cycles_with_candidates += 1
-    return chosen
+    port = scheduler.port
+    return [(-priority, port, vc_index, output) for priority, vc_index, output in chosen]
 
 
-def per_output_select(pool, limit):
-    """Best flit per requested output, then the top ``limit`` of those."""
-    best_per_output = {}
-    for candidate in pool:
-        incumbent = best_per_output.get(candidate.output_port)
-        if incumbent is None or candidate.sort_key() < incumbent.sort_key():
-            best_per_output[candidate.output_port] = candidate
-    chosen = sorted(best_per_output.values(), key=Candidate.sort_key)
-    return chosen[:limit]
+def beats(a, b):
+    """True when entry ``a`` wins arbitration over ``b`` on one port:
+    the higher priority, and on equal priority the lower VC index."""
+    if a[0] != b[0]:
+        return a[0] > b[0]
+    return a[1] < b[1]
+
+
+def by_priority(entries):
+    """``entries`` from winner to loser (an insertion sort on ``beats``)."""
+    ordered = []
+    for entry in entries:
+        at = 0
+        while at < len(ordered) and beats(ordered[at], entry):
+            at += 1
+        ordered.insert(at, entry)
+    return ordered
+
+
+def per_output_best(pool):
+    """The winner among the entries requesting each output."""
+    best = {}
+    for entry in pool:
+        output = entry[2]
+        if output not in best or beats(entry, best[output]):
+            best[output] = entry
+    return list(best.values())
+
+
+def rotating_draw(scheduler, pool, limit):
+    """Up to ``limit`` entries in VC order starting at the rotating
+    pointer (wrapping); the pointer moves past the last one taken."""
+    vcs = scheduler.config.vcs_per_port
+    pointer = scheduler._scan_pointer
+    order = sorted(pool, key=lambda entry: (entry[1] - pointer) % vcs)
+    taken = order[:limit]
+    scheduler._scan_pointer = (taken[-1][1] + 1) % vcs
+    return taken

@@ -2,34 +2,82 @@
 
 Call counts of a seeded run repeat exactly, so unlike a timing gate this
 cannot flake; a change that puts a method hop back on the per-flit path
-fails here before anyone has to time it.  Run with ``-s`` to print the
-per-layer table DESIGN.md quotes.
+fails here before anyone has to time it.  Two scenarios: a loaded mesh4x4
+(transit hops) and the paper's single router at 90 % load (every hop a
+last hop, the scheduler layers at their busiest).  Run with ``-s`` to
+print the per-layer tables DESIGN.md quotes.
 """
 
 import pytest
 
-from tests.hop_budget import HopBudget, budget_spec
+from repro.harness.network_experiment import NetworkExperiment
+from repro.harness.single_router import SingleRouterExperiment
+from tests.hop_budget import HopBudget, budget_spec, paper_spec
 
-#: Calls per flit hop of :func:`budget_spec`.  46.68 until ``candidates``
-#: became the scan itself instead of dispatching to it (one frame per
-#: scan, 1.16 per hop); 78.85 before the budget was written (7436230).
-MEASURED_CALLS_PER_HOP = 45.53
+#: Calls per flit hop of :func:`budget_spec`.  45.53 while offers and
+#: grants were namedtuples ordered by key functions; 46.68 until
+#: ``candidates`` became the scan itself instead of dispatching to it (one
+#: frame per scan, 1.16 per hop); 78.85 before the budget was written
+#: (7436230).
+MEASURED_CALLS_PER_HOP = 33.84
+#: Calls per flit hop of :func:`paper_spec`: 90.21 with namedtuple offers
+#: and grants.
+MEASURED_PAPER_CALLS_PER_HOP = 51.91
+#: What the switch scheduler may spend per hop on either scenario.
+SCHEDULE_CALLS_PER_HOP = 4.0
 
 
 @pytest.fixture(scope="module")
 def budget():
-    return HopBudget(budget_spec())
+    return HopBudget(NetworkExperiment(budget_spec()))
+
+
+@pytest.fixture(scope="module")
+def paper_budget():
+    return HopBudget(SingleRouterExperiment(paper_spec()))
 
 
 def test_calls_per_hop_within_budget(budget):
     """mesh4x4, XY routing, 60 % link load, 1 200 cycles, seed 11:
-    2 072 507 calls for 45 519 flit hops = 45.53 per hop (was 2 124 807 =
-    46.68 with the ``candidates`` dispatch frame, 3 589 203 = 78.85
-    before the budget)."""
+    1 540 501 calls for 45 519 flit hops = 33.84 per hop (was 2 072 507 =
+    45.53 with namedtuple offers and grants — ``candidates`` 11.25 and
+    ``schedule`` 9.46 per hop, now 6.13 and 2.15 — 2 124 807 = 46.68 with
+    the ``candidates`` dispatch frame, 3 589 203 = 78.85 before the
+    budget)."""
     print()
     print(budget.table())
     assert budget.hops == 45519  # the scenario itself has not moved
     assert budget.calls_per_hop <= MEASURED_CALLS_PER_HOP * 1.05
+
+
+def test_paper_point_calls_per_hop_within_budget(paper_budget):
+    """One 8x8 router, 90 % load, biased priority, ``per_output``
+    candidates, greedy arbitration, 3 000 cycles, seed 11: 934 760 calls
+    for 18 009 flit hops = 51.91 per hop (was 1 624 531 = 90.21 with
+    namedtuple offers and grants: ``candidates`` 41.86 and ``schedule``
+    13.76 per hop, now 14.46 and 1.70).  Calls cover the warm-up too, so
+    the figure reads higher than the same run's steady state."""
+    print()
+    print(paper_budget.table())
+    assert paper_budget.hops == 18009  # the scenario itself has not moved
+    assert paper_budget.calls_per_hop <= MEASURED_PAPER_CALLS_PER_HOP * 1.05
+
+
+@pytest.mark.parametrize("scenario", ["budget", "paper_budget"])
+def test_schedule_layer_within_budget(scenario, request):
+    measured = request.getfixturevalue(scenario)
+    assert measured.layers["schedule"] / measured.hops <= SCHEDULE_CALLS_PER_HOP
+
+
+@pytest.mark.parametrize("scenario", ["budget", "paper_budget"])
+def test_offers_are_plain_tuples(scenario, request):
+    """No key function orders an offer and no namedtuple wraps one: a
+    namedtuple's generated ``__new__`` is a lambda compiled from a
+    string."""
+    measured = request.getfixturevalue(scenario)
+    assert measured.calls("sort_key") == 0
+    assert measured.calls("_winner_sort_key") == 0
+    assert measured.calls("<lambda>", "<string>") == 0
 
 
 def test_candidates_is_the_scan(budget):

@@ -13,7 +13,7 @@ from repro.core.flit import Flit, FlitType
 from repro.core.flow_control import CreditError, LinkFlowControl
 from repro.core.priority import BiasedPriority
 from repro.core.router import Router
-from repro.core.switch_scheduler import Grant, GreedyPriorityScheduler, SwitchScheduler
+from repro.core.switch_scheduler import GreedyPriorityScheduler, SwitchScheduler
 from repro.harness.network_experiment import (
     NetworkExperiment,
     NetworkExperimentSpec,
@@ -221,7 +221,7 @@ class _GrantEmptyVc(SwitchScheduler):
     """Grants input 0 / VC 0 whether or not anything is buffered there."""
 
     def schedule(self, candidate_lists, cycle):
-        return [Grant(0, 0, 1)]
+        return [(0, 0, 1)]
 
 
 def single_router(switch_scheduler=None, **kwargs):
@@ -297,10 +297,30 @@ class TestInlineGuards:
     def test_checked_mode_still_validates_grants(self):
         class _DoubleGrant(SwitchScheduler):
             def schedule(self, candidate_lists, cycle):
-                return [Grant(0, 0, 1), Grant(0, 1, 2)]
+                return [(0, 0, 1), (0, 1, 2)]
 
         router, sim = single_router(_DoubleGrant(), checked=True)
         vc_index = router.open_connection(1, 0, 1, BandwidthRequest(1))
         assert router.inject(0, vc_index, Flit(FlitType.DATA, 1))
         with pytest.raises(ValueError, match="input port 0 granted twice"):
             sim.run(1)
+
+    def test_checked_mode_catches_a_grant_nobody_offered(self):
+        """VC 0 of input 0 offers output 1; the rogue grant names VC 1.
+        Checked mode refuses it before anything moves; unchecked, the
+        transmit guard is what fires."""
+
+        class _RogueGrant(SwitchScheduler):
+            def schedule(self, offer_lists, cycle):
+                return [(0, 1, 1)]
+
+        for checked, error, message in (
+            (True, ValueError, r"grant \(0, 1, 1\) matches no offer"),
+            (False, RuntimeError, "VC 0.1 empty"),
+        ):
+            router, sim = single_router(_RogueGrant(), checked=checked)
+            vc_index = router.open_connection(1, 0, 1, BandwidthRequest(1))
+            assert router.inject(0, vc_index, Flit(FlitType.DATA, 1))
+            with pytest.raises(error, match=message):
+                sim.run(1)
+            assert router.input_ports[0].vcs[vc_index].occupancy == 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import RouterConfig
 from repro.core.flit import Flit, FlitType
-from repro.core.link_scheduler import VBR_EXCESS_OFFSET, Candidate, LinkScheduler
+from repro.core.link_scheduler import VBR_EXCESS_OFFSET, LinkScheduler
 from repro.core.priority import BiasedPriority, StaticConnectionPriority
 from repro.core.status_vectors import StatusBank
 from repro.core.virtual_channel import ServiceClass, VirtualChannel
@@ -71,8 +71,8 @@ class TestCandidateSelection:
         activate(vcs, status, 2, output_port=1)
         activate(vcs, status, 5, output_port=3)
         offered = scheduler.candidates(now=5)
-        assert {c.vc_index for c in offered} == {2, 5}
-        assert all(c.input_port == 0 for c in offered)
+        assert {vc_index for _, _, vc_index, _ in offered} == {2, 5}
+        assert all(input_port == 0 for _, input_port, _, _ in offered)
 
     def test_respects_candidate_limit(self):
         scheduler, vcs, status = build(candidates=2)
@@ -104,7 +104,7 @@ class TestCandidateSelection:
         activate(vcs, status, 0, output_port=0, created=5)   # young
         activate(vcs, status, 1, output_port=1, created=0)   # old -> higher
         offered = scheduler.candidates(now=10)
-        assert [c.vc_index for c in offered] == [1, 0]
+        assert [vc_index for _, _, vc_index, _ in offered] == [1, 0]
 
     def test_per_output_dedupes_outputs(self):
         scheduler, vcs, status = build(selection="per_output", candidates=8)
@@ -112,9 +112,9 @@ class TestCandidateSelection:
         activate(vcs, status, 1, output_port=2, created=0)  # older, wins slot
         activate(vcs, status, 2, output_port=3, created=3)
         offered = scheduler.candidates(now=10)
-        assert {c.output_port for c in offered} == {2, 3}
-        port2 = next(c for c in offered if c.output_port == 2)
-        assert port2.vc_index == 1
+        assert {output_port for _, _, _, output_port in offered} == {2, 3}
+        port2 = next(c for c in offered if c[3] == 2)
+        assert port2[2] == 1
 
     def test_random_selection_needs_rng(self):
         config = RouterConfig(num_ports=4, vcs_per_port=4)
@@ -147,7 +147,7 @@ class TestCandidateSelection:
         for t in range(8):
             offered = scheduler.candidates(now=t + 1)
             assert len(offered) == 1
-            seen.add(offered[0].vc_index)
+            seen.add(offered[0][2])
         assert seen == {0, 1, 2, 3}
 
     def test_counters(self):
@@ -167,13 +167,13 @@ class TestCandidateSelection:
         activate(vcs, status, 0, output_port=0, created=0)
         for t in range(3):
             offered = scheduler.candidates(now=t + 1)
-            assert [c.vc_index for c in offered] == [0]
+            assert [vc_index for _, _, vc_index, _ in offered] == [0]
         # Burst: VCs 0..3 all eligible.  A fair scan resumes past the VC
         # serviced during the quiet spell instead of re-favouring VC 0.
         for i in range(1, 4):
             activate(vcs, status, i, output_port=0, created=0)
         offered = scheduler.candidates(now=10)
-        assert [c.vc_index for c in offered] == [1]
+        assert [vc_index for _, _, vc_index, _ in offered] == [1]
 
     def test_rotating_full_pool_scan_keeps_cycling(self):
         """A scan that takes the whole pool wraps the full circle; the
@@ -182,12 +182,33 @@ class TestCandidateSelection:
         for i in range(4):
             activate(vcs, status, i, output_port=0, created=0)
         offered = scheduler.candidates(now=1)  # pool of 4 fits limit 8
-        assert {c.vc_index for c in offered} == {0, 1, 2, 3}
+        assert {vc_index for _, _, vc_index, _ in offered} == {0, 1, 2, 3}
         # Pointer wrapped past VC 3 back to 0; a limit-2 scan starts there.
         offered = scheduler.candidates(now=2, limit=2)
-        assert {c.vc_index for c in offered} == {0, 1}
+        assert {vc_index for _, _, vc_index, _ in offered} == {0, 1}
         offered = scheduler.candidates(now=3, limit=2)
-        assert {c.vc_index for c in offered} == {2, 3}
+        assert {vc_index for _, _, vc_index, _ in offered} == {2, 3}
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    @pytest.mark.parametrize(
+        "selection", ["per_output", "priority", "random", "rotating"]
+    )
+    def test_non_positive_limit_is_refused(self, selection, limit):
+        """An explicit limit below 1 used to raise ``IndexError``
+        (rotating), return an offer over the limit (priority, one VC) or
+        return ``[]`` while counting a scan (per_output, random)."""
+        scheduler, vcs, status = build(selection=selection)
+        activate(vcs, status, 0, output_port=1)
+        activate(vcs, status, 3, output_port=2)
+        with pytest.raises(ValueError, match="limit must be positive"):
+            scheduler.candidates(now=1, limit=limit)
+        status.vector("flits_available").clear(3)  # one eligible VC
+        with pytest.raises(ValueError, match="limit must be positive"):
+            scheduler.candidates(now=1, limit=limit)
+        assert scheduler.cycles_with_candidates == 0
+        assert scheduler.candidates_offered == scheduler.eligible_vcs_total == 0
+        assert scheduler._scan_pointer == 0
+        assert len(scheduler.candidates(now=1, limit=1)) == 1
 
 
 class TestRoundBudgets:
@@ -228,13 +249,13 @@ class TestRoundBudgets:
         )
         vc.permanent_cycles = 1
         vc.peak_cycles = 3
-        in_contract = scheduler.candidates(now=1)[0]
+        in_contract = -scheduler.candidates(now=1)[0][0]
         scheduler.on_flit_serviced(vc)
-        excess = scheduler.candidates(now=2)[0]
+        excess = -scheduler.candidates(now=2)[0][0]
         # Excess tier priority is pushed below in-contract data.
-        assert excess.priority < in_contract.priority
+        assert excess < in_contract
         # Offset + dominated connection priority + the scheme's own value.
-        assert excess.priority == pytest.approx(VBR_EXCESS_OFFSET + 0.5e6 + 0.5)
+        assert excess == pytest.approx(VBR_EXCESS_OFFSET + 0.5e6 + 0.5)
 
     def test_vbr_capped_at_peak(self):
         scheduler, vcs, status = build()
@@ -263,7 +284,7 @@ class TestRoundBudgets:
             vc.peak_cycles = 5
             scheduler.on_flit_serviced(vc)  # consume the permanent cycle
         offered = scheduler.candidates(now=3)
-        assert [c.vc_index for c in offered] == [1, 0]
+        assert [vc_index for _, _, vc_index, _ in offered] == [1, 0]
 
 
 class TestVbrRoundAccounting:
@@ -297,7 +318,7 @@ class TestVbrRoundAccounting:
         scheduler.on_flit_serviced(vc)
         scheduler.on_flit_serviced(vc)  # 2 of 3 permanent cycles
         offered = scheduler.candidates(now=1)
-        assert offered and offered[0].priority == pytest.approx(0.5)
+        assert offered and -offered[0][0] == pytest.approx(0.5)
         assert not status.vector("vbr_bandwidth_serviced").test(0)
         scheduler.on_round_boundary()
         # Reset arrives via the connection_active sweep (no serviced bit).
@@ -315,13 +336,13 @@ class TestVbrRoundAccounting:
         )
         vc = self._vbr(scheduler, vcs, status, 0, permanent=1, peak=4)
         scheduler.on_flit_serviced(vc)  # permanent consumed -> excess tier
-        excess = scheduler.candidates(now=1)[0]
-        assert excess.priority == pytest.approx(expected_offset + 0.5)
+        excess = -scheduler.candidates(now=1)[0][0]
+        assert excess == pytest.approx(expected_offset + 0.5)
         assert not status.vector("vbr_bandwidth_serviced").test(0)
         scheduler.on_round_boundary()
         assert vc.serviced_this_round == 0
-        back = scheduler.candidates(now=2)[0]
-        assert back.priority == pytest.approx(0.5)  # in-contract again
+        back = -scheduler.candidates(now=2)[0][0]
+        assert back == pytest.approx(0.5)  # in-contract again
 
     @pytest.mark.parametrize("discipline", ["priority", "shared"])
     def test_peak_capped_vc_regains_service_after_boundary(self, discipline):
@@ -339,7 +360,7 @@ class TestVbrRoundAccounting:
         assert vc.serviced_this_round == 0
         assert not status.vector("vbr_bandwidth_serviced").test(0)
         offered = scheduler.candidates(now=2)
-        assert offered and offered[0].priority == pytest.approx(0.5)
+        assert offered and -offered[0][0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("discipline", ["priority", "shared"])
     def test_mixed_population_round_boundary(self, discipline):
@@ -372,27 +393,30 @@ class TestVbrRoundAccounting:
         scheduler.on_flit_serviced(cbr)
         assert status.vector("vbr_bandwidth_serviced").test(2)
         assert status.vector("cbr_bandwidth_serviced").test(3)
-        offered = {c.vc_index for c in scheduler.candidates(now=1)}
+        offered = {c[2] for c in scheduler.candidates(now=1)}
         assert offered == {0, 1}  # capped VBR and capped CBR gated off
         scheduler.on_round_boundary()
         for vc in (permanent_only, in_excess, capped, cbr):
             assert vc.serviced_this_round == 0
         assert not status.vector("vbr_bandwidth_serviced").any()
         assert not status.vector("cbr_bandwidth_serviced").any()
-        offered = {c.vc_index for c in scheduler.candidates(now=2)}
+        offered = {c[2] for c in scheduler.candidates(now=2)}
         assert offered == {0, 1, 2, 3}
 
 
 class TestCandidateDataclass:
+    """An offer is (-priority, input_port, vc_index, output_port): its
+    natural order is the arbitration order."""
+
     def test_sort_key_descending_priority(self):
-        a = Candidate(2.0, 0, 1, 0)
-        b = Candidate(1.0, 0, 2, 0)
-        assert sorted([b, a], key=Candidate.sort_key)[0] is a
+        a = (-2.0, 0, 1, 0)
+        b = (-1.0, 0, 2, 0)
+        assert sorted([b, a])[0] is a
 
     def test_sort_key_tie_break_by_vc(self):
-        a = Candidate(1.0, 0, 5, 0)
-        b = Candidate(1.0, 0, 2, 0)
-        assert sorted([a, b], key=Candidate.sort_key)[0] is b
+        a = (-1.0, 0, 5, 0)
+        b = (-1.0, 0, 2, 0)
+        assert sorted([a, b])[0] is b
 
 
 class TestUnroutedPackets:
@@ -412,4 +436,4 @@ class TestUnroutedPackets:
         status.vector("routed").set(0)
         offered = scheduler.candidates(now=6)
         assert len(offered) == 1
-        assert offered[0].output_port == 2
+        assert offered[0][3] == 2

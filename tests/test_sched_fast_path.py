@@ -91,7 +91,6 @@ def assert_modes_identical(scheduler, now):
     """
     saved = (
         scheduler.selection,
-        scheduler._per_output_fast,
         scheduler._scan_pointer,
         scheduler.rng,
         scheduler.candidates_offered,
@@ -101,11 +100,10 @@ def assert_modes_identical(scheduler, now):
     try:
         for mode in SELECTION_MODES:
             scheduler.selection = mode
-            scheduler._per_output_fast = mode == "per_output"
-            scheduler._scan_pointer = saved[2]
+            scheduler._scan_pointer = saved[1]
             scheduler.rng = SeededRng(2024, f"probe-{mode}")
             fast = scheduler.candidates(now)
-            scheduler._scan_pointer = saved[2]
+            scheduler._scan_pointer = saved[1]
             scheduler.rng = SeededRng(2024, f"probe-{mode}")
             reference = reference_candidates(scheduler, now)
             assert fast == reference, (
@@ -115,7 +113,6 @@ def assert_modes_identical(scheduler, now):
     finally:
         (
             scheduler.selection,
-            scheduler._per_output_fast,
             scheduler._scan_pointer,
             scheduler.rng,
             scheduler.candidates_offered,
