@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoint format (schema ``ckpt/7``).
+"""Versioned on-disk checkpoint format (schema :data:`CKPT_SCHEMA`).
 
 A checkpoint file is::
 
@@ -50,6 +50,11 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/8``: the event queue is per-cycle lanes of ``Event`` objects
+#: (no priority or sequence slot; ``queued`` instead) that a CBR source
+#: re-files, and ``ConnectionStats`` / ``StatsRegistry`` carry pending
+#: sample lists — so a ``ckpt/7`` file would restore a heap nothing
+#: drains and statistics objects missing their slots.
 #: ``ckpt/7``: offers and grants are plain tuples — ``Router`` lost its
 #: shared empty offer lists and ``LinkScheduler`` its two selection-mode
 #: flags, so a ``ckpt/6`` file would restore attributes nothing reads.
@@ -72,7 +77,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/7"
+CKPT_SCHEMA = "ckpt/8"
 
 
 class CheckpointError(RuntimeError):
@@ -178,7 +183,7 @@ class CheckpointHeader:
 
 
 class CheckpointCodec:
-    """Reads and writes ``ckpt/7`` checkpoint files."""
+    """Reads and writes :data:`CKPT_SCHEMA` checkpoint files."""
 
     schema = CKPT_SCHEMA
 

@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .ckpt.codec import CheckpointCodec, CheckpointError
+from .ckpt.codec import CKPT_SCHEMA, CheckpointCodec, CheckpointError
 from .core.config import RouterConfig
 from .harness.churn import ChurnSpec, run_churn_experiment
 from .harness.figures import main as figures_main
@@ -1215,7 +1215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     inspect_parser = ckpt_sub.add_parser(
         "inspect",
         help="dump a checkpoint's header and component sizes",
-        description="Print a ckpt/7 checkpoint's header without unpickling "
+        description=f"Print a {CKPT_SCHEMA} checkpoint's header without unpickling "
         "it.  Component sizes are the bytes each component added to the "
         "payload, in dump order, and sum to the payload size.  Size follows "
         "the VCs in use: an idle VC costs ~15 bytes, so an 8x256-VC router "

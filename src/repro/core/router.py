@@ -143,12 +143,7 @@ class Router:
         #: emission guards on ``recorder.enabled`` so the default
         #: NULL_RECORDER costs one attribute read per site.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        # Optional per-flit delay histogram (cycles), for tail metrics.
-        self.delay_histogram: Optional[Histogram] = (
-            Histogram(0.0, 4096.0, delay_histogram_bins)
-            if delay_histogram_bins
-            else None
-        )
+        self._delay_histogram_bins = delay_histogram_bins
 
         self.input_ports = [InputPort(p, config) for p in range(config.num_ports)]
         self.output_flow = [
@@ -191,7 +186,7 @@ class Router:
         )
         self.rau = RoutingArbitrationUnit(config.num_ports)
         self.admission = AdmissionController(config)
-        self.stats = StatsRegistry()
+        self._reset_sink_statistics()
         self.connection_stats: Dict[int, ConnectionStats] = {}
         self.output_handlers: List[Optional[OutputHandler]] = [None] * config.num_ports
         self.credit_return_handlers: List[Optional[CreditReturnHandler]] = (
@@ -736,6 +731,8 @@ class Router:
                 recorder.sample_round(self, cycle)
             for scheduler in self.link_schedulers:
                 scheduler.on_round_boundary()
+            if self._switch_delays:
+                self.fold_statistics()
             tracer = self.tracer
             if tracer.enabled:
                 tracer.record(cycle, "round", "round boundary")
@@ -766,6 +763,8 @@ class Router:
         # shorter than a round and contain no boundary at all.
         first = start + (round_length - 1 - start % round_length)
         if first < start + count:
+            if self._switch_delays:
+                self.fold_statistics()
             recorder = self.recorder
             for cycle in range(first, start + count, round_length):
                 if recorder.enabled:
@@ -818,12 +817,14 @@ class Router:
     ) -> None:
         """Send ``flit`` through ``output_port``.
 
-        The statistics rule (DESIGN.md §7h): delay and jitter samples are
-        folded only where a flit leaves through an output with no
-        downstream VC — the single-router sink, a host port in a network.
-        A transit hop bumps ``output_flits`` and nothing else (a live
-        tracer or recorder still sees every hop); network results are
-        read at ``NetworkInterface.end_to_end``.
+        The statistics rule (DESIGN.md §7h): delay samples are recorded
+        only where a flit leaves through an output with no downstream VC —
+        the single-router sink, a host port in a network — and there as
+        two appends (the connection's pending list and ``switch_delay``'s),
+        folded once per round by :meth:`fold_statistics`.  A transit hop
+        bumps ``output_flits`` and nothing else (a live tracer or recorder
+        still sees every hop); network results are read at
+        ``NetworkInterface.end_to_end``.
         """
         flit.depart_time = depart_time
         delay = depart_time - flit.created
@@ -854,10 +855,8 @@ class Router:
                 # its entry is made where it turns out to leave.
                 stats = self.connection_stats[flit.connection_id] = ConnectionStats()
             if stats is not None:
-                stats.record_flit(delay)
-            self.stats.observe("switch_delay", delay)
-            if self.delay_histogram is not None:
-                self.delay_histogram.add(delay)
+                stats.pending.append(delay)
+            self._switch_delays.append(delay)
         handler = self.output_handlers[output_port]
         if handler is not None:
             handler(flit, output_vc)
@@ -883,6 +882,42 @@ class Router:
 
     # ----- reporting --------------------------------------------------------
 
+    def _reset_sink_statistics(self) -> None:
+        self.stats = StatsRegistry()
+        # Optional per-flit delay histogram (cycles), for tail metrics.
+        self._delay_histogram: Optional[Histogram] = (
+            Histogram(0.0, 4096.0, self._delay_histogram_bins)
+            if self._delay_histogram_bins
+            else None
+        )
+        self._switch_delays = self.stats.defer("switch_delay", self._delay_histogram)
+
+    @property
+    def delay_histogram(self) -> Optional[Histogram]:
+        """Per-flit delay histogram (cycles), or None when not enabled."""
+        self.stats.fold()
+        return self._delay_histogram
+
+    def fold_statistics(self) -> None:
+        """Fold the delay samples :meth:`_deliver` appended into
+        ``switch_delay``, the histogram and each connection's statistics.
+
+        Runs at every round boundary, so at most one round of samples
+        waits; reads fold on their own, and pickling folds first, so a
+        checkpoint carries no pending sample.  Bit-identical to folding
+        each flit as it leaves (:mod:`repro.sim.stats`).
+        """
+        self.stats.fold()
+        for stats in self.connection_stats.values():
+            if stats.pending:
+                stats.fold()
+
+    def __getstate__(self) -> dict:
+        # Fold before any attribute is written: the pending list is shared
+        # with the registry, and the fold writes the series and histogram.
+        self.fold_statistics()
+        return self.__dict__
+
     def reset_statistics(self) -> None:
         """Discard warm-up statistics; connection bindings are untouched.
 
@@ -890,16 +925,10 @@ class Router:
         harnesses call this at the end of the warm-up window.
         """
         self.catch_up()
-        self.stats = StatsRegistry()
+        self._reset_sink_statistics()
         self.output_flits = [0] * self.config.num_ports
         for connection_id in list(self.connection_stats):
             self.connection_stats[connection_id] = ConnectionStats()
-        if self.delay_histogram is not None:
-            self.delay_histogram = Histogram(
-                self.delay_histogram.low,
-                self.delay_histogram.high,
-                self.delay_histogram.bins,
-            )
         self.crossbar.reconfigurations = 0
         self.crossbar.flits_switched = 0
         for scheduler in self.link_schedulers:

@@ -23,7 +23,7 @@ control plane does under churn:
 
 Everything in the workload is picklable (bound-method events, no
 closures), so long churn runs checkpoint and resume through the
-``ckpt/5`` codec exactly like the other experiment classes.
+checkpoint codec exactly like the other experiment classes.
 """
 
 from __future__ import annotations
@@ -597,10 +597,14 @@ class ChurnWorkload:
         if entry is not None and entry.policer is not None:
             self.policer_conforming += entry.policer.conforming
             self.policer_violations += entry.policer.violations
+        stats = self.end_to_end.get(-session.session_id)
+        if stats is not None:
+            # Every flit was delivered before the teardown started: fold
+            # the session's last samples rather than hold them to the end.
+            stats.fold()
         slo = self.slo
         if slo is not None:
             now = self.sim.now
-            stats = self.end_to_end.get(-session.session_id)
             if stats is not None and stats.jitter.count:
                 slo.observe(
                     "jitter",
@@ -851,7 +855,8 @@ class ChurnWorkload:
     # ----- checkpoint / resume ------------------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete workload state to ``path`` (``ckpt/5``)."""
+        """Write the complete workload state to ``path`` (schema
+        :data:`~repro.ckpt.codec.CKPT_SCHEMA`)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

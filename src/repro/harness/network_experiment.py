@@ -354,7 +354,8 @@ class NetworkExperiment:
     # ----- checkpoint / resume ----------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete cluster state to ``path`` (``ckpt/5``)."""
+        """Write the complete cluster state to ``path`` (schema
+        :data:`~repro.ckpt.codec.CKPT_SCHEMA`)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

@@ -320,7 +320,8 @@ class SingleRouterExperiment:
     # ----- checkpoint / resume ----------------------------------------------
 
     def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete experiment state to ``path`` (``ckpt/5``)."""
+        """Write the complete experiment state to ``path`` (schema
+        :data:`~repro.ckpt.codec.CKPT_SCHEMA`)."""
         return CheckpointCodec.save(
             path,
             {"experiment": self},

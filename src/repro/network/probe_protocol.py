@@ -23,7 +23,7 @@ session-churn studies need the real token passing (this module).
 
 Every scheduled continuation is a bound method plus a plain payload —
 never a closure — so a simulation with probes, acks or teardowns in
-flight checkpoints through the ``ckpt/5`` codec like the rest of the
+flight checkpoints through the checkpoint codec like the rest of the
 component graph.  Completion callbacks ride on the session object itself;
 a caller that wants checkpointability passes a picklable callable (e.g. a
 bound method of a harness that is itself part of the checkpoint).

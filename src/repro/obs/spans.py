@@ -23,7 +23,7 @@ counted, never stored — ``end(DROPPED)`` is a no-op, so call sites need
 no extra guards.
 
 Everything is plain data (dataclass of ints/strings/dicts), so a
-simulation with open spans checkpoints through ``ckpt/5`` unchanged.
+simulation with open spans checkpoints through the codec unchanged.
 """
 
 from __future__ import annotations

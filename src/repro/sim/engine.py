@@ -5,6 +5,16 @@ kernel is cycle-driven: components register a ``tick`` that runs once per
 flit cycle.  Traffic arrivals and timers are sparse, so they are handled by
 an event queue drained at the start of each cycle.
 
+**Event order**: the queue (:mod:`repro.sim.events`) keeps one FIFO lane
+per due cycle, and ``_step`` drains the due lanes inline, oldest first,
+each in filing order — the ``(time, sequence)`` order of a binary heap,
+since appending in filing order *is* sequence order within a cycle.  The
+lane stays filed while it drains, so an event filed for the current cycle
+from event context is appended to it and fires in the same drain, after
+everything filed before it; ``schedule``/``schedule_at`` refuse the past,
+so no event can be filed ahead of the lane being drained.  Every action
+still runs through ``Event.fire``.
+
 The paper's scheduling hardware keeps its cost proportional to *actual
 activity* via status bit vectors (§4.1); the kernel does the same.  It
 keeps a registration-ordered **awake list** and steps only that list:
@@ -54,6 +64,7 @@ from __future__ import annotations
 
 import pickle
 from bisect import insort
+from heapq import heappop
 from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, List, Optional
@@ -213,11 +224,7 @@ class Simulator:
                 profiler.register(index, ticker.name)
 
     def schedule(
-        self,
-        delay: int,
-        action: Callable[..., None],
-        payload: Any = None,
-        priority: int = 0,
+        self, delay: int, action: Callable[..., None], payload: Any = None
     ) -> Event:
         """Schedule ``action`` to run ``delay`` cycles from now.
 
@@ -235,14 +242,10 @@ class Simulator:
                 "delay=0 from ticker context would silently slip to the "
                 "next cycle; schedule with delay=1 instead"
             )
-        return self.events.push(self.now + delay, action, payload, priority)
+        return self.events.push(self.now + delay, action, payload)
 
     def schedule_at(
-        self,
-        time: int,
-        action: Callable[..., None],
-        payload: Any = None,
-        priority: int = 0,
+        self, time: int, action: Callable[..., None], payload: Any = None
     ) -> Event:
         """Schedule ``action`` at absolute cycle ``time`` (>= now).
 
@@ -256,7 +259,7 @@ class Simulator:
                 "scheduling at the current cycle from ticker context would "
                 "silently slip to the next cycle; use now+1 instead"
             )
-        return self.events.push(time, action, payload, priority)
+        return self.events.push(time, action, payload)
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current cycle."""
@@ -274,15 +277,23 @@ class Simulator:
 
     def _step(self) -> None:
         profiler = self._profiler
-        pop_due = self.events.pop_due
         now = self.now
         fired = 0
-        while True:
-            event = pop_due(now)
-            if event is None:
-                break
-            event.fire()
-            fired += 1
+        events = self.events
+        times = events._times
+        lanes = events._lanes
+        while times and times[0] <= now:
+            # The lane stays filed while it drains: an event filed for
+            # ``time`` from event context is appended to it and fires in
+            # this pass (list iteration sees appends).
+            time = heappop(times)
+            for event in lanes[time]:
+                if event.queued:
+                    event.queued = False
+                    events._live -= 1
+                    event.fire()
+                    fired += 1
+            del lanes[time]
         if profiler is not None:
             if fired:
                 profiler.on_events(fired)

@@ -3,12 +3,22 @@
 The simulator runs for hundreds of thousands of cycles, so metrics are
 accumulated incrementally (Welford's algorithm for mean/variance, fixed-bin
 histograms for distributions) rather than by storing raw samples.
+
+Per-flit samples are not folded one at a time: the hot path appends them
+to a short pending list, and :meth:`RunningStats.extend` folds the list
+in arrival order with exactly :meth:`RunningStats.add`'s float operations
+per sample, so every statistic is bit-identical to folding each sample as
+it arrived.  A list, not an ``array``, keeps each sample's type (an
+integer delay stays an ``int`` in ``minimum``/``maximum``, as it did).
+Pending samples are folded on every read, before pickling and at bounded
+points (the owning router's round boundaries), so they never outgrow one
+round and a checkpoint holds none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -40,9 +50,33 @@ class RunningStats:
             self._max = value
 
     def extend(self, values: Iterable[float]) -> None:
-        """Fold many samples into the statistics."""
+        """Fold many samples into the statistics, in order.
+
+        The float operations per sample are exactly :meth:`add`'s, so the
+        result is bit-identical to adding the samples one at a time.
+        """
+        count = self.count
+        total = self._total
+        mean = self._mean
+        m2 = self._m2
+        low = self._min
+        high = self._max
         for value in values:
-            self.add(value)
+            count += 1
+            total += value
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self.count = count
+        self._total = total
+        self._mean = mean
+        self._m2 = m2
+        self._min = low
+        self._max = high
 
     def merge(self, other: "RunningStats") -> None:
         """Fold another accumulator into this one (parallel merge)."""
@@ -207,49 +241,132 @@ class TimeWeightedStats:
         return self._weighted_sum / self._duration if self._duration else 0.0
 
 
-@dataclass
 class ConnectionStats:
     """Per-connection delay and jitter accumulators.
 
-    Delay is the time between a flit becoming ready at the switch and the
-    flit leaving the switch.  Jitter follows the paper's definition: the
+    Delay is :meth:`Flit.switch_delay <repro.core.flit.Flit.switch_delay>`:
+    from the cycle the source created the flit (``created``) to the cycle
+    it leaves the switch, so time queued behind predecessors or held back
+    by flow control counts.  Jitter follows the paper's definition: the
     difference in the delays of successive flits on a connection, folded in
     as absolute values.  A router keeps an entry only for connections
     whose flits leave the network through it (``Router._deliver``); the
     end-to-end series live at ``NetworkInterface.end_to_end``.
+
+    Delays wait in :attr:`pending` until they are folded (module
+    docstring): on any read of ``delay``, ``jitter`` or ``flits``, before
+    pickling, at the owning router's round boundaries, and by
+    :meth:`record_flit` once :attr:`FOLD_EVERY` samples wait.
     """
 
-    delay: RunningStats = field(default_factory=RunningStats)
-    jitter: RunningStats = field(default_factory=RunningStats)
-    flits: int = 0
-    _last_delay: Optional[float] = None
+    #: Most samples :meth:`record_flit` leaves unfolded, for callers with
+    #: no round boundary to fold at (the network interfaces, churn).
+    FOLD_EVERY = 64
+
+    __slots__ = ("_delay", "_jitter", "_last_delay", "pending")
+
+    def __init__(self) -> None:
+        self._delay = RunningStats()
+        self._jitter = RunningStats()
+        self._last_delay: Optional[float] = None
+        #: Delays recorded since the last fold, in arrival order.
+        self.pending: List[float] = []
 
     def record_flit(self, delay_cycles: float) -> None:
-        """Record one delivered flit with the given switch delay."""
-        self.flits += 1
-        self.delay.add(delay_cycles)
-        if self._last_delay is not None:
-            self.jitter.add(abs(delay_cycles - self._last_delay))
-        self._last_delay = delay_cycles
+        """Record one delivered flit with the given delay."""
+        pending = self.pending
+        pending.append(delay_cycles)
+        if len(pending) >= self.FOLD_EVERY:
+            self.fold()
+
+    def fold(self) -> None:
+        """Fold the pending delays into ``delay`` and ``jitter``."""
+        pending = self.pending
+        if not pending:
+            return
+        last = self._last_delay
+        delays = pending if last is None else [last, *pending]
+        self._jitter.extend(map(abs, map(sub, delays[1:], delays)))
+        self._delay.extend(pending)
+        self._last_delay = pending[-1]
+        pending.clear()
+
+    @property
+    def delay(self) -> RunningStats:
+        """Delay per flit, in cycles."""
+        self.fold()
+        return self._delay
+
+    @property
+    def jitter(self) -> RunningStats:
+        """Absolute delay difference of successive flits, in cycles."""
+        self.fold()
+        return self._jitter
+
+    @property
+    def flits(self) -> int:
+        """Flits recorded."""
+        self.fold()
+        return self._delay.count
+
+    def __getstate__(self) -> tuple:
+        # Folded first, so the pending list is always empty: not stored.
+        self.fold()
+        return self._delay, self._jitter, self._last_delay
+
+    def __setstate__(self, state: tuple) -> None:
+        self._delay, self._jitter, self._last_delay = state
+        self.pending = []
 
 
 class StatsRegistry:
-    """A namespace of named accumulators, used as a router-wide scoreboard."""
+    """A namespace of named accumulators, used as a router-wide scoreboard.
+
+    A hot path may append to a *deferred* series' sample list instead of
+    calling :meth:`observe` per sample; every read folds the list in.
+    """
 
     def __init__(self) -> None:
         self.scalars: Dict[str, float] = {}
         self.series: Dict[str, RunningStats] = {}
+        #: name -> (samples not folded yet, histogram the fold also feeds).
+        self._deferred: Dict[str, Tuple[list, Optional[Histogram]]] = {}
 
     def counter(self, name: str, amount: float = 1.0) -> None:
         """Increment scalar counter ``name`` by ``amount``."""
         self.scalars[name] = self.scalars.get(name, 0.0) + amount
 
-    def observe(self, name: str, value: float) -> None:
-        """Fold a sample into the running series ``name``."""
+    def defer(self, name: str, histogram: Optional[Histogram] = None) -> list:
+        """The sample list of series ``name``, for a hot path to append to.
+
+        Reads of the registry (:meth:`get_series`, :meth:`snapshot`,
+        :meth:`observe`), :meth:`fold` and pickling fold the samples into
+        the series in arrival order — and into ``histogram`` when given.
+        """
+        samples: list = []
+        self._deferred[name] = (samples, histogram)
+        return samples
+
+    def fold(self) -> None:
+        """Fold every deferred sample into its series (and histogram)."""
+        for name, (samples, histogram) in self._deferred.items():
+            if samples:
+                self._series(name).extend(samples)
+                if histogram is not None:
+                    for value in samples:
+                        histogram.add(value)
+                samples.clear()
+
+    def _series(self, name: str) -> RunningStats:
         series = self.series.get(name)
         if series is None:
             series = self.series[name] = RunningStats()
-        series.add(value)
+        return series
+
+    def observe(self, name: str, value: float) -> None:
+        """Fold a sample into the running series ``name``."""
+        self.fold()
+        self._series(name).add(value)
 
     def get_counter(self, name: str) -> float:
         """Current value of a counter (0 when never incremented)."""
@@ -262,17 +379,21 @@ class StatsRegistry:
         samples observed afterwards are visible through it, and samples
         added through it are visible to every other reader.  (An unknown
         name used to return a detached empty accumulator that silently
-        swallowed any updates.)
+        swallowed any updates.)  Deferred samples are folded first; ones
+        appended later reach the handle at the next read of the registry.
         """
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = RunningStats()
-        return series
+        self.fold()
+        return self._series(name)
 
     def snapshot(self) -> Dict[str, float]:
         """Flat dict of counters and series means, for reporting."""
+        self.fold()
         out = dict(self.scalars)
         for name, stats in self.series.items():
             out[f"{name}.mean"] = stats.mean
             out[f"{name}.count"] = stats.count
         return out
+
+    def __getstate__(self) -> dict:
+        self.fold()
+        return self.__dict__

@@ -16,6 +16,7 @@ from ..core.config import RouterConfig
 from ..core.flit import Flit, FlitType
 from ..core.router import Router
 from ..sim.engine import Simulator
+from ..sim.events import Event
 
 
 class CbrSource:
@@ -57,6 +58,7 @@ class CbrSource:
         self._pending: Deque[Flit] = deque()
         self._retry_scheduled = False
         self._next_arrival = phase
+        self._arrival: Optional[Event] = None
         self.max_interface_queue = 0
         self.policer = policer
         # A token granted for a flit the router then refused stays "held"
@@ -72,19 +74,29 @@ class CbrSource:
         return False
 
     def start(self) -> None:
-        """Schedule the first arrival, ``phase`` cycles from now."""
+        """Schedule the first arrival, ``phase`` cycles from now.
+
+        The source owns that one event from then on: each arrival re-files
+        it one period ahead, so a steady stream allocates no event.
+        """
         self._next_arrival = self.sim.now + self.phase
-        self.sim.schedule_at(int(self._next_arrival), self._on_arrival)
+        self._arrival = self.sim.schedule_at(
+            int(self._next_arrival), self._on_arrival
+        )
 
     # ----- event handlers --------------------------------------------------
 
     def _on_arrival(self) -> None:
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
+        now = self.sim.now
+        if self.stop_time is not None and now >= self.stop_time:
+            # Not re-filed: drop the event, and with it the reference cycle
+            # source -> event -> bound method -> source.
+            self._arrival = None
             return
         flit = Flit(
             FlitType.DATA,
             connection_id=self.connection_id,
-            created=self.sim.now,
+            created=now,
             sequence=self.sequence,
         )
         self.sequence += 1
@@ -94,7 +106,7 @@ class CbrSource:
             # Common case: no backlog, so try the VC directly and skip the
             # interface queue round-trip.  The flit still "occupies" the
             # queue for the attempt, so the high-water mark is at least 1.
-            if self._policer_allows() and self.router.inject(
+            if (self.policer is None or self._policer_allows()) and self.router.inject(
                 self.input_port, self.vc_index, flit
             ):
                 self._token_held = False
@@ -112,10 +124,10 @@ class CbrSource:
                 self.max_interface_queue = len(pending)
             self._drain()
         self._next_arrival += self.interarrival
-        # Straight to the event queue: the next arrival is always in the
-        # future, so schedule_at's guards can never fire, and this runs
-        # once per generated flit.
-        self.sim.events.push(int(self._next_arrival), self._on_arrival)
+        # Straight to the event queue: the next arrival is never in the
+        # past, so schedule_at's guards can never fire, and this runs once
+        # per generated flit.
+        self.sim.events.refile(self._arrival, int(self._next_arrival))
 
     def _drain(self) -> None:
         """Push pending flits into the input VC until it refuses one."""

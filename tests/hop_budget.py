@@ -27,6 +27,15 @@ LAYER_ROOTS = (
     ("sources", "sim/events.py", ("fire",)),
 )
 OTHER = "kernel+report"
+#: (label, function name, file suffix) of the per-flit bookkeeping the
+#: budget keeps off the flit path: statistics fold in batches, arrivals
+#: re-file one event, and a heap entry is made per lane, not per event.
+BOOKKEEPING = (
+    ("RunningStats.add", "add", "sim/stats.py"),
+    ("RunningStats.extend", "extend", "sim/stats.py"),
+    ("Event()", "__init__", "sim/events.py"),
+    ("heappush", "heappush", ""),
+)
 
 
 def budget_spec() -> NetworkExperimentSpec:
@@ -159,6 +168,9 @@ class HopBudget:
             lines.append(f"{layer:<22}{calls / self.hops:>10.2f}")
         lines.append(f"{'total':<22}{self.calls_per_hop:>10.2f}")
         lines.append(f"({self.total_calls} calls, {self.hops} flit hops)")
+        lines.append("bookkeeping calls/hop (counted in the layers above)")
+        for label, name, suffix in BOOKKEEPING:
+            lines.append(f"  {label:<20}{self.calls(name, suffix) / self.hops:>10.2f}")
         return "\n".join(lines)
 
 

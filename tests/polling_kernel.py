@@ -8,12 +8,60 @@ indistinguishable from (same ticks, same idle cycles).  Test-side only.
 
 It carries the members a ``Router``, a ``Network``, a traffic source or a
 flight recorder reaches for on its simulator, so whole scenarios can be
-built on it (``TestKernelIdentity``); the event queue is the shipped
-``EventQueue`` — ticker dispatch is what this file specifies, not event
-order.
+built on it (``TestKernelIdentity``).  Its events go through
+:class:`HeapQueue`, a naive binary heap, not the shipped calendar queue:
+event order is part of what the two kernels are compared on.
 """
 
-from repro.sim.events import EventQueue
+import itertools
+from heapq import heappop, heappush
+
+from repro.sim.events import Event
+
+
+class HeapQueue:
+    """The event order ``EventQueue`` must reproduce: one heap entry per
+    filing, ordered by (time, filing number); an entry is live while it
+    is its event's latest filing and the event was not cancelled."""
+
+    def __init__(self):
+        self.heap = []
+        self.filings = itertools.count()
+        self.live = {}  # event -> filing number of its live entry
+        self.cancelled = set()
+
+    def __len__(self):
+        return len(self.live)
+
+    def push(self, time, action, payload=None):
+        event = Event(time, action, payload)
+        self.refile(event, time)
+        return event
+
+    def refile(self, event, time):
+        if event in self.live or event in self.cancelled:
+            raise ValueError(f"{event!r} is queued or cancelled")
+        event.time = time
+        self.live[event] = filing = next(self.filings)
+        heappush(self.heap, (time, filing, event))
+
+    def cancel(self, event):
+        if self.live.pop(event, None) is not None:
+            self.cancelled.add(event)
+
+    def peek_time(self):
+        heap = self.heap
+        while heap and self.live.get(heap[0][2]) != heap[0][1]:
+            heappop(heap)
+        return heap[0][0] if heap else None
+
+    def pop_due(self, now):
+        time = self.peek_time()
+        if time is None or time > now:
+            return None
+        event = heappop(self.heap)[2]
+        del self.live[event]
+        return event
 
 
 class PollingKernel:
@@ -23,7 +71,7 @@ class PollingKernel:
     def __init__(self):
         self.now = 0
         self.tickers = []  # (tick, gate or None, on_skip or None)
-        self.events = EventQueue()
+        self.events = HeapQueue()
         self._stopped = False
 
     def add_ticker(self, tick, activity=None, on_skip=None, name=None):
@@ -33,11 +81,11 @@ class PollingKernel:
         self.tickers.append((tick, gate, on_skip))
         return len(self.tickers) - 1
 
-    def schedule(self, delay, action, payload=None, priority=0):
-        return self.schedule_at(self.now + delay, action, payload, priority)
+    def schedule(self, delay, action, payload=None):
+        return self.schedule_at(self.now + delay, action, payload)
 
-    def schedule_at(self, time, action, payload=None, priority=0):
-        return self.events.push(time, action, payload, priority)
+    def schedule_at(self, time, action, payload=None):
+        return self.events.push(time, action, payload)
 
     def catch_up(self, ticker):
         """Nothing is ever deferred: every idle cycle was accounted as it

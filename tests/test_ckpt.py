@@ -1,4 +1,4 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/7`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/8`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
@@ -266,9 +266,11 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/6`` graph carries the shared empty offer lists of its
-        routers and the selection-mode flags of its link schedulers.  A
-        ``ckpt/5`` graph carries the fields that selected the deleted
+        """A ``ckpt/7`` graph keeps its events in a binary heap of tuples
+        and its statistics objects have no pending lists.  A ``ckpt/6``
+        graph carries the shared empty offer lists of its routers and the
+        selection-mode flags of its link schedulers.  A ``ckpt/5`` graph
+        carries the fields that selected the deleted
         engines on its simulator, tickers, routers, link schedulers and
         specs.  A ``ckpt/4`` graph predates the per-hop budget: its activity
         sets, link handlers and host outputs lack the slots the per-flit
@@ -276,11 +278,11 @@ class TestSchemaAndProvenanceChecks:
         stream of records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
         wake hooks (the arena held them, or nobody): resumed here its
         routers would sleep for ever.  A ``ckpt/1`` file also keeps
-        in-flight flits as heap events.  Refuse all six up front."""
+        in-flight flits as heap events.  Refuse all seven up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
         for previous in (
-            "ckpt/6", "ckpt/5", "ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1"
+            "ckpt/7", "ckpt/6", "ckpt/5", "ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1"
         ):
             self._rewrite_header(path, lambda r: r.update(schema=previous))
             for read in (CheckpointCodec.read_header, CheckpointCodec.load):

@@ -1,9 +1,12 @@
 """Tests for the event queue and the hybrid simulation engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
+
+from tests.polling_kernel import PollingKernel
 
 
 class TestEventQueue:
@@ -26,15 +29,6 @@ class TestEventQueue:
             q.pop().fire()
         assert order == [0, 1, 2, 3, 4]
 
-    def test_priority_breaks_ties(self):
-        q = EventQueue()
-        order = []
-        q.push(7, lambda: order.append("low"), priority=1)
-        q.push(7, lambda: order.append("high"), priority=0)
-        while q:
-            q.pop().fire()
-        assert order == ["high", "low"]
-
     def test_cancellation(self):
         q = EventQueue()
         fired = []
@@ -51,6 +45,34 @@ class TestEventQueue:
         q.cancel(e)
         q.cancel(e)
         assert len(q) == 1
+
+    def test_cancelling_a_fired_event_keeps_the_count(self):
+        q = EventQueue()
+        e = q.push(1, lambda: None)
+        q.push(2, lambda: None)
+        q.pop().fire()
+        q.cancel(e)
+        assert len(q) == 1
+        assert q
+        assert q.peek_time() == 2
+
+    def test_refile_reuses_the_event(self):
+        q = EventQueue()
+        e = q.push(1, lambda: None)
+        q.pop().fire()
+        q.refile(e, 4)
+        assert (len(q), q.peek_time()) == (1, 4)
+        assert q.pop() is e
+
+    def test_refile_refuses_a_queued_or_cancelled_event(self):
+        q = EventQueue()
+        e = q.push(1, lambda: None)
+        with pytest.raises(ValueError):
+            q.refile(e, 2)
+        q.cancel(e)
+        with pytest.raises(ValueError):
+            q.refile(e, 2)
+        assert len(q) == 0
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -161,3 +183,67 @@ class TestSimulator:
         sim.schedule(0, ping)
         sim.run(10)
         assert hits == [0, 2, 4]
+
+
+class _World:
+    """One kernel and the events filed on it, logging what fires when."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.fired = []  # (cycle, label), in firing order
+        self.events = []
+
+    def action(self, label, nested):
+        def fire():
+            self.fired.append((self.kernel.now, label))
+            if nested is not None:  # a same-cycle push from event context
+                self.events.append(
+                    self.kernel.events.push(self.kernel.now, self.action(nested, None))
+                )
+
+        return fire
+
+    def apply(self, op):
+        kind, number, delay = op
+        queue = self.kernel.events
+        now = self.kernel.now
+        if kind == "push":
+            nested = -number if number % 3 == 0 else None
+            self.events.append(queue.push(now + delay, self.action(number, nested)))
+        elif kind == "cancel" and self.events:
+            queue.cancel(self.events[number % len(self.events)])
+        elif kind == "refile" and self.events:
+            try:
+                queue.refile(self.events[number % len(self.events)], now + delay)
+            except ValueError:
+                return "refused"
+        elif kind == "step":
+            self.kernel.step()
+        elif kind == "run":
+            self.kernel.run(delay)
+        return None
+
+
+_OPS = st.tuples(
+    st.sampled_from(["push", "push", "cancel", "refile", "step", "run"]),
+    st.integers(0, 60),
+    st.integers(0, 4),
+)
+
+
+class TestCalendarQueueMatchesHeapSpec:
+    """``EventQueue`` drained by ``Simulator`` against ``HeapQueue`` drained
+    by the polling kernel: pushes, cancels, re-files and same-cycle pushes
+    from inside a firing event; after every operation the firing order,
+    ``len()`` and ``peek_time()`` agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_OPS, max_size=60))
+    def test_same_order_length_and_head(self, ops):
+        calendar, spec = _World(Simulator()), _World(PollingKernel())
+        for op in ops:
+            assert calendar.apply(op) == spec.apply(op)
+            assert calendar.fired == spec.fired
+            assert len(calendar.kernel.events) == len(spec.kernel.events)
+            assert calendar.kernel.events.peek_time() == spec.kernel.events.peek_time()
+            assert calendar.kernel.now == spec.kernel.now

@@ -14,17 +14,25 @@ from repro.harness.network_experiment import NetworkExperiment
 from repro.harness.single_router import SingleRouterExperiment
 from tests.hop_budget import HopBudget, budget_spec, paper_spec
 
-#: Calls per flit hop of :func:`budget_spec`.  45.53 while offers and
-#: grants were namedtuples ordered by key functions; 46.68 until
-#: ``candidates`` became the scan itself instead of dispatching to it (one
-#: frame per scan, 1.16 per hop); 78.85 before the budget was written
-#: (7436230).
-MEASURED_CALLS_PER_HOP = 33.84
-#: Calls per flit hop of :func:`paper_spec`: 90.21 with namedtuple offers
-#: and grants.
-MEASURED_PAPER_CALLS_PER_HOP = 51.91
+#: Calls per flit hop of :func:`budget_spec`.  33.84 while every source
+#: arrival was a heap event and every delivery folded its statistics at
+#: once; 45.53 while offers and grants were namedtuples ordered by key
+#: functions; 46.68 until ``candidates`` became the scan itself instead of
+#: dispatching to it (one frame per scan, 1.16 per hop); 78.85 before the
+#: budget was written (7436230).
+MEASURED_CALLS_PER_HOP = 31.02
+#: Calls per flit hop of :func:`paper_spec`: 51.91 with heap-event
+#: arrivals and per-flit statistics, 90.21 with namedtuple offers and
+#: grants.
+MEASURED_PAPER_CALLS_PER_HOP = 40.86
 #: What the switch scheduler may spend per hop on either scenario.
 SCHEDULE_CALLS_PER_HOP = 4.0
+#: The paper point's bookkeeping layers: ``_transmit`` + ``_deliver`` was
+#: 14.39 calls per hop while the sink folded two Welford updates, an
+#: ``abs`` and the ``switch_delay`` series per flit; sources were 9.60
+#: while each arrival pushed and popped a new heap event.
+PAPER_DELIVER_CALLS_PER_HOP = 8.5
+PAPER_SOURCES_CALLS_PER_HOP = 6.5
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +47,8 @@ def paper_budget():
 
 def test_calls_per_hop_within_budget(budget):
     """mesh4x4, XY routing, 60 % link load, 1 200 cycles, seed 11:
-    1 540 501 calls for 45 519 flit hops = 33.84 per hop (was 2 072 507 =
+    1 412 027 calls for 45 519 flit hops = 31.02 per hop (was 1 540 501 =
+    33.84 with heap-event arrivals and per-flit statistics, 2 072 507 =
     45.53 with namedtuple offers and grants — ``candidates`` 11.25 and
     ``schedule`` 9.46 per hop, now 6.13 and 2.15 — 2 124 807 = 46.68 with
     the ``candidates`` dispatch frame, 3 589 203 = 78.85 before the
@@ -52,8 +61,9 @@ def test_calls_per_hop_within_budget(budget):
 
 def test_paper_point_calls_per_hop_within_budget(paper_budget):
     """One 8x8 router, 90 % load, biased priority, ``per_output``
-    candidates, greedy arbitration, 3 000 cycles, seed 11: 934 760 calls
-    for 18 009 flit hops = 51.91 per hop (was 1 624 531 = 90.21 with
+    candidates, greedy arbitration, 3 000 cycles, seed 11: 735 926 calls
+    for 18 009 flit hops = 40.86 per hop (was 934 760 = 51.91 with
+    heap-event arrivals and per-flit statistics, 1 624 531 = 90.21 with
     namedtuple offers and grants: ``candidates`` 41.86 and ``schedule``
     13.76 per hop, now 14.46 and 1.70).  Calls cover the warm-up too, so
     the figure reads higher than the same run's steady state."""
@@ -86,12 +96,34 @@ def test_candidates_is_the_scan(budget):
     assert budget.calls("_candidates_fused") == 0
 
 
+def test_paper_point_bookkeeping_layers(paper_budget):
+    """The sink appends and the sources re-file: ``_transmit`` +
+    ``_deliver`` 8.47 calls per hop (was 14.39), sources 6.00 (was
+    9.60)."""
+    layers, hops = paper_budget.layers, paper_budget.hops
+    assert layers["_transmit+_deliver"] / hops <= PAPER_DELIVER_CALLS_PER_HOP
+    assert layers["sources"] / hops <= PAPER_SOURCES_CALLS_PER_HOP
+
+
 def test_transit_hops_fold_no_statistics(budget):
-    """``RunningStats.add``: delay + jitter at the interface and delay +
-    jitter + ``switch_delay`` at the last router, per delivered flit."""
-    adds = budget.calls("add", "sim/stats.py")
-    assert 0 < adds <= 5 * budget.host_deliveries
+    """No ``RunningStats.add`` during the run: the last router and the
+    interface append delays, which are folded in batches by
+    ``RunningStats.extend`` (it was delay + jitter at the interface and
+    delay + jitter + ``switch_delay`` at the last router, per delivered
+    flit)."""
+    assert budget.calls("add", "sim/stats.py") == 0
+    assert budget.calls("extend", "sim/stats.py") > 0
     assert budget.host_deliveries < budget.hops / 3  # most hops are transit
+
+
+def test_arrivals_refile_one_event(paper_budget):
+    """A CBR arrival re-files its source's own event: no ``Event`` is
+    built per flit, and ``heappush`` runs once per new lane, not per
+    arrival (3 003 lanes — about one per cycle — for 21 610 arrivals)."""
+    arrivals = paper_budget.calls("_on_arrival", "traffic/cbr.py")
+    assert paper_budget.calls("refile", caller="_on_arrival") == arrivals > 0
+    assert paper_budget.calls("__init__", "sim/events.py") < arrivals / 20
+    assert 0 < paper_budget.calls("heappush", caller="refile") < arrivals / 5
 
 
 def test_buffer_length_is_read_once_per_inject(budget):

@@ -4,8 +4,10 @@ type, that ``ready_time`` is restamped at every hop, and that a host
 consumer registered after construction is the one that is called."""
 
 import hashlib
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
@@ -26,6 +28,7 @@ from repro.network.network import Network
 from repro.network.topology import mesh
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
+from repro.sim.stats import Histogram, RunningStats
 
 
 def build_network(topology, **config):
@@ -215,6 +218,127 @@ class TestStatisticsRule:
             (4.0, 18),
         ]
         assert sum(router.output_flits) == 1922
+
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 90), st.sampled_from(["run", "read", "pickle", "reset"])
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 3),
+    )
+    def test_batched_statistics_match_streaming(self, steps, seed):
+        """Runs cut at random cycles — mid-round and across round
+        boundaries — with reads, pickle round trips and statistics resets
+        between them: every connection's delay and jitter, ``switch_delay``
+        and the histogram are bit-identical to folding each delivered flit
+        as it left (read off the sink with the flit's own delay)."""
+        experiment = SingleRouterExperiment(
+            ExperimentSpec(
+                target_load=0.7,
+                config=RouterConfig(
+                    num_ports=4, vcs_per_port=16, enforce_round_budgets=False
+                ),
+                candidates=4,
+                seed=seed,
+                delay_histogram_bins=4096,
+            )
+        )
+        sim, router, log = experiment.sim, experiment.router, _DelayLog()
+        router.output_handlers = [log] * len(router.output_handlers)
+        for cycles, how in steps:
+            sim.run(cycles)
+            if how == "read":
+                [s.jitter for s in router.connection_stats.values()]
+                router.stats.get_series("switch_delay")
+            elif how == "pickle":
+                sim, router, log = pickle.loads(pickle.dumps((sim, router, log)))
+                assert _pending(router) == len(router._switch_delays) == 0
+            elif how == "reset":
+                router.reset_statistics()
+                log.rows.clear()
+        switch_delay = RunningStats()
+        histogram = Histogram(0.0, 4096.0, 4096)
+        streams = {}
+        for cid, delay in log.rows:
+            switch_delay.add(delay)
+            histogram.add(delay)
+            delays, jitters, last = streams.setdefault(
+                cid, (RunningStats(), RunningStats(), [None])
+            )
+            delays.add(delay)
+            if last[0] is not None:
+                jitters.add(abs(delay - last[0]))
+            last[0] = delay
+        for cid, stats in router.connection_stats.items():
+            delays, jitters, _ = streams.get(cid, (RunningStats(), RunningStats(), 0))
+            assert _state(stats.delay) == _state(delays)
+            assert _state(stats.jitter) == _state(jitters)
+        assert _state(router.stats.get_series("switch_delay")) == _state(switch_delay)
+        assert router.delay_histogram.counts == histogram.counts
+
+    def test_pending_samples_stay_within_one_round(self):
+        """The paper's point: folded at every round boundary, so after ten
+        rounds nothing waits, and half a round later exactly that half
+        round's flits do."""
+        experiment = SingleRouterExperiment(
+            ExperimentSpec(target_load=0.9, warmup_cycles=0, seed=11)
+        )
+        router, sim = experiment.router, experiment.sim
+        length = router.config.round_length
+        sim.run(10 * length)
+        assert _pending(router) == 0
+        switched = router.stats.get_counter("flits_switched")
+        sim.run(length // 2)
+        pending = _pending(router)
+        assert len(router._switch_delays) == pending
+        assert 0 < pending == router.stats.get_counter("flits_switched") - switched
+        assert pending <= router.config.num_ports * length
+
+    def test_mid_round_checkpoint_holds_no_pending_sample(self, tmp_path):
+        spec = ExperimentSpec(
+            target_load=0.8, warmup_cycles=200, measure_cycles=1400, seed=3
+        )
+        experiment = SingleRouterExperiment(spec)
+        experiment.run_to(spec.warmup_cycles + 700)  # mid-round
+        assert _pending(experiment.router) > 0
+        experiment.checkpoint(tmp_path / "mid.ckpt")
+        assert _pending(experiment.router) == len(experiment.router._switch_delays) == 0
+        resumed = SingleRouterExperiment.resume(tmp_path / "mid.ckpt", expect_spec=spec)
+        assert _pending(resumed.router) == len(resumed.router._switch_delays) == 0
+        straight = SingleRouterExperiment(spec).result()
+        for run in (experiment.result(), resumed.result()):
+            assert (run.summary, run.per_connection, run.per_rate) == (
+                straight.summary,
+                straight.per_connection,
+                straight.per_rate,
+            )
+
+
+class _DelayLog:
+    """Sink output handler: (connection, delay) of every flit that left."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, flit, _output_vc):
+        self.rows.append((flit.connection_id, flit.depart_time - flit.created))
+
+
+def _pending(router):
+    """Delay samples a router holds unfolded, over its connections."""
+    return sum(len(stats.pending) for stats in router.connection_stats.values())
+
+
+def _state(stats):
+    """Every field of a ``RunningStats`` by ``repr``: bit-identical."""
+    return repr(
+        (stats.count, stats._total, stats._mean, stats._m2, stats._min, stats._max)
+    )
 
 
 class _GrantEmptyVc(SwitchScheduler):

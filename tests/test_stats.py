@@ -1,9 +1,10 @@
 """Tests for the streaming statistics accumulators."""
 
 import math
+import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.stats import (
     ConnectionStats,
@@ -254,6 +255,84 @@ class TestConnectionStats:
         assert c.jitter.count == len(expected)
         assert c.jitter.mean == pytest.approx(
             sum(expected) / len(expected), rel=1e-9, abs=1e-9
+        )
+
+
+def _state(stats):
+    """Every field of a ``RunningStats``, by ``repr``: bit-identical,
+    type included (an int minimum stays an int)."""
+    return repr(
+        (stats.count, stats._total, stats._mean, stats._m2, stats._min, stats._max)
+    )
+
+
+delay_streams = st.one_of(
+    st.lists(st.integers(0, 5000), max_size=80),
+    st.lists(st.floats(0, 1e5, allow_nan=False), max_size=80),
+)
+
+
+class TestFoldIdentity:
+    """Delays appended and folded in batches are bit-identical to folding
+    each one as it arrives, wherever the batches are cut."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        delay_streams,
+        st.lists(
+            st.tuples(st.integers(0, 80), st.sampled_from(["read", "fold", "pickle"])),
+            max_size=12,
+        ),
+    )
+    def test_connection_stats_match_streaming(self, delays, cuts):
+        splits = {}
+        for position, how in cuts:
+            splits.setdefault(position, []).append(how)
+        batched = ConnectionStats()
+        delay, jitter, last = RunningStats(), RunningStats(), None
+        for position, value in enumerate(delays):
+            for how in splits.get(position, ()):
+                if how == "read":
+                    batched.jitter
+                elif how == "fold":
+                    batched.fold()
+                else:
+                    batched = pickle.loads(pickle.dumps(batched))
+                    assert batched.pending == []
+            batched.record_flit(value)
+            delay.add(value)
+            if last is not None:
+                jitter.add(abs(value - last))
+            last = value
+        assert batched.flits == len(delays)
+        assert _state(batched.delay) == _state(delay)
+        assert _state(batched.jitter) == _state(jitter)
+
+    def test_record_flit_folds_at_the_bound(self):
+        stats = ConnectionStats()
+        for value in range(ConnectionStats.FOLD_EVERY - 1):
+            stats.record_flit(value)
+        assert len(stats.pending) == ConnectionStats.FOLD_EVERY - 1
+        stats.record_flit(0)
+        assert stats.pending == []
+
+    @given(st.lists(st.integers(0, 300), max_size=60), st.integers(0, 60))
+    def test_deferred_series_matches_observe(self, delays, cut):
+        streamed = StatsRegistry()
+        histogram = Histogram(0.0, 256.0, 64)
+        reference = Histogram(0.0, 256.0, 64)
+        batched = StatsRegistry()
+        samples = batched.defer("d", histogram)
+        for position, value in enumerate(delays):
+            if position == cut:
+                batched.get_series("d")
+            samples.append(value)
+            streamed.observe("d", value)
+            reference.add(value)
+        assert _state(batched.get_series("d")) == _state(streamed.get_series("d"))
+        assert (histogram.counts, histogram.overflow) == (
+            reference.counts,
+            reference.overflow,
         )
 
 
