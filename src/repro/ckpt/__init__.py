@@ -3,9 +3,8 @@
 The codec (:mod:`repro.ckpt.codec`) defines the versioned on-disk format;
 the experiment harnesses (``SingleRouterExperiment.checkpoint/resume``,
 ``NetworkExperiment.checkpoint/resume``) decide *what* goes in a
-checkpoint; :mod:`repro.ckpt.verify` proves restores are bit-identical
-(imported lazily by ``scripts/perf_gate.py`` — not re-exported here, to
-keep this package importable from inside the harness layer).
+checkpoint.  That a run resumed from the file equals one that never
+stopped is tier-1's ``tests/test_ckpt.py::TestMidpointResumeFromDisk``.
 """
 
 from .codec import (

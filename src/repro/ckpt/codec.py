@@ -21,9 +21,10 @@ queue holds flits that also sit in VC buffers; routers share the network's
 stats registry), and the pickler's memo, which survives from one record
 to the next, preserves that sharing.  Restoring (one unpickler, the same
 order) therefore rebuilds the exact object graph, which is what makes
-resumed runs bit-identical to straight-through runs (the perf gate proves
-this).  Separate records are what let ``sections`` be read off the stream
-offsets instead of pickling every component a second time.
+resumed runs bit-identical to straight-through runs
+(``tests/test_ckpt.py`` checks this).  Separate records are what let
+``sections`` be read off the stream offsets instead of pickling every
+component a second time.
 
 Loading verifies, in order: magic, header JSON, schema version, payload
 checksum, then — when the caller says what it expects — producer kind and

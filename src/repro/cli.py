@@ -469,10 +469,7 @@ def cmd_fabric_work(args: argparse.Namespace) -> int:
     from .fabric import FabricWorker
 
     fabric = _fabric_from_args(args)
-    worker = FabricWorker(
-        fabric,
-        kill_after_checkpoints=args.kill_after_checkpoints,
-    )
+    worker = FabricWorker(fabric)
     if args.until_complete:
         done = worker.drain_until_complete(timeout=args.timeout)
     else:
@@ -1092,10 +1089,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     work_parser.add_argument(
         "--max-points", type=int, default=None, metavar="N",
         help="stop after finishing N points",
-    )
-    work_parser.add_argument(
-        "--kill-after-checkpoints", type=int, default=None,
-        help=argparse.SUPPRESS,  # crash drill: SIGKILL self after N checkpoints
     )
     work_parser.set_defaults(func=cmd_fabric_work)
 

@@ -477,6 +477,10 @@ class FabricQueue:
     def _atomic_write_bytes(path: Path, blob: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

@@ -21,14 +21,14 @@ An entry file is::
                            payload sha256 + byte count, provenance
     <pickle blob>          {"result": ..., "manifest": ...}
 
-Writes are atomic (unique tmp beside the entry, then ``os.replace``), so
-a preempted worker never leaves a truncated entry where a reusable one
-could live.  Reads verify magic, header, key echo, payload length and
-sha256 before unpickling; every failure raises the typed
-:class:`StoreCorruptionError`.  :meth:`ResultStore.get` is the lenient
-worker-facing path: a corrupt entry is deleted, counted in
-``stats()["corrupt_dropped"]``, and reported as a miss — recomputed,
-never silently reused.
+Writes are atomic (unique tmp beside the entry, then ``os.replace``; a
+write that raises removes its tmp), so a preempted worker never leaves a
+truncated entry where a reusable one could live.  Reads verify magic,
+header, key echo, payload length and sha256 before unpickling; every
+failure raises the typed :class:`StoreCorruptionError`.
+:meth:`ResultStore.get` is the lenient worker-facing path: a corrupt
+entry is deleted, counted in ``stats()["corrupt_dropped"]``, and
+reported as a miss — recomputed, never silently reused.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import hashlib
 import json
 import os
 import pickle
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -166,13 +167,17 @@ class ResultStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         # Unique tmp name: concurrent workers on a shared directory must
         # not clobber each other's half-written staging files.
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{id(payload):x}")
-        with open(tmp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            handle.write(b"\n")
-            handle.write(payload)
-        os.replace(tmp, path)
+        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(MAGIC)
+                handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+                handle.write(b"\n")
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.writes += 1
         return path
 

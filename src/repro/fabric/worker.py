@@ -45,36 +45,20 @@ from .queue import Fabric, FabricError, FabricQueue, resolve_runner, runner_kind
 from .store import ResultStore
 
 
-class WorkerKilled(RuntimeError):
-    """Internal: the ``kill_after_checkpoints`` test hook fired."""
-
-
 class FabricWorker:
     """One worker process draining a fabric queue.
 
     ``worker_id`` defaults to ``host-pid-random`` so two workers on one
     machine (or a fleet across machines) never collide.
-
-    ``kill_after_checkpoints`` is a crash-drill hook: once the worker's
-    current point has written that many checkpoints, the worker SIGKILLs
-    its own process — no cleanup, no lease release, the honest model of
-    a preempted host.  CI's fabric smoke and the perf gate use it to
-    prove requeue + checkpoint-resume end to end.
     """
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        worker_id: Optional[str] = None,
-        kill_after_checkpoints: Optional[int] = None,
-    ) -> None:
+    def __init__(self, fabric: Fabric, worker_id: Optional[str] = None) -> None:
         self.fabric = fabric
         self.queue = FabricQueue(fabric.directory, lease_ttl=fabric.lease_ttl)
         self.store = ResultStore(fabric.store_root, revision=fabric.revision)
         self.worker_id = worker_id or (
             f"{os.uname().nodename}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         )
-        self.kill_after_checkpoints = kill_after_checkpoints
         self.recorder = FlightRecorder(capacity=64, telemetry_capacity=256)
         self.health = HealthWriter(
             Path(fabric.directory) / "health" / f"{self.worker_id}.jsonl"
@@ -119,29 +103,12 @@ class FabricWorker:
             if not self.queue.heartbeat(pid, self.worker_id):
                 return  # lost ownership; the compute result will be discarded
 
-    def _kill_watch_loop(self, ckpt_path: Path, stop: threading.Event) -> None:
-        """Crash drill: SIGKILL self once enough checkpoints exist."""
-        import signal
-
-        seen = 0
-        last_mtime = 0.0
-        while not stop.wait(0.05):
-            try:
-                mtime = ckpt_path.stat().st_mtime_ns
-            except OSError:
-                continue
-            if mtime != last_mtime:
-                last_mtime = mtime
-                seen += 1
-            if seen >= (self.kill_after_checkpoints or 1):
-                os.kill(os.getpid(), signal.SIGKILL)
-
     def process_point(self, pid: str, runner, checkpoint_every: int) -> Dict[str, Any]:
         """Run one claimed point to a published result marker.
 
         The caller holds the lease.  Returns the marker written.  Any
-        exception releases the lease (the point stays requeueable); the
-        SIGKILL drill never reaches the release, which is the point.
+        exception releases the lease (the point stays requeueable); a
+        SIGKILLed worker never reaches the release, and its lease expires.
         """
         key, spec = self.queue.load_point(pid)
         store_key = self.store.key_for(spec, repr(key))
@@ -165,18 +132,11 @@ class FabricWorker:
             target=self._heartbeat_loop, args=(pid, stop), daemon=True
         )
         beat.start()
-        killer = None
-        ckpt_path = self.queue.checkpoint_path(pid)
-        if self.kill_after_checkpoints is not None:
-            killer = threading.Thread(
-                target=self._kill_watch_loop, args=(ckpt_path, stop), daemon=True
-            )
-            killer.start()
         try:
             result, manifest = _run_point(
                 spec,
                 runner,
-                checkpoint_path=str(ckpt_path),
+                checkpoint_path=str(self.queue.checkpoint_path(pid)),
                 checkpoint_every=checkpoint_every,
                 resume=True,
             )

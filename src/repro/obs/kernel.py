@@ -9,8 +9,8 @@ it skipped, and how much wall time its ticks cost; plus the fast-forward
 spans the kernel elided and the events it fired.
 
 Profiling changes dispatch cost (each tick is bracketed by two clock
-reads), so the profiler is for diagnosis, not for the perf gate's timing
-runs — the gate measures with the profiler detached.
+reads), so the profiler is for diagnosis, not for timing runs — a
+disabled recorder detaches it.
 """
 
 from __future__ import annotations

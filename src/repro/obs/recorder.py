@@ -16,9 +16,10 @@ it).  It owns three stores, each with fixed memory:
 
 Every emission site is guarded by the ``enabled`` flag at the call site
 (``if recorder.enabled: ...``), so a disabled recorder costs one
-attribute read and branch — the perf gate holds that under 2% on the
-gated scenarios.  :data:`NULL_RECORDER` is the permanently disabled
-default routers hold when no recorder is wired in.
+attribute read and branch per site and makes no calls
+(``tests/test_hop_budget.py`` counts them).  :data:`NULL_RECORDER` is
+the permanently disabled default routers hold when no recorder is wired
+in.
 """
 
 from __future__ import annotations

@@ -221,8 +221,8 @@ def validate_chrome_trace(payload: Any) -> Dict[str, int]:
     """Check ``payload`` against the Chrome trace-event object format.
 
     Raises ``ValueError`` naming the first violation; returns per-phase
-    event counts on success.  This is the schema check the perf gate and
-    tests run over exported traces before calling them loadable.
+    event counts on success.  This is the schema check tests run over
+    exported traces before calling them loadable.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"trace must be a JSON object, got {type(payload).__name__}")
@@ -267,8 +267,8 @@ def lifecycle_by_flit(
 ) -> Dict[int, List[str]]:
     """Map each flit id to the ordered list of its lifecycle kind names.
 
-    The perf gate uses this to assert every delivered flit carries the
-    full inject → grant → deliver chain (or the cut-through equivalent).
+    Tests use this to assert every delivered flit carries the full
+    inject → grant → deliver chain (or the cut-through equivalent).
     """
     out: Dict[int, List[str]] = {}
     for kind, _time, _a, _b, _conn, flit_id in events:

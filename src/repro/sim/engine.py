@@ -460,8 +460,8 @@ class Simulator:
         positions, RNG substreams, buffer contents, scheduler round
         accounting — with shared references preserved.  Resuming the
         restored simulator replays the exact cycle-for-cycle execution
-        the original would have produced (the perf gate proves this
-        bit-identically on the gated scenarios).
+        the original would have produced (``tests/test_ckpt.py`` checks
+        this bit for bit).
 
         Only legal between cycles: snapshotting from inside a ticker
         would capture a half-stepped cycle that cannot be resumed

@@ -421,6 +421,34 @@ class TestChurnObservability:
         assert len(xs) == len(spans)
         assert {e["pid"] for e in xs} == {2}
 
+    def test_span_tracing_only_observes(self):
+        """The recorder may watch, never steer: with VBR renegotiation in
+        the mix, every workload metric is the same with it off and on."""
+        fields = (
+            "arrivals", "established", "blocked", "torn_down", "setup_p50",
+            "setup_p99", "setup_mean", "mean_delay_cycles",
+            "mean_jitter_cycles", "flits_delivered", "renegotiations_applied",
+            "renegotiations_refused", "teardown_retries", "links_searched",
+            "backtracks", "drained", "leak_free",
+        )
+        point = dict(
+            num_sessions=80,
+            num_nodes=8,
+            mean_interarrival_cycles=150.0,
+            mean_holding_cycles=4000.0,
+            vbr_fraction=0.4,
+            renegotiation_fraction=0.5,
+            seed=7,
+        )
+        off, on = (
+            run_churn_experiment(ChurnSpec(telemetry=telemetry, **point))
+            for telemetry in (False, True)
+        )
+        summary = [getattr(off, name) for name in fields]
+        assert summary == [getattr(on, name) for name in fields]
+        assert off.renegotiations_applied > 0 and off.drained and off.leak_free
+        assert on.recorder.spans.open_count == 0
+
     def test_streaming_stats_track_exact_lists(self):
         exact = run_churn_experiment(small_spec(exact_setup_stats=True))
         streaming = run_churn_experiment(small_spec())

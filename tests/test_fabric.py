@@ -4,6 +4,10 @@ store (corruption and staleness semantics), the lease-file work queue
 (dead-worker takeover with checkpoint resume, identical to serial)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -54,6 +58,10 @@ def tiny_fabric(tmp_path, **overrides):
     )
     base.update(overrides)
     return Fabric(**base)
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
 
 
 class TestResultStore:
@@ -124,6 +132,14 @@ class TestResultStore:
         assert not path.exists()  # dropped, so the next put replaces it
         store.put(key, "recomputed", None)
         assert store.get(key)[0] == "recomputed"
+
+    def test_failed_put_leaves_no_staging_file(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path, revision="rev-a")
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            store.put(store.key_for(tiny_spec(), "(3,)"), "payload", None)
+        assert not list(tmp_path.rglob("*.tmp-*"))
+        assert store.stats()["writes"] == 0
 
     def test_key_collision_detected(self, tmp_path):
         # An entry renamed to answer a different key must be rejected.
@@ -224,6 +240,13 @@ class TestFabricQueue:
         assert queue.try_claim(pid, "worker-b")
         assert not queue.heartbeat(pid, "worker-a")
 
+    def test_failed_write_leaves_no_staging_file(self, tmp_path, monkeypatch):
+        queue, _, manifest = self._submit(tmp_path)
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            queue.write_result(manifest["point_ids"][0], {"cached": False})
+        assert not list(tmp_path.rglob("*.tmp-*"))
+
     def test_status_counts(self, tmp_path):
         queue, _, manifest = self._submit(tmp_path)
         pid = manifest["point_ids"][0]
@@ -320,6 +343,53 @@ class TestFabricEndToEnd:
 
         result = collect_sweep(fabric, tuple(axes))
         assert result.rows(METRICS) == serial.rows(METRICS)
+
+    def test_sigkilled_worker_process_is_resumed_by_another(self, tmp_path):
+        """The same drill across processes: ``repro fabric work`` is
+        SIGKILLed from outside once its first checkpoint is on disk, as a
+        preempted host dies.  Its lease expires, a second worker breaks it
+        and resumes from that checkpoint, and the grid equals serial."""
+        import repro
+
+        axes = [SweepAxis("seed", (3, 4))]
+        spec = tiny_spec(measure_cycles=12_000)
+        fabric = tiny_fabric(
+            tmp_path, lease_ttl=2.0, heartbeat_every=0.5, checkpoint_every=2000
+        )
+        submit_sweep(
+            fabric, sweep_points(spec, axes), run_single_router_experiment,
+            axes=tuple(axes),
+        )
+        queue = FabricQueue(fabric.directory, lease_ttl=fabric.lease_ttl)
+        checkpoints = [queue.checkpoint_path(pid) for pid in queue.point_ids()]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        worker = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "fabric", "work",
+                str(fabric.directory), "--ttl", "2", "--heartbeat-every", "0.5",
+            ],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not any(path.exists() for path in checkpoints):
+                assert worker.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            worker.kill()
+            worker.wait(timeout=30)
+        assert worker.returncode == -signal.SIGKILL
+
+        FabricWorker(fabric).drain_until_complete(timeout=120)
+        assert queue.status()["lease_expiries_logged"] >= 1
+        resumed = [
+            queue.read_result(pid)["checkpoint"]["resumed_from_cycle"]
+            for pid in queue.point_ids()
+        ]
+        assert any(cycle and cycle > 0 for cycle in resumed)
+        rows = collect_sweep(fabric, tuple(axes)).rows(METRICS)
+        assert rows == run_sweep(spec, axes).rows(METRICS)
 
     def test_corrupt_entry_recomputed_not_reused(self, tmp_path):
         axes = [SweepAxis("seed", (3, 4))]

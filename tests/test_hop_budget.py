@@ -8,6 +8,8 @@ last hop, the scheduler layers at their busiest).  Run with ``-s`` to
 print the per-layer tables DESIGN.md quotes.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.network_experiment import NetworkExperiment
@@ -71,6 +73,27 @@ def test_paper_point_calls_per_hop_within_budget(paper_budget):
     print(paper_budget.table())
     assert paper_budget.hops == 18009  # the scenario itself has not moved
     assert paper_budget.calls_per_hop <= MEASURED_PAPER_CALLS_PER_HOP * 1.05
+
+
+@pytest.mark.parametrize(
+    "scenario, experiment, spec",
+    [
+        ("budget", NetworkExperiment, budget_spec),
+        ("paper_budget", SingleRouterExperiment, paper_spec),
+    ],
+    ids=["mesh4x4", "paper_point"],
+)
+def test_disabled_recorder_adds_no_calls(scenario, experiment, spec, request):
+    """A built but disabled flight recorder costs what none costs: every
+    emission site is an attribute read and a branch, not a call (31.0206
+    -> 31.0208 and 40.8643 -> 40.8648 calls per hop, the difference
+    being round boundaries that return early)."""
+    plain = request.getfixturevalue(scenario)
+    observed = experiment(replace(spec(), telemetry=True))
+    observed.recorder.set_enabled(False)
+    disabled = HopBudget(observed)
+    assert disabled.hops == plain.hops
+    assert disabled.calls_per_hop - plain.calls_per_hop <= 0.01
 
 
 @pytest.mark.parametrize("scenario", ["budget", "paper_budget"])
