@@ -1,6 +1,6 @@
 """Versioned on-disk checkpoint format (schema :data:`CKPT_SCHEMA`).
 
-A checkpoint file is::
+A checkpoint file is a :mod:`repro.frame` file::
 
     MMR-CKPT\\n            magic line
     {...}\\n               JSON header (one line)
@@ -26,24 +26,23 @@ resumed runs bit-identical to straight-through runs
 ``sections`` be read off the stream offsets instead of pickling every
 component a second time.
 
-Loading verifies, in order: magic, header JSON, schema version, payload
-checksum, then — when the caller says what it expects — producer kind and
-config digest.  Each failure raises a typed error naming both the found
-and the expected value.
+Loading verifies, in order: magic, header JSON, schema version, then —
+when the caller says what it expects — producer kind, config digest and
+spec digest, and only then the payload's length and checksum.  Each
+failure raises a typed error naming both the found and the expected
+value.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
 import os
 import pickle
-import uuid
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
+from ..frame import FrameError, FrameReader, write_frame
 from ..obs.manifest import build_manifest, config_digest
 
 #: First line of every checkpoint file.
@@ -139,48 +138,27 @@ class CheckpointHeader:
     #: Provenance (git revision, platform, timestamps — see build_manifest).
     manifest: Dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": self.schema,
-                "kind": self.kind,
-                "cycle": self.cycle,
-                "seed": self.seed,
-                "config_digest": self.config_digest,
-                "payload_sha256": self.payload_sha256,
-                "payload_bytes": self.payload_bytes,
-                "sections": self.sections,
-                "manifest": self.manifest,
-            },
-            sort_keys=True,
-        )
 
-    @classmethod
-    def from_json(cls, line: str) -> "CheckpointHeader":
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CheckpointFormatError(
-                f"checkpoint header is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(record, dict) or "schema" not in record:
-            raise CheckpointFormatError("checkpoint header lacks a schema tag")
-        try:
-            return cls(
-                schema=record["schema"],
-                kind=record.get("kind", "unknown"),
-                cycle=int(record.get("cycle", -1)),
-                seed=record.get("seed"),
-                config_digest=record.get("config_digest"),
-                payload_sha256=record.get("payload_sha256", ""),
-                payload_bytes=int(record.get("payload_bytes", -1)),
-                sections=dict(record.get("sections", {})),
-                manifest=dict(record.get("manifest", {})),
-            )
-        except (TypeError, ValueError) as exc:
-            raise CheckpointFormatError(
-                f"checkpoint header is malformed: {exc}"
-            ) from exc
+@contextmanager
+def _open_checkpoint(path) -> Iterator[Tuple[CheckpointHeader, FrameReader]]:
+    """The schema-checked header of the checkpoint at ``path`` and its
+    open frame; frame errors become :class:`CheckpointFormatError`."""
+    try:
+        with FrameReader(path, MAGIC) as frame:
+            schema = frame.header.get("schema")
+            if schema != CKPT_SCHEMA:
+                raise CheckpointSchemaError(schema, CKPT_SCHEMA)
+            try:
+                header = CheckpointHeader(**frame.header)
+            except TypeError as exc:
+                raise CheckpointFormatError(
+                    f"{path}: checkpoint header is malformed: {exc}"
+                ) from exc
+            yield header, frame
+    except FrameError as exc:
+        raise CheckpointFormatError(
+            f"{exc.path}: not a readable checkpoint — {exc.reason}"
+        ) from exc
 
 
 class CheckpointCodec:
@@ -197,14 +175,16 @@ class CheckpointCodec:
         cycle: int,
         seed: Optional[int] = None,
         config: Any = None,
+        spec: Any = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> CheckpointHeader:
         """Write ``components`` (a dict of named objects) as one checkpoint.
 
-        The write is atomic: the file is assembled beside ``path`` and
-        moved into place, so a crash mid-write never leaves a truncated
-        checkpoint where a resumable one used to be.  Returns the header
-        that was written.
+        The write is atomic (:func:`~repro.frame.write_atomic`), so a
+        crash mid-write never leaves a truncated checkpoint where a
+        resumable one used to be.  ``spec``, when given, is digested into
+        the manifest as ``spec_digest``.  Returns the header that was
+        written.
         """
         stream = io.BytesIO()
         pickler = pickle.Pickler(stream, protocol=pickle.HIGHEST_PROTOCOL)
@@ -223,38 +203,25 @@ class CheckpointCodec:
                 "checkpoint state is not picklable — a component holds a "
                 f"closure, lambda, or open resource ({exc})"
             ) from exc
-        payload = stream.getvalue()
-        header = CheckpointHeader(
-            schema=CheckpointCodec.schema,
-            kind=kind,
-            cycle=cycle,
-            seed=seed,
-            config_digest=config_digest(config) if config is not None else None,
-            payload_sha256=hashlib.sha256(payload).hexdigest(),
-            payload_bytes=len(payload),
-            sections=sections,
-            manifest=build_manifest(
-                seed=seed, command=f"ckpt.save[{kind}]", extra=extra
-            ),
+        if spec is not None:
+            extra = {**(extra or {}), "spec_digest": config_digest(spec)}
+        header = write_frame(
+            path,
+            MAGIC,
+            {
+                "schema": CKPT_SCHEMA,
+                "kind": kind,
+                "cycle": cycle,
+                "seed": seed,
+                "config_digest": config_digest(config) if config is not None else None,
+                "sections": sections,
+                "manifest": build_manifest(
+                    seed=seed, command=f"ckpt.save[{kind}]", extra=extra
+                ),
+            },
+            stream.getvalue(),
         )
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique tmp name, as in ``ResultStore.put``: two writers of one
-        # path must not share a half-written staging file.
-        tmp = path.with_name(
-            f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        )
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(MAGIC)
-                handle.write(header.to_json().encode("utf-8"))
-                handle.write(b"\n")
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return header
+        return CheckpointHeader(**header)
 
     @staticmethod
     def read_header(path: "os.PathLike[str] | str") -> CheckpointHeader:
@@ -263,19 +230,8 @@ class CheckpointCodec:
         Safe on files of unknown provenance — nothing in the payload is
         executed or even read past the header line.
         """
-        with open(path, "rb") as handle:
-            magic = handle.read(len(MAGIC))
-            if magic != MAGIC:
-                raise CheckpointFormatError(
-                    f"{path}: not a checkpoint file (bad magic {magic!r})"
-                )
-            line = handle.readline()
-        if not line.endswith(b"\n"):
-            raise CheckpointFormatError(f"{path}: truncated checkpoint header")
-        header = CheckpointHeader.from_json(line.decode("utf-8"))
-        if header.schema != CheckpointCodec.schema:
-            raise CheckpointSchemaError(header.schema, CheckpointCodec.schema)
-        return header
+        with _open_checkpoint(path) as (header, _frame):
+            return header
 
     @staticmethod
     def load(
@@ -283,41 +239,37 @@ class CheckpointCodec:
         *,
         expect_kind: Optional[str] = None,
         expect_config: Any = None,
+        expect_spec: Any = None,
     ) -> Tuple[CheckpointHeader, Dict[str, Any]]:
         """Verify and unpickle a checkpoint; returns (header, components).
 
         ``expect_config`` may be a configuration object (digested with
         :func:`~repro.obs.manifest.config_digest`) or an already-computed
-        digest string; a mismatch refuses the load naming both digests.
+        digest string; ``expect_spec`` is digested the same way and
+        compared with the manifest's ``spec_digest``.  A mismatch refuses
+        the load naming both digests, before the payload is read.  A file
+        whose manifest has no ``spec_digest`` passes the spec check; the
+        caller compares the restored spec itself.
         """
-        header = CheckpointCodec.read_header(path)
-        if expect_kind is not None and header.kind != expect_kind:
-            raise CheckpointMismatchError("kind", header.kind, expect_kind)
-        if expect_config is not None:
-            expected = (
-                expect_config
-                if isinstance(expect_config, str)
-                else config_digest(expect_config)
-            )
-            if header.config_digest != expected:
-                raise CheckpointMismatchError(
-                    "config digest", header.config_digest, expected
+        with _open_checkpoint(path) as (header, frame):
+            if expect_kind is not None and header.kind != expect_kind:
+                raise CheckpointMismatchError("kind", header.kind, expect_kind)
+            if expect_config is not None:
+                expected = (
+                    expect_config
+                    if isinstance(expect_config, str)
+                    else config_digest(expect_config)
                 )
-        with open(path, "rb") as handle:
-            handle.read(len(MAGIC))
-            handle.readline()
-            payload = handle.read()
-        if len(payload) != header.payload_bytes:
-            raise CheckpointFormatError(
-                f"{path}: payload is {len(payload)} bytes, header says "
-                f"{header.payload_bytes} — truncated or corrupt"
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.payload_sha256:
-            raise CheckpointFormatError(
-                f"{path}: payload checksum {digest} does not match header "
-                f"{header.payload_sha256} — corrupt checkpoint"
-            )
+                if header.config_digest != expected:
+                    raise CheckpointMismatchError(
+                        "config digest", header.config_digest, expected
+                    )
+            found = header.manifest.get("spec_digest")
+            if expect_spec is not None and found is not None:
+                expected = config_digest(expect_spec)
+                if found != expected:
+                    raise CheckpointMismatchError("spec", found, expected)
+            payload = frame.payload()
         unpickler = pickle.Unpickler(io.BytesIO(payload))
         try:
             names = unpickler.load()
@@ -337,19 +289,11 @@ class CheckpointCodec:
     def inspect(path: "os.PathLike[str] | str") -> Dict[str, Any]:
         """A JSON-safe summary of a checkpoint (header only, no unpickle)."""
         header = CheckpointCodec.read_header(path)
-        size = os.path.getsize(path)
         return {
+            **asdict(header),
             "path": str(path),
-            "file_bytes": size,
-            "schema": header.schema,
-            "kind": header.kind,
-            "cycle": header.cycle,
-            "seed": header.seed,
-            "config_digest": header.config_digest,
-            "payload_bytes": header.payload_bytes,
-            "payload_sha256": header.payload_sha256,
+            "file_bytes": os.path.getsize(path),
             "sections": dict(
                 sorted(header.sections.items(), key=lambda kv: -kv[1])
             ),
-            "manifest": header.manifest,
         }

@@ -178,24 +178,22 @@ def cmd_run(args: argparse.Namespace) -> int:
                     {k: v for k, v in point.items() if k != "target_load"}
                 )
         return 0
-    if checkpointed:
-        path = args.resume_from or args.checkpoint_out
-        if path is None:
-            print("--checkpoint-every needs --checkpoint-out PATH (or "
-                  "--resume-from an existing checkpoint)", file=sys.stderr)
-            return 2
-        try:
-            result = run_single_router_experiment(
-                _spec_from_args(args, load=loads[0]),
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_path=path,
-                resume=args.resume_from is not None,
-            )
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        result = run_single_router_experiment(_spec_from_args(args, load=loads[0]))
+    path = args.resume_from or args.checkpoint_out
+    if checkpointed and path is None:
+        print("--checkpoint-every needs --checkpoint-out PATH (or "
+              "--resume-from an existing checkpoint)", file=sys.stderr)
+        return 2
+    try:
+        # Without --checkpoint-every or --resume-from this is a plain run.
+        result = run_single_router_experiment(
+            _spec_from_args(args, load=loads[0]),
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_path=path,
+            resume=args.resume_from is not None,
+        )
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 1
     payload = _result_payload(result)
     if result.checkpoint is not None:
         payload["checkpoint"] = result.checkpoint
@@ -345,6 +343,30 @@ def _network_spec_from_args(
     return NetworkExperimentSpec(**kwargs)
 
 
+def _network_sweep_base(
+    args: argparse.Namespace, axes: Sequence[SweepAxis]
+) -> NetworkExperimentSpec:
+    """The base spec of a ``--network`` sweep.
+
+    A swept field overrides every point, so the base takes the axis's
+    first value — otherwise e.g. a topology sweep under dimension_order
+    routing would fail base-spec validation against the irregular default.
+    """
+    overrides = {
+        axis.name: axis.values[0]
+        for axis in axes
+        if axis.name in ("topology", "routing")
+    }
+    return _network_spec_from_args(args, **overrides)
+
+
+def _checkpointing_from_args(args: argparse.Namespace) -> Optional[Checkpointing]:
+    """Per-point checkpoints under ``--checkpoint-dir``; a rerun resumes."""
+    if args.checkpoint_dir is None:
+        return None
+    return Checkpointing(directory=args.checkpoint_dir, every=args.checkpoint_every)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a design-space sweep and print its metric table.
 
@@ -360,27 +382,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.network:
-        checkpointing = None
-        if args.checkpoint_dir is not None:
-            checkpointing = Checkpointing(
-                directory=args.checkpoint_dir,
-                every=args.checkpoint_every,
-                resume=True,
-            )
-        # A swept field overrides every point, so seed the base spec
-        # from the axis's first value — otherwise e.g. a topology sweep
-        # under dimension_order routing would fail base-spec validation
-        # against the irregular default.
-        base_overrides = {
-            axis.name: axis.values[0]
-            for axis in axes
-            if axis.name in ("topology", "routing")
-        }
         sweep = run_sweep(
-            _network_spec_from_args(args, **base_overrides),
+            _network_sweep_base(args, axes),
             axes,
             jobs=args.jobs,
-            checkpointing=checkpointing,
+            checkpointing=_checkpointing_from_args(args),
             _runner=run_network_experiment,
         )
         default_metrics = "mean_delay_cycles,mean_jitter_cycles,acceptance_ratio"
@@ -431,12 +437,7 @@ def _fabric_grid_from_args(args: argparse.Namespace):
     parse_axis = _parse_network_axis if args.network else _parse_axis
     axes = [parse_axis(text) for text in args.axis]
     if args.network:
-        base_overrides = {
-            axis.name: axis.values[0]
-            for axis in axes
-            if axis.name in ("topology", "routing")
-        }
-        base = _network_spec_from_args(args, **base_overrides)
+        base = _network_sweep_base(args, axes)
         runner = run_network_experiment
     else:
         base = _spec_from_args(args)
@@ -641,13 +642,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         slos=tuple(args.slo),
         exact_setup_stats=args.exact_setup_stats,
     )
-    checkpointing = None
-    if args.checkpoint_dir is not None:
-        checkpointing = Checkpointing(
-            directory=args.checkpoint_dir,
-            every=args.checkpoint_every,
-            resume=True,
-        )
+    checkpointing = _checkpointing_from_args(args)
     if args.axis:
         sweep = run_sweep(
             spec,
@@ -724,19 +719,16 @@ def cmd_churn(args: argparse.Namespace) -> int:
                       file=sys.stderr)
             return 2
         return 0
+    checkpoint = {}
     if checkpointing is not None:
-        result = run_churn_experiment(
-            spec,
+        checkpoint = dict(
             checkpoint_every=checkpointing.every,
             checkpoint_path=str(checkpointing.point_path(("churn",))),
             resume=True,
-            health_path=args.health_out,
-            health_every=args.health_every,
         )
-    else:
-        result = run_churn_experiment(
-            spec, health_path=args.health_out, health_every=args.health_every
-        )
+    result = run_churn_experiment(
+        spec, health_path=args.health_out, health_every=args.health_every, **checkpoint
+    )
     payload = _churn_payload(result)
     if result.checkpoint is not None:
         payload["checkpoint"] = result.checkpoint

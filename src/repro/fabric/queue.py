@@ -1,4 +1,4 @@
-"""Filesystem-backed distributed work queue (schema ``fabric-queue/1``).
+"""Filesystem-backed distributed work queue (schema ``fabric-queue/2``).
 
 A submitted sweep explodes into one **point spec** file per grid point;
 any worker that can see the directory — another process, another host on
@@ -10,7 +10,8 @@ and nothing to install on a cluster beyond this package.
 Directory layout under a fabric directory::
 
     queue.json            submission manifest (grid digest, kind, axes)
-    points/<id>.spec      one pickled (key, spec) pair per grid point
+    points/<id>.spec      one pickled (key, spec) pair per grid point, in
+                          a :mod:`repro.frame` file (magic ``MMR-POINT``)
     leases/<id>.lease     live claim: JSON {worker, pid, host, heartbeat}
     results/<id>.json     completion marker referencing the result store
     ckpt/<id>.ckpt        the point's periodic checkpoint (resume source)
@@ -21,9 +22,10 @@ Lease protocol:
 
 * **claim** — create ``leases/<id>.lease`` with ``O_CREAT | O_EXCL``;
   exactly one creator succeeds.
-* **heartbeat** — the owner periodically rewrites the lease (tmp +
-  ``os.replace``) with a fresh timestamp, after verifying it still owns
-  it (a worker that lost its lease must abandon the point, not fight).
+* **heartbeat** — the owner periodically rewrites the lease (staged and
+  renamed into place) with a fresh timestamp, after verifying it still
+  owns it (a worker that lost its lease must abandon the point, not
+  fight).
 * **expiry / requeue** — a lease whose heartbeat is older than its TTL
   belongs to a dead or preempted worker.  A claimer *breaks* it by
   atomically renaming it aside (two racers: one wins the rename, the
@@ -51,9 +53,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..frame import FrameReader, remove_staging, write_frame, write_json
 from ..obs.manifest import build_manifest, config_digest
 
-QUEUE_SCHEMA = "fabric-queue/1"
+#: ``fabric-queue/2``: point specs are framed files (magic, header with
+#: length and checksum, then the pickle); ``fabric-queue/1`` wrote bare
+#: pickles, which this build refuses to read.
+QUEUE_SCHEMA = "fabric-queue/2"
+#: First line of every point-spec file.
+POINT_MAGIC = b"MMR-POINT\n"
 RESULT_MARKER_SCHEMA = "fabric-result/1"
 
 
@@ -210,11 +218,15 @@ class FabricQueue:
         for key, spec in points:
             pid = point_id(key)
             ids.append(pid)
-            spec_path = self.points_dir / f"{pid}.spec"
             blob = pickle.dumps(
                 {"key": tuple(key), "spec": spec}, protocol=pickle.HIGHEST_PROTOCOL
             )
-            self._atomic_write_bytes(spec_path, blob)
+            write_frame(
+                self.points_dir / f"{pid}.spec",
+                POINT_MAGIC,
+                {"schema": QUEUE_SCHEMA, "point_id": pid},
+                blob,
+            )
         manifest = {
             "schema": QUEUE_SCHEMA,
             "kind": kind,
@@ -228,19 +240,25 @@ class FabricQueue:
             "checkpoint_every": int(checkpoint_every),
             "manifest": build_manifest(command="fabric.submit"),
         }
-        self._atomic_write_bytes(
-            self.manifest_path,
-            (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        write_json(self.manifest_path, manifest, indent=2)
         return manifest
 
     def read_manifest(self) -> Optional[Dict[str, Any]]:
+        """The submission manifest (None before any submission); one of
+        another queue schema is refused by name."""
         try:
-            return json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
         except json.JSONDecodeError as exc:
             raise FabricError(f"{self.manifest_path}: corrupt queue manifest ({exc})")
+        if manifest.get("schema") != QUEUE_SCHEMA:
+            raise FabricError(
+                f"{self.manifest_path}: queue schema {manifest.get('schema')!r}, "
+                f"this build reads {QUEUE_SCHEMA!r} — resubmit the sweep to a "
+                "fresh directory"
+            )
+        return manifest
 
     def require_manifest(self) -> Dict[str, Any]:
         manifest = self.read_manifest()
@@ -257,10 +275,15 @@ class FabricQueue:
         return list(self.require_manifest()["point_ids"])
 
     def load_point(self, pid: str) -> Tuple[Tuple[Any, ...], Any]:
-        """The (key, spec) pair of one grid point."""
-        blob = (self.points_dir / f"{pid}.spec").read_bytes()
-        record = pickle.loads(blob)
-        return record["key"], record["spec"]
+        """The (key, spec) pair of one grid point; an unreadable spec
+        file raises :class:`FabricError` naming it."""
+        path = self.points_dir / f"{pid}.spec"
+        try:
+            with FrameReader(path, POINT_MAGIC) as frame:
+                record = pickle.loads(frame.payload())
+            return record["key"], record["spec"]
+        except Exception as exc:  # I/O, frame, unpickle or record shape
+            raise FabricError(f"{path}: unreadable point spec ({exc!r})") from exc
 
     def checkpoint_path(self, pid: str) -> Path:
         return self.ckpt_dir / f"{pid}.ckpt"
@@ -323,27 +346,35 @@ class FabricQueue:
             except FileExistsError:
                 if not self.lease_expired(pid):
                     return False
-                stale = self.read_lease(pid) or {}
-                aside = path.with_name(f"{path.name}.expired-{uuid.uuid4().hex[:8]}")
-                try:
-                    os.replace(path, aside)
-                except FileNotFoundError:
-                    continue  # another claimer broke it first; re-contest
-                try:
-                    os.unlink(aside)
-                except OSError:
-                    pass
-                self.log_event(
-                    "lease_expired",
-                    point=pid,
-                    dead_worker=stale.get("worker"),
-                    broken_by=worker_id,
-                )
+                # Broken here or by a racing claimer: re-contest either way.
+                self._break_lease(pid, broken_by=worker_id)
                 continue
             with os.fdopen(fd, "wb") as handle:
                 handle.write(self._lease_payload(worker_id))
             return True
         return False
+
+    def _break_lease(self, pid: str, broken_by: str) -> bool:
+        """Rename an expired lease aside and log the break; False when
+        another breaker renamed it first."""
+        path = self.lease_path(pid)
+        stale = self.read_lease(pid) or {}
+        aside = path.with_name(f"{path.name}.expired-{uuid.uuid4().hex[:8]}")
+        try:
+            os.replace(path, aside)
+        except FileNotFoundError:
+            return False
+        try:
+            os.unlink(aside)
+        except OSError:
+            pass
+        self.log_event(
+            "lease_expired",
+            point=pid,
+            dead_worker=stale.get("worker"),
+            broken_by=broken_by,
+        )
+        return True
 
     def heartbeat(self, pid: str, worker_id: str) -> bool:
         """Refresh the lease timestamp; False when ownership was lost."""
@@ -351,10 +382,7 @@ class FabricQueue:
         if not lease or lease.get("worker") != worker_id:
             return False
         lease["heartbeat_unix"] = round(time.time(), 3)
-        self._atomic_write_bytes(
-            self.lease_path(pid),
-            (json.dumps(lease, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        write_json(self.lease_path(pid), lease)
         return True
 
     def release(self, pid: str, worker_id: str) -> None:
@@ -376,10 +404,7 @@ class FabricQueue:
 
     def write_result(self, pid: str, marker: Dict[str, Any]) -> None:
         record = {"schema": RESULT_MARKER_SCHEMA, "point_id": pid, **marker}
-        self._atomic_write_bytes(
-            self.result_path(pid),
-            (json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        write_json(self.result_path(pid), record, indent=2)
 
     def read_result(self, pid: str) -> Dict[str, Any]:
         return json.loads(self.result_path(pid).read_text(encoding="utf-8"))
@@ -423,14 +448,12 @@ class FabricQueue:
             (leased_expired if self.lease_expired(pid) else leased_live).append(pid)
         events = self.read_events()
         expiries = sum(1 for e in events if e.get("event") == "lease_expired")
-        cached = sum(1 for pid in completed if self.read_result(pid).get("cached"))
+        markers = [self.read_result(pid) for pid in completed]
+        cached = sum(1 for marker in markers if marker.get("cached"))
         resumed = sum(
             1
-            for pid in completed
-            if (self.read_result(pid).get("checkpoint") or {}).get(
-                "resumed_from_cycle"
-            )
-            is not None
+            for marker in markers
+            if (marker.get("checkpoint") or {}).get("resumed_from_cycle") is not None
         )
         return {
             "schema": "fabric-status/1",
@@ -452,35 +475,9 @@ class FabricQueue:
         """Clear expired leases and staging droppings; report what went."""
         broken = []
         for pid in self.point_ids():
-            if self.read_lease(pid) is not None and self.lease_expired(pid):
-                path = self.lease_path(pid)
-                aside = path.with_name(f"{path.name}.expired-{uuid.uuid4().hex[:8]}")
-                try:
-                    os.replace(path, aside)
-                    os.unlink(aside)
-                    broken.append(pid)
-                    self.log_event("lease_expired", point=pid, broken_by="gc")
-                except OSError:
-                    pass
-        removed_tmp = 0
-        for tmp in self.directory.glob("**/*.tmp-*"):
-            try:
-                tmp.unlink()
-                removed_tmp += 1
-            except OSError:
-                pass
-        return {"expired_leases_cleared": broken, "removed_tmp": removed_tmp}
-
-    # ----- internals ---------------------------------------------------------
-
-    @staticmethod
-    def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            if self.lease_expired(pid) and self._break_lease(pid, broken_by="gc"):
+                broken.append(pid)
+        return {
+            "expired_leases_cleared": broken,
+            "removed_tmp": remove_staging(self.directory),
+        }

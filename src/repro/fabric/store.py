@@ -14,18 +14,17 @@ one config field or check out a different revision and every affected
 key misses — a stale hit is structurally impossible because staleness is
 part of the address.
 
-An entry file is::
+An entry file is a :mod:`repro.frame` file::
 
     MMR-RESULT\\n          magic line
     {...}\\n               JSON header (one line): schema, the full key,
                            payload sha256 + byte count, provenance
     <pickle blob>          {"result": ..., "manifest": ...}
 
-Writes are atomic (unique tmp beside the entry, then ``os.replace``; a
-write that raises removes its tmp), so a preempted worker never leaves a
-truncated entry where a reusable one could live.  Reads verify magic,
-header, key echo, payload length and sha256 before unpickling; every
-failure raises the typed :class:`StoreCorruptionError`.
+Writes are atomic (:func:`repro.frame.write_atomic`), so a preempted
+worker never leaves a truncated entry where a reusable one could live.
+Reads verify magic, header, key echo, payload length and sha256 before
+unpickling; every failure raises the typed :class:`StoreCorruptionError`.
 :meth:`ResultStore.get` is the lenient worker-facing path: a corrupt
 entry is deleted, counted in ``stats()["corrupt_dropped"]``, and
 reported as a miss — recomputed, never silently reused.
@@ -37,11 +36,11 @@ import hashlib
 import json
 import os
 import pickle
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from ..frame import FrameError, FrameReader, remove_staging, write_frame
 from ..obs.manifest import build_manifest, config_digest, git_revision
 
 #: First line of every store entry file.
@@ -81,15 +80,7 @@ class ResultKey:
 
     def digest(self) -> str:
         """sha256 of the canonical key JSON — the entry's file name."""
-        canonical = json.dumps(
-            {
-                "config_digest": self.config_digest,
-                "code_revision": self.code_revision,
-                "point_key": self.point_key,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> Dict[str, str]:
@@ -159,25 +150,10 @@ class ResultStore:
         header = {
             "schema": STORE_SCHEMA,
             "key": key.to_dict(),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_bytes": len(payload),
             "manifest": build_manifest(command="fabric.store.put"),
         }
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique tmp name: concurrent workers on a shared directory must
-        # not clobber each other's half-written staging files.
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(MAGIC)
-                handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-                handle.write(b"\n")
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        write_frame(path, MAGIC, header, payload)
         self.writes += 1
         return path
 
@@ -193,46 +169,25 @@ class ResultStore:
         """
         path = self.path_for(key)
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
+            with FrameReader(path, MAGIC) as frame:
+                header = frame.header
+                if header.get("schema") != STORE_SCHEMA:
+                    raise StoreCorruptionError(
+                        path,
+                        f"schema {header.get('schema')!r}, this build reads "
+                        f"{STORE_SCHEMA!r}",
+                    )
+                if header.get("key") != key.to_dict():
+                    raise StoreCorruptionError(
+                        path,
+                        f"entry answers key {header.get('key')!r}, "
+                        f"caller asked for {key.to_dict()!r}",
+                    )
+                payload = frame.payload()
         except FileNotFoundError:
             raise KeyError(key) from None
-        if not blob.startswith(MAGIC):
-            raise StoreCorruptionError(path, f"bad magic {blob[:12]!r}")
-        rest = blob[len(MAGIC):]
-        newline = rest.find(b"\n")
-        if newline < 0:
-            raise StoreCorruptionError(path, "truncated header")
-        try:
-            header = json.loads(rest[:newline].decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptionError(path, f"header is not JSON ({exc})") from exc
-        if header.get("schema") != STORE_SCHEMA:
-            raise StoreCorruptionError(
-                path,
-                f"schema {header.get('schema')!r}, this build reads "
-                f"{STORE_SCHEMA!r}",
-            )
-        if header.get("key") != key.to_dict():
-            raise StoreCorruptionError(
-                path,
-                f"entry answers key {header.get('key')!r}, "
-                f"caller asked for {key.to_dict()!r}",
-            )
-        payload = rest[newline + 1:]
-        if len(payload) != header.get("payload_bytes"):
-            raise StoreCorruptionError(
-                path,
-                f"payload is {len(payload)} bytes, header says "
-                f"{header.get('payload_bytes')} — truncated entry",
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("payload_sha256"):
-            raise StoreCorruptionError(
-                path,
-                f"payload sha256 {digest} does not match header "
-                f"{header.get('payload_sha256')}",
-            )
+        except FrameError as exc:
+            raise StoreCorruptionError(path, exc.reason) from exc
         try:
             record = pickle.loads(payload)
         except Exception as exc:
@@ -270,10 +225,6 @@ class ResultStore:
         self.hits += 1
         return entry
 
-    def contains(self, key: ResultKey) -> bool:
-        """Whether a (possibly corrupt) entry file exists for ``key``."""
-        return self.path_for(key).exists()
-
     # ----- accounting and maintenance ---------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -303,24 +254,15 @@ class ResultStore:
         their entries are pure disk weight.  Unreadable entries are
         dropped too (they would only ever be re-verified and recomputed).
         """
-        removed_tmp = 0
+        removed_tmp = remove_staging(self.root, "*/*")
         removed_entries = 0
-        if not self.root.exists():
-            return {"removed_tmp": 0, "removed_entries": 0}
-        for tmp in self.root.glob("*/*.tmp-*"):
-            try:
-                tmp.unlink()
-                removed_tmp += 1
-            except OSError:
-                pass
         if keep_revision is not None:
             for entry in self.root.glob("*/*.res"):
                 try:
-                    with open(entry, "rb") as handle:
-                        handle.read(len(MAGIC))
-                        header = json.loads(handle.readline().decode("utf-8"))
-                    revision = (header.get("key") or {}).get("code_revision")
-                except (OSError, ValueError, UnicodeDecodeError):
+                    with FrameReader(entry, MAGIC) as frame:
+                        key = frame.header.get("key") or {}
+                    revision = key.get("code_revision")
+                except (OSError, FrameError):
                     revision = None
                 if revision != keep_revision:
                     try:

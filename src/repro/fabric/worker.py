@@ -38,7 +38,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..harness.sweep import SweepAxis, SweepResult, _run_point
+from ..harness.sweep import SweepAxis, SweepResult, _run_point, sweep_points
 from ..obs.health import HealthWriter, build_health_snapshot
 from ..obs.recorder import FlightRecorder
 from .queue import Fabric, FabricError, FabricQueue, resolve_runner, runner_kind
@@ -112,57 +112,47 @@ class FabricWorker:
         """
         key, spec = self.queue.load_point(pid)
         store_key = self.store.key_for(spec, repr(key))
-        cached = self.store.get(store_key)
-        if cached is not None:
-            _result, stored_manifest = cached
-            marker = {
-                "key": list(key),
-                "store_key": store_key.to_dict(),
-                "cached": True,
-                "worker": self.worker_id,
-                "checkpoint": (stored_manifest or {}).get("checkpoint"),
-            }
-            self.queue.write_result(pid, marker)
-            self.points_cached += 1
-            self.queue.release(pid, self.worker_id)
-            return marker
-
-        stop = threading.Event()
-        beat = threading.Thread(
-            target=self._heartbeat_loop, args=(pid, stop), daemon=True
-        )
-        beat.start()
-        try:
-            result, manifest = _run_point(
-                spec,
-                runner,
-                checkpoint_path=str(self.queue.checkpoint_path(pid)),
-                checkpoint_every=checkpoint_every,
-                resume=True,
-            )
-        except Exception:
-            stop.set()
-            self.queue.release(pid, self.worker_id)
-            raise
-        finally:
-            stop.set()
-
-        lineage = getattr(result, "checkpoint", None)
-        if lineage and lineage.get("resumed_from_cycle") is not None:
-            self.points_resumed += 1
-        stored_manifest = dict(manifest or {})
-        if lineage is not None:
-            stored_manifest["checkpoint"] = lineage
-        self.store.put(store_key, result, stored_manifest or None)
+        entry = self.store.get(store_key)
+        cached = entry is not None
+        if not cached:
+            stop = threading.Event()
+            threading.Thread(
+                target=self._heartbeat_loop, args=(pid, stop), daemon=True
+            ).start()
+            try:
+                result, manifest = _run_point(
+                    spec,
+                    runner,
+                    checkpoint_path=str(self.queue.checkpoint_path(pid)),
+                    checkpoint_every=checkpoint_every,
+                    resume=True,
+                )
+            except Exception:
+                stop.set()
+                self.queue.release(pid, self.worker_id)
+                raise
+            finally:
+                stop.set()
+            stored = dict(manifest or {})
+            if result.checkpoint is not None:
+                stored["checkpoint"] = result.checkpoint
+            self.store.put(store_key, result, stored or None)
+            entry = (result, stored or None)
+        lineage = (entry[1] or {}).get("checkpoint")
         marker = {
             "key": list(key),
             "store_key": store_key.to_dict(),
-            "cached": False,
+            "cached": cached,
             "worker": self.worker_id,
             "checkpoint": lineage,
         }
         self.queue.write_result(pid, marker)
-        self.points_computed += 1
+        if cached:
+            self.points_cached += 1
+        else:
+            self.points_computed += 1
+            if lineage and lineage.get("resumed_from_cycle") is not None:
+                self.points_resumed += 1
         self.queue.release(pid, self.worker_id)
         return marker
 
@@ -258,29 +248,20 @@ def collect_sweep(fabric: Fabric, axes: Tuple[SweepAxis, ...]) -> SweepResult:
         if not queue.has_result(pid):
             missing.append(pid)
             continue
-        marker = queue.read_result(pid)
         key, spec = queue.load_point(pid)
         store_key = store.key_for(spec, repr(key))
         entry = store.get(store_key)
         if entry is None:
             # Corrupt or vanished after the marker was written: recompute
-            # synchronously rather than fail the whole grid.
-            runner = resolve_runner(manifest["kind"])
-            result, run_manifest = _run_point(
-                spec,
-                runner,
-                checkpoint_path=str(queue.checkpoint_path(pid)),
-                checkpoint_every=int(
-                    manifest.get("checkpoint_every", fabric.checkpoint_every)
-                ),
-                resume=True,
+            # synchronously (rewriting the marker) rather than fail the
+            # whole grid.
+            FabricWorker(fabric).process_point(
+                pid,
+                resolve_runner(manifest["kind"]),
+                int(manifest.get("checkpoint_every", fabric.checkpoint_every)),
             )
-            stored = dict(run_manifest or {})
-            lineage = getattr(result, "checkpoint", None)
-            if lineage is not None:
-                stored["checkpoint"] = lineage
-            store.put(store_key, result, stored or None)
-            entry = (result, stored or None)
+            entry = store.get(store_key)
+        marker = queue.read_result(pid)
         result, stored_manifest = entry
         sweep.results[key] = result
         merged = dict(stored_manifest or {})
@@ -315,8 +296,6 @@ def run_sweep_on_fabric(
     computed it.  Re-running the identical sweep is a pure warm-cache
     pass: the submission is idempotent and every point hits the store.
     """
-    from ..harness.sweep import sweep_points
-
     points = sweep_points(base, axes)
     submit_sweep(fabric, points, runner, axes=tuple(axes))
     worker = FabricWorker(fabric)

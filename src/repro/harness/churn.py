@@ -30,15 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..ckpt.codec import (
-    CheckpointCodec,
-    CheckpointFormatError,
-    CheckpointHeader,
-    CheckpointMismatchError,
-)
 from ..core.bandwidth import BandwidthRequest
 from ..core.config import RouterConfig
 from ..core.priority import make_priority_scheme
@@ -54,7 +48,6 @@ from ..obs import (
     SloEngine,
     StreamingQuantiles,
     build_health_snapshot,
-    build_manifest,
     parse_budgets,
 )
 from ..qos.metrics import UNCLASSIFIED, QosSummary, per_rate_breakdown, summarise
@@ -63,7 +56,7 @@ from ..sim.rng import SeededRng
 from ..sim.stats import ConnectionStats
 from ..traffic.cbr import CbrSource
 from ..traffic.vbr import MpegProfile, VbrSource
-from .single_router import SimulatedWorkerCrash
+from .resumable import Resumable
 
 #: Cycles between teardown-guard retries while a session's in-flight
 #: flits drain toward the destination.
@@ -257,11 +250,15 @@ def _percentile(sorted_values: List[int], q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-class ChurnWorkload:
+class ChurnWorkload(Resumable):
     """A resumable churn run: arrivals, lifetimes, renegotiation, drain."""
 
-    #: Checkpoint producer tag (header ``kind``).
     KIND = "churn"
+    MANIFEST_FIELDS = (
+        "num_sessions", "mean_interarrival_cycles", "mean_holding_cycles", "num_nodes"
+    )
+    #: Churn measures from cycle 0.
+    warmup_cycles = 0
 
     def __init__(self, spec: ChurnSpec, topology: Optional[Topology] = None) -> None:
         rng = SeededRng(spec.seed, "churn")
@@ -276,21 +273,7 @@ class ChurnWorkload:
             enforce_round_budgets=False,
         )
         sim = Simulator()
-        recorder = None
-        if spec.telemetry:
-            recorder = FlightRecorder(
-                manifest=build_manifest(
-                    seed=spec.seed,
-                    config=config,
-                    command="run_churn_experiment",
-                    extra={
-                        "num_sessions": spec.num_sessions,
-                        "mean_interarrival_cycles": spec.mean_interarrival_cycles,
-                        "mean_holding_cycles": spec.mean_holding_cycles,
-                        "num_nodes": spec.num_nodes,
-                    },
-                )
-            )
+        recorder = self.build_recorder(spec, config)
         network = Network(
             topology,
             config,
@@ -767,14 +750,14 @@ class ChurnWorkload:
     # ----- progress --------------------------------------------------------------------
 
     @property
-    def now(self) -> int:
-        """Current simulation cycle."""
-        return self.sim.now
-
-    @property
     def total_cycles(self) -> int:
         """Deterministic upper-bound horizon (see ChurnSpec.max_cycles)."""
         return self.spec.max_cycles
+
+    @property
+    def done(self) -> bool:
+        """Drained, or stuck at the horizon."""
+        return self.drained or self.sim.now >= self.total_cycles
 
     @property
     def drained(self) -> bool:
@@ -786,25 +769,14 @@ class ChurnWorkload:
             and not self.active
         )
 
-    def run_to(self, cycle: int) -> None:
-        """Advance to absolute ``cycle`` (clamped to the horizon)."""
-        target = min(int(cycle), self.total_cycles)
-        if target < self.sim.now:
-            raise ValueError(
-                f"cannot run backwards to {target}, now is {self.sim.now}"
-            )
-        if target > self.sim.now:
-            self.sim.run(target - self.sim.now)
-
     def run_until_drained(self, stride: int = 50_000) -> None:
         """Advance in strides until drained (or the horizon is hit)."""
-        while not self.drained and self.sim.now < self.total_cycles:
+        while not self.done:
             self.run_to(min(self.sim.now + stride, self.total_cycles))
 
     def result(self) -> ChurnResult:
         """Summarise the run; drives it to drain first if needed."""
-        if not self.drained and self.sim.now < self.total_cycles:
-            self.run_until_drained()
+        self.run_until_drained()
         attempts = self._attempts_completed
         per_rate = per_rate_breakdown(self.end_to_end, self.connection_rates)
         unclassified = per_rate.get(UNCLASSIFIED)
@@ -852,39 +824,14 @@ class ChurnWorkload:
             setup_latencies=list(self.setup_latencies),
         )
 
-    # ----- checkpoint / resume ------------------------------------------------------
-
-    def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete workload state to ``path`` (schema
-        :data:`~repro.ckpt.codec.CKPT_SCHEMA`)."""
-        return CheckpointCodec.save(
-            path,
-            {"experiment": self},
-            kind=self.KIND,
-            cycle=self.sim.now,
-            seed=self.spec.seed,
-            config=self.config,
-            extra={
-                "num_sessions": self.spec.num_sessions,
-                "arrivals_launched": self.arrivals_launched,
-                "established": self.established_total,
-                "torn_down": self.torn_down,
-                "active": len(self.active),
-            },
-        )
-
-    @classmethod
-    def resume(cls, path, expect_spec: Optional[ChurnSpec] = None) -> "ChurnWorkload":
-        """Reload a checkpointed churn run, verifying provenance."""
-        _, components = CheckpointCodec.load(path, expect_kind=cls.KIND)
-        experiment = components.get("experiment")
-        if not isinstance(experiment, cls):
-            raise CheckpointFormatError(
-                f"{path}: checkpoint does not contain a {cls.__name__}"
-            )
-        if expect_spec is not None and experiment.spec != expect_spec:
-            raise CheckpointMismatchError("spec", experiment.spec, expect_spec)
-        return experiment
+    def checkpoint_extra(self) -> Dict[str, Any]:
+        return {
+            **self.manifest_fields(self.spec),
+            "arrivals_launched": self.arrivals_launched,
+            "established": self.established_total,
+            "torn_down": self.torn_down,
+            "active": len(self.active),
+        }
 
 
 def run_churn_experiment(
@@ -902,49 +849,22 @@ def run_churn_experiment(
     The keyword protocol matches :func:`run_single_router_experiment`, so
     churn sweeps go through :func:`repro.harness.sweep.run_sweep` with
     ``_runner=run_churn_experiment`` — including ``--jobs`` fan-out and
-    checkpoint-resumable points with bit-identical rows either way.
-    ``health_path`` turns on the periodic health-snapshot trail.
+    checkpoint-resumable points with bit-identical rows either way.  The
+    checkpoint arguments are those of
+    :meth:`~repro.harness.resumable.Resumable.run`.  ``health_path``
+    turns on the periodic health-snapshot trail.
     """
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-    if checkpoint_every is None and not resume and _crash_at_cycle is None:
-        experiment = ChurnWorkload(spec, topology)
-        if health_path is not None:
-            experiment.set_health_output(health_path, health_every)
-        return experiment.result()
-    if checkpoint_path is None:
-        raise ValueError("checkpointing requires a checkpoint_path")
-    path = Path(checkpoint_path)
-    lineage: Dict[str, Any] = {
-        "schema": CheckpointCodec.schema,
-        "path": str(path),
-        "resumed_from_cycle": None,
-        "checkpoints_written": 0,
-    }
-    if resume and path.exists():
-        experiment = ChurnWorkload.resume(path, expect_spec=spec)
-        lineage["resumed_from_cycle"] = experiment.now
-    else:
-        experiment = ChurnWorkload(spec, topology)
+    prepare = None
     if health_path is not None:
-        experiment.set_health_output(health_path, health_every)
-    total = experiment.total_cycles
-    stride = checkpoint_every if checkpoint_every is not None else total
-    while not experiment.drained and experiment.now < total:
-        experiment.run_to(min(experiment.now + stride, total))
-        if checkpoint_every is not None and not experiment.drained:
-            header = experiment.checkpoint(path)
-            lineage["checkpoints_written"] += 1
-            lineage["last_checkpoint_cycle"] = header.cycle
-        if (
-            _crash_at_cycle is not None
-            and lineage["resumed_from_cycle"] is None
-            and _crash_at_cycle <= experiment.now
-            and not experiment.drained
-        ):
-            raise SimulatedWorkerCrash(
-                f"worker killed at cycle {experiment.now} (test hook)"
-            )
-    result = experiment.result()
-    result.checkpoint = lineage
-    return result
+        prepare = partial(
+            ChurnWorkload.set_health_output, path=health_path, every=health_every
+        )
+    return ChurnWorkload.run(
+        spec,
+        topology,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        crash_at_cycle=_crash_at_cycle,
+        prepare=prepare,
+    )

@@ -11,27 +11,20 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..ckpt.codec import (
-    CheckpointCodec,
-    CheckpointFormatError,
-    CheckpointHeader,
-    CheckpointMismatchError,
-)
 from ..core.config import RouterConfig
 from ..core.priority import make_priority_scheme
 from ..network.connection import ConnectionManager
 from ..network.interface import NetworkInterface, OpenStream
 from ..network.network import Network
 from ..network.topology import Topology, irregular, mesh, torus
-from ..obs import FlightRecorder, build_manifest
+from ..obs import FlightRecorder
 from ..routing.dimension_order import dimension_order_search
 from ..sim.engine import Simulator
 from ..sim.rng import SeededRng
 from ..sim.stats import RunningStats
-from .single_router import SimulatedWorkerCrash
+from .resumable import Resumable
 
 #: Grid topology constructors selectable by spec string.
 _GRID_TOPOLOGIES = {"mesh": mesh, "torus": torus}
@@ -161,18 +154,19 @@ class NetworkExperimentResult:
         return self.delay_cycles.mean / self.mean_hops if self.mean_hops else 0.0
 
 
-class NetworkExperiment:
+class NetworkExperiment(Resumable):
     """A network-level evaluation point as a resumable object.
 
     Construction builds and loads the cluster (stream admission is
-    synchronous); :meth:`run_to` advances it with the warm-up boundary
-    handled exactly once; :meth:`checkpoint` / :meth:`resume` round-trip
-    the whole cluster — all routers, links in flight, interfaces and the
-    best-effort chatter events — through the checkpoint codec.
+    synchronous); ``run_to``, ``checkpoint`` and ``resume``
+    (:class:`~repro.harness.resumable.Resumable`) advance it across the
+    warm-up boundary exactly once and round-trip the whole cluster — all
+    routers, links in flight, interfaces and the best-effort chatter
+    events.
     """
 
-    #: Checkpoint producer tag (header ``kind``).
     KIND = "network"
+    MANIFEST_FIELDS = ("num_nodes", "target_link_load", "warmup_cycles", "measure_cycles")
 
     def __init__(
         self,
@@ -189,21 +183,7 @@ class NetworkExperiment:
             enforce_round_budgets=False,
         )
         sim = Simulator()
-        recorder = None
-        if spec.telemetry:
-            recorder = FlightRecorder(
-                manifest=build_manifest(
-                    seed=spec.seed,
-                    config=config,
-                    command="run_network_experiment",
-                    extra={
-                        "num_nodes": spec.num_nodes,
-                        "target_link_load": spec.target_link_load,
-                        "warmup_cycles": spec.warmup_cycles,
-                        "measure_cycles": spec.measure_cycles,
-                    },
-                )
-            )
+        recorder = self.build_recorder(spec, config)
         network = Network(
             topology,
             config,
@@ -260,7 +240,6 @@ class NetworkExperiment:
         self.attempts = attempts
         self._be_rng = None
         self._be_interval = 0.0
-        self._measurement_started = False
 
         if spec.best_effort_rate > 0:
             self._be_rng = rng.spawn("be")
@@ -282,42 +261,17 @@ class NetworkExperiment:
             self._chatter,
         )
 
-    @property
-    def now(self) -> int:
-        """Current simulation cycle."""
-        return self.sim.now
-
-    @property
-    def total_cycles(self) -> int:
-        """Warm-up plus measurement horizon."""
-        return self.spec.warmup_cycles + self.spec.measure_cycles
-
-    def run_to(self, cycle: int) -> None:
-        """Advance to absolute ``cycle`` (clamped to the experiment end),
-        resetting measurement state once at the warm-up boundary."""
-        target = min(int(cycle), self.total_cycles)
-        if target < self.sim.now:
-            raise ValueError(
-                f"cannot run backwards to {target}, now is {self.sim.now}"
-            )
-        warmup = self.spec.warmup_cycles
-        if self.sim.now < warmup:
-            self.sim.run(min(target, warmup) - self.sim.now)
-        if self.sim.now >= warmup and not self._measurement_started:
-            self._measurement_started = True
-            for ni in self.interfaces:
-                ni.end_to_end.clear()
-                ni.flits_received = 0
-                ni.packets_received = 0
-            if self.recorder is not None:
-                self.recorder.clear()
-        if target > self.sim.now:
-            self.sim.run(target - self.sim.now)
+    def _start_measurement(self) -> None:
+        for ni in self.interfaces:
+            ni.end_to_end.clear()
+            ni.flits_received = 0
+            ni.packets_received = 0
+        if self.recorder is not None:
+            self.recorder.clear()
 
     def result(self) -> NetworkExperimentResult:
         """Summarise the (completed) run; runs any remaining cycles."""
-        if self.sim.now < self.total_cycles:
-            self.run_to(self.total_cycles)
+        self.run_to(self.total_cycles)
         interfaces = self.interfaces
         delay = RunningStats()
         jitter = RunningStats()
@@ -351,42 +305,6 @@ class NetworkExperiment:
             recorder=self.recorder,
         )
 
-    # ----- checkpoint / resume ----------------------------------------------
-
-    def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete cluster state to ``path`` (schema
-        :data:`~repro.ckpt.codec.CKPT_SCHEMA`)."""
-        return CheckpointCodec.save(
-            path,
-            {"experiment": self},
-            kind=self.KIND,
-            cycle=self.sim.now,
-            seed=self.spec.seed,
-            config=self.config,
-            extra={
-                "num_nodes": self.spec.num_nodes,
-                "target_link_load": self.spec.target_link_load,
-                "warmup_cycles": self.spec.warmup_cycles,
-                "measure_cycles": self.spec.measure_cycles,
-                "measurement_started": self._measurement_started,
-            },
-        )
-
-    @classmethod
-    def resume(
-        cls, path, expect_spec: Optional[NetworkExperimentSpec] = None
-    ) -> "NetworkExperiment":
-        """Reload a checkpointed network experiment, verifying provenance."""
-        _, components = CheckpointCodec.load(path, expect_kind=cls.KIND)
-        experiment = components.get("experiment")
-        if not isinstance(experiment, cls):
-            raise CheckpointFormatError(
-                f"{path}: checkpoint does not contain a {cls.__name__}"
-            )
-        if expect_spec is not None and experiment.spec != expect_spec:
-            raise CheckpointMismatchError("spec", experiment.spec, expect_spec)
-        return experiment
-
 
 def run_network_experiment(
     spec: NetworkExperimentSpec,
@@ -399,51 +317,17 @@ def run_network_experiment(
     """Build the cluster, load it with CBR streams to the target link
     utilisation, run, and summarise end-to-end QoS.
 
-    ``checkpoint_every=N`` writes a checkpoint to ``checkpoint_path``
-    every N cycles (atomically, latest wins); ``resume=True`` continues
-    from an existing checkpoint at that path instead of rebuilding from
-    cycle 0 — bit-identical results either way.  ``_crash_at_cycle`` is
-    a test hook that raises :class:`SimulatedWorkerCrash` once the
-    (first, non-resumed) run passes that cycle.
+    The checkpoint arguments are those of
+    :meth:`~repro.harness.resumable.Resumable.run`.
     """
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-    if checkpoint_every is None and not resume and _crash_at_cycle is None:
-        experiment = NetworkExperiment(spec, topology)
-        return experiment.result()
-    if checkpoint_path is None:
-        raise ValueError("checkpointing requires a checkpoint_path")
-    path = Path(checkpoint_path)
-    lineage: Dict[str, Any] = {
-        "schema": CheckpointCodec.schema,
-        "path": str(path),
-        "resumed_from_cycle": None,
-        "checkpoints_written": 0,
-    }
-    if resume and path.exists():
-        experiment = NetworkExperiment.resume(path, expect_spec=spec)
-        lineage["resumed_from_cycle"] = experiment.now
-    else:
-        experiment = NetworkExperiment(spec, topology)
-    total = experiment.total_cycles
-    stride = checkpoint_every if checkpoint_every is not None else total
-    while experiment.now < total:
-        experiment.run_to(min(experiment.now + stride, total))
-        if checkpoint_every is not None and experiment.now < total:
-            header = experiment.checkpoint(path)
-            lineage["checkpoints_written"] += 1
-            lineage["last_checkpoint_cycle"] = header.cycle
-        if (
-            _crash_at_cycle is not None
-            and lineage["resumed_from_cycle"] is None
-            and _crash_at_cycle <= experiment.now < total
-        ):
-            raise SimulatedWorkerCrash(
-                f"worker killed at cycle {experiment.now} (test hook)"
-            )
-    result = experiment.result()
-    result.checkpoint = lineage
-    return result
+    return NetworkExperiment.run(
+        spec,
+        topology,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        crash_at_cycle=_crash_at_cycle,
+    )
 
 
 class _LoggedDelivery:

@@ -16,15 +16,8 @@ returns the delay/jitter/utilisation numbers Figures 3-5 plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..ckpt.codec import (
-    CheckpointCodec,
-    CheckpointFormatError,
-    CheckpointHeader,
-    CheckpointMismatchError,
-)
 from ..core.bandwidth import BandwidthRequest
 from ..core.config import RouterConfig
 from ..core.priority import make_priority_scheme
@@ -36,12 +29,13 @@ from ..core.switch_scheduler import (
     SwitchScheduler,
 )
 from ..core.virtual_channel import ServiceClass
-from ..obs import FlightRecorder, build_manifest
+from ..obs import FlightRecorder
 from ..qos.metrics import QosSummary, per_rate_breakdown, summarise, summarise_weighted
 from ..sim.engine import Simulator
 from ..sim.rng import SeededRng
 from ..traffic.cbr import CbrSource
 from ..traffic.load import ConnectionPlan, LoadPlanner
+from .resumable import Resumable, SimulatedWorkerCrash  # noqa: F401 (re-export)
 
 #: Default paper configuration (8x8, 256 VCs, 1.24 Gbps, 128-bit flits).
 #: Round budgets are off: §5.1 studies "a simple link scheduling algorithm"
@@ -139,50 +133,33 @@ def build_switch_scheduler(spec: ExperimentSpec, rng: SeededRng) -> SwitchSchedu
     return PerfectSwitchScheduler(spec.config.num_ports)
 
 
-class SimulatedWorkerCrash(RuntimeError):
-    """Test hook: a deliberately killed run (models a preempted worker)."""
-
-
-class SingleRouterExperiment:
+class SingleRouterExperiment(Resumable):
     """One evaluation point as a resumable object.
 
     The constructor builds the full scenario (router, admitted
     connections, sources) exactly as the historical one-shot function
-    did; :meth:`run_to` advances it, handling the warm-up boundary
-    (statistics reset) exactly once; :meth:`checkpoint` /
-    :meth:`resume` round-trip the whole live graph through
-    :class:`~repro.ckpt.codec.CheckpointCodec`, so a resumed run
-    continues bit-identically to one that never stopped.
+    did; ``run_to``, ``checkpoint`` and ``resume``
+    (:class:`~repro.harness.resumable.Resumable`) advance it across the
+    warm-up boundary (statistics reset) exactly once and round-trip the
+    whole live graph, so a resumed run continues bit-identically to one
+    that never stopped.
     """
 
-    #: Checkpoint producer tag (header ``kind``).
     KIND = "single_router"
+    MANIFEST_FIELDS = (
+        "scheduler", "priority", "target_load", "warmup_cycles", "measure_cycles"
+    )
 
     def __init__(
         self, spec: ExperimentSpec, plan: Optional[ConnectionPlan] = None
     ) -> None:
         rng = SeededRng(spec.seed, "experiment")
-        config = spec.config.with_(candidates=spec.candidates)
+        config = self.config_of(spec)
         sim = Simulator()
         scheme = make_priority_scheme(spec.priority)
         switch_scheduler = build_switch_scheduler(spec, rng)
         selection = "random" if spec.scheduler == "dec" else spec.selection
-        recorder = None
-        if spec.telemetry:
-            recorder = FlightRecorder(
-                manifest=build_manifest(
-                    seed=spec.seed,
-                    config=config,
-                    command="run_single_router_experiment",
-                    extra={
-                        "scheduler": spec.scheduler,
-                        "priority": spec.priority,
-                        "target_load": spec.target_load,
-                        "warmup_cycles": spec.warmup_cycles,
-                        "measure_cycles": spec.measure_cycles,
-                    },
-                )
-            )
+        recorder = self.build_recorder(spec, config)
         router = Router(
             config,
             scheme,
@@ -245,50 +222,21 @@ class SingleRouterExperiment:
         self.sources = sources
         self.rates = rates
         self.admitted = admitted
-        # Whether the warm-up boundary reset has happened.  sim.now alone
-        # cannot tell: a checkpoint taken exactly at the boundary may be
-        # from just before or just after the reset.
-        self._measurement_started = False
 
-    @property
-    def now(self) -> int:
-        """Current simulation cycle."""
-        return self.sim.now
+    @staticmethod
+    def config_of(spec: ExperimentSpec) -> RouterConfig:
+        """The router configuration ``spec`` runs."""
+        return spec.config.with_(candidates=spec.candidates)
 
-    @property
-    def total_cycles(self) -> int:
-        """Warm-up plus measurement horizon."""
-        return self.spec.warmup_cycles + self.spec.measure_cycles
-
-    def run_to(self, cycle: int) -> None:
-        """Advance to absolute ``cycle`` (clamped to the experiment end).
-
-        Crossing the warm-up boundary resets statistics (and clears the
-        recorder) exactly as the one-shot run does, no matter how the
-        span ``[0, total_cycles]`` is sliced across calls, checkpoints
-        and resumes.
-        """
-        target = min(int(cycle), self.total_cycles)
-        if target < self.sim.now:
-            raise ValueError(
-                f"cannot run backwards to {target}, now is {self.sim.now}"
-            )
-        warmup = self.spec.warmup_cycles
-        if self.sim.now < warmup:
-            self.sim.run(min(target, warmup) - self.sim.now)
-        if self.sim.now >= warmup and not self._measurement_started:
-            self._measurement_started = True
-            self.router.reset_statistics()
-            if self.recorder is not None:
-                # Warm-up flits and samples are not part of the measurement.
-                self.recorder.clear()
-        if target > self.sim.now:
-            self.sim.run(target - self.sim.now)
+    def _start_measurement(self) -> None:
+        self.router.reset_statistics()
+        if self.recorder is not None:
+            # Warm-up flits and samples are not part of the measurement.
+            self.recorder.clear()
 
     def result(self) -> ExperimentResult:
         """Summarise the (completed) run; runs any remaining cycles."""
-        if self.sim.now < self.total_cycles:
-            self.run_to(self.total_cycles)
+        self.run_to(self.total_cycles)
         router = self.router
         active_stats = {
             connection_id: stats
@@ -317,55 +265,6 @@ class SingleRouterExperiment:
             recorder=self.recorder,
         )
 
-    # ----- checkpoint / resume ----------------------------------------------
-
-    def checkpoint(self, path) -> CheckpointHeader:
-        """Write the complete experiment state to ``path`` (schema
-        :data:`~repro.ckpt.codec.CKPT_SCHEMA`)."""
-        return CheckpointCodec.save(
-            path,
-            {"experiment": self},
-            kind=self.KIND,
-            cycle=self.sim.now,
-            seed=self.spec.seed,
-            config=self.config,
-            extra={
-                "scheduler": self.spec.scheduler,
-                "priority": self.spec.priority,
-                "target_load": self.spec.target_load,
-                "warmup_cycles": self.spec.warmup_cycles,
-                "measure_cycles": self.spec.measure_cycles,
-                "measurement_started": self._measurement_started,
-            },
-        )
-
-    @classmethod
-    def resume(
-        cls, path, expect_spec: Optional[ExperimentSpec] = None
-    ) -> "SingleRouterExperiment":
-        """Reload a checkpointed experiment, verifying provenance.
-
-        With ``expect_spec`` the checkpoint's config digest is checked
-        against the spec's configuration *before* unpickling, and the
-        restored spec must equal it exactly — resuming someone else's
-        checkpoint into the wrong sweep point is refused, not silently
-        blended.
-        """
-        expect_config = None
-        if expect_spec is not None:
-            expect_config = expect_spec.config.with_(candidates=expect_spec.candidates)
-        _, components = CheckpointCodec.load(
-            path, expect_kind=cls.KIND, expect_config=expect_config
-        )
-        experiment = components.get("experiment")
-        if not isinstance(experiment, cls):
-            raise CheckpointFormatError(
-                f"{path}: checkpoint does not contain a {cls.__name__}"
-            )
-        if expect_spec is not None and experiment.spec != expect_spec:
-            raise CheckpointMismatchError("spec", experiment.spec, expect_spec)
-        return experiment
-
 
 def run_single_router_experiment(
     spec: ExperimentSpec,
@@ -380,49 +279,14 @@ def run_single_router_experiment(
     A pre-generated ``plan`` may be supplied so that different schedulers
     are compared on the *same* connection set (as the paper's common
     workload implies); otherwise the plan is derived from the seed.
-
-    ``checkpoint_every=N`` writes a checkpoint to ``checkpoint_path``
-    every N cycles (atomically, latest wins); ``resume=True`` continues
-    from an existing checkpoint at that path instead of rebuilding from
-    cycle 0 — bit-identical results either way.  ``_crash_at_cycle`` is a
-    test hook that raises :class:`SimulatedWorkerCrash` once the (first,
-    non-resumed) run passes that cycle, modelling a killed worker.
+    The checkpoint arguments are those of
+    :meth:`~repro.harness.resumable.Resumable.run`.
     """
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-    if checkpoint_every is None and not resume and _crash_at_cycle is None:
-        experiment = SingleRouterExperiment(spec, plan)
-        return experiment.result()
-    if checkpoint_path is None:
-        raise ValueError("checkpointing requires a checkpoint_path")
-    path = Path(checkpoint_path)
-    lineage: Dict[str, Any] = {
-        "schema": CheckpointCodec.schema,
-        "path": str(path),
-        "resumed_from_cycle": None,
-        "checkpoints_written": 0,
-    }
-    if resume and path.exists():
-        experiment = SingleRouterExperiment.resume(path, expect_spec=spec)
-        lineage["resumed_from_cycle"] = experiment.now
-    else:
-        experiment = SingleRouterExperiment(spec, plan)
-    total = experiment.total_cycles
-    stride = checkpoint_every if checkpoint_every is not None else total
-    while experiment.now < total:
-        experiment.run_to(min(experiment.now + stride, total))
-        if checkpoint_every is not None and experiment.now < total:
-            header = experiment.checkpoint(path)
-            lineage["checkpoints_written"] += 1
-            lineage["last_checkpoint_cycle"] = header.cycle
-        if (
-            _crash_at_cycle is not None
-            and lineage["resumed_from_cycle"] is None
-            and _crash_at_cycle <= experiment.now < total
-        ):
-            raise SimulatedWorkerCrash(
-                f"worker killed at cycle {experiment.now} (test hook)"
-            )
-    result = experiment.result()
-    result.checkpoint = lineage
-    return result
+    return SingleRouterExperiment.run(
+        spec,
+        plan,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        crash_at_cycle=_crash_at_cycle,
+    )

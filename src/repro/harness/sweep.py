@@ -14,9 +14,7 @@ about a point depends on execution order.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -97,10 +95,11 @@ class Checkpointing:
             raise ValueError(f"checkpoint interval must be positive, got {self.every}")
 
     def point_path(self, key: Tuple[Any, ...]) -> Path:
-        """The checkpoint file for one grid point (stable across runs)."""
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:12]
-        human = re.sub(r"[^A-Za-z0-9.=_-]+", "_", "_".join(str(v) for v in key))
-        return Path(self.directory) / f"point-{human[:60]}-{digest}.ckpt"
+        """The checkpoint file for one grid point (stable across runs):
+        ``point-`` plus the fabric queue's id for ``key``."""
+        from ..fabric.queue import point_id  # the fabric imports this module
+
+        return Path(self.directory) / f"point-{point_id(key)}.ckpt"
 
 
 @dataclass
@@ -273,8 +272,6 @@ def run_sweep(
         return run_sweep_on_fabric(base, axes, fabric, _runner)
     points = sweep_points(base, axes)
     sweep = SweepResult(tuple(axes))
-    if checkpointing is not None:
-        Path(checkpointing.directory).mkdir(parents=True, exist_ok=True)
 
     def point_kwargs(key: Tuple[Any, ...]) -> Dict[str, Any]:
         if checkpointing is None:

@@ -2,19 +2,20 @@
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
+import io
 import os
 import pickle
 from collections import deque
 
 import pytest
 
+from repro import frame
 from repro.ckpt.codec import (
     CKPT_SCHEMA,
     MAGIC,
     CheckpointCodec,
     CheckpointError,
     CheckpointFormatError,
-    CheckpointHeader,
     CheckpointMismatchError,
     CheckpointSchemaError,
 )
@@ -24,6 +25,7 @@ from repro.core.flit import Flit, FlitType
 from repro.core.priority import BiasedPriority
 from repro.core.router import Router
 from repro.core.switch_scheduler import GreedyPriorityScheduler
+from repro.harness.churn import ChurnSpec, ChurnWorkload
 from repro.harness.network_experiment import NetworkExperiment, NetworkExperimentSpec
 from repro.harness.single_router import (
     ExperimentSpec,
@@ -135,7 +137,7 @@ class TestCodecRoundTrip:
         if failing == "rename":
             monkeypatch.setattr(os, "replace", disk_full)
         else:
-            monkeypatch.setattr(CheckpointHeader, "to_json", disk_full)
+            monkeypatch.setattr(frame, "open", _FillsAfterMagic, raising=False)
         with pytest.raises(OSError, match="No space left"):
             CheckpointCodec.save(path, {"v": 2}, kind="test", cycle=1)
         monkeypatch.undo()
@@ -184,6 +186,15 @@ class TestCodecRoundTrip:
             )
         assert "not picklable" in str(excinfo.value)
         assert not (tmp_path / "bad.ckpt").exists()
+
+
+class _FillsAfterMagic(io.FileIO):
+    """A staging file on a disk that fills up after its first write."""
+
+    def write(self, data):
+        if self.tell():
+            raise OSError(28, "No space left on device")
+        return super().write(data)
 
 
 class TestHeaderOnlyReads:
@@ -411,20 +422,6 @@ class TestSingleRouterCheckpoint:
         assert resumed.now == 900
         assert result_fingerprint(resumed.result()) == result_fingerprint(straight)
 
-    def test_resume_refuses_wrong_spec(self, tmp_path):
-        spec = tiny_spec()
-        experiment = SingleRouterExperiment(spec)
-        experiment.run_to(400)
-        path = tmp_path / "mid.ckpt"
-        experiment.checkpoint(path)
-        # Same config digest, different spec (seed): caught after load.
-        with pytest.raises(CheckpointMismatchError, match="spec"):
-            SingleRouterExperiment.resume(path, expect_spec=tiny_spec(seed=4))
-        # Different config: caught on the digest, before any unpickle.
-        other = tiny_spec(config=TINY.with_(vcs_per_port=64))
-        with pytest.raises(CheckpointMismatchError, match="config digest"):
-            SingleRouterExperiment.resume(path, expect_spec=other)
-
     def test_run_to_rejects_backwards(self):
         experiment = SingleRouterExperiment(tiny_spec())
         experiment.run_to(500)
@@ -468,6 +465,57 @@ class TestSingleRouterCheckpoint:
             run_single_router_experiment(
                 tiny_spec(), checkpoint_every=0, checkpoint_path="x.ckpt"
             )
+
+
+def _network_spec(**overrides):
+    base = dict(
+        target_link_load=0.2, num_nodes=4, warmup_cycles=100, measure_cycles=400
+    )
+    return NetworkExperimentSpec(**{**base, **overrides})
+
+
+def _churn_spec(**overrides):
+    base = dict(
+        num_sessions=20, mean_interarrival_cycles=100.0, mean_holding_cycles=500.0,
+        drain_cycles=2000, num_nodes=4,
+    )
+    return ChurnSpec(**{**base, **overrides})
+
+
+class TestResumeProvenance:
+    """Every experiment kind refuses another point's checkpoint from its
+    header alone: nothing is unpickled."""
+
+    KINDS = {
+        "single_router": (SingleRouterExperiment, tiny_spec),
+        "network": (NetworkExperiment, _network_spec),
+        "churn": (ChurnWorkload, _churn_spec),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_resume_refuses_wrong_spec(self, tmp_path, monkeypatch, kind):
+        cls, make_spec = self.KINDS[kind]
+        spec = make_spec()
+        experiment = cls(spec)
+        experiment.run_to(400)
+        path = tmp_path / "mid.ckpt"
+        experiment.checkpoint(path)
+
+        def unpickler(*args, **kwargs):
+            pytest.fail("resume unpickled a checkpoint of another spec")
+
+        monkeypatch.setattr(pickle, "Unpickler", unpickler)
+        # Same config digest, different spec (seed): caught on the spec
+        # digest in the header.
+        with pytest.raises(CheckpointMismatchError, match="spec"):
+            cls.resume(path, expect_spec=make_spec(seed=4))
+        if kind == "single_router":
+            # Different config: caught on the config digest first.
+            other = tiny_spec(config=TINY.with_(vcs_per_port=64))
+            with pytest.raises(CheckpointMismatchError, match="config digest"):
+                cls.resume(path, expect_spec=other)
+        monkeypatch.undo()
+        assert cls.resume(path, expect_spec=spec).now == 400
 
 
 class TestMidpointResumeFromDisk:

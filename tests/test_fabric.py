@@ -5,6 +5,7 @@ store (corruption and staleness semantics), the lease-file work queue
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from repro.core.config import RouterConfig
 from repro.fabric import (
     Fabric,
+    FabricError,
     FabricQueue,
     FabricSubmissionError,
     FabricWorker,
@@ -247,6 +249,23 @@ class TestFabricQueue:
             queue.write_result(manifest["point_ids"][0], {"cached": False})
         assert not list(tmp_path.rglob("*.tmp-*"))
 
+    def test_truncated_point_spec_raises_fabric_error(self, tmp_path):
+        queue, _, manifest = self._submit(tmp_path)
+        pid = manifest["point_ids"][0]
+        path = queue.points_dir / f"{pid}.spec"
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(FabricError, match=re.escape(str(path))):
+            queue.load_point(pid)
+
+    def test_previous_queue_schema_is_refused_by_name(self, tmp_path):
+        """A ``fabric-queue/1`` directory holds bare pickled specs."""
+        queue, _, _ = self._submit(tmp_path)
+        manifest = json.loads(queue.manifest_path.read_text())
+        manifest["schema"] = "fabric-queue/1"
+        queue.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(FabricError, match="fabric-queue/1"):
+            queue.require_manifest()
+
     def test_status_counts(self, tmp_path):
         queue, _, manifest = self._submit(tmp_path)
         pid = manifest["point_ids"][0]
@@ -418,6 +437,19 @@ class TestFabricEndToEnd:
         assert worker.points_cached == 1
         rerun = collect_sweep(rerun_fabric, tuple(axes))
         assert rerun.rows(METRICS) == cold.rows(METRICS)
+
+    def test_collect_recomputes_an_entry_lost_after_its_marker(self, tmp_path):
+        axes = [SweepAxis("seed", (3, 4))]
+        fabric = tiny_fabric(tmp_path)
+        cold = run_sweep(tiny_spec(), axes, fabric=fabric)
+        store = ResultStore(fabric.store_root, revision=fabric.revision)
+        victim_spec = sweep_points(tiny_spec(), axes)[0][1]
+        store.path_for(store.key_for(victim_spec, "(3,)")).unlink()
+
+        again = collect_sweep(fabric, tuple(axes))
+        assert again.rows(METRICS) == cold.rows(METRICS)
+        assert store.get(store.key_for(victim_spec, "(3,)")) is not None
+        assert again.manifests[(3,)]["fabric"]["cached"] is False
 
     def test_worker_telemetry_and_health_trail(self, tmp_path):
         axes = [SweepAxis("seed", (3,))]
