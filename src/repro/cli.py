@@ -5,9 +5,10 @@ Commands:
 * ``run`` — one point of the single-router evaluation grid (or several
   loads fanned out over ``--jobs`` worker processes).
 * ``sweep`` — a cartesian design-space sweep (``--axis name=v1,v2,...``)
-  over spec or router-config parameters, optionally parallel.
-* ``figures`` — regenerate Figure 3/4/5 tables (alias for
-  ``python -m repro.harness.figures``).
+  over spec or router-config parameters (``--network``: over the
+  multi-router cluster's), optionally parallel and checkpoint-resumable.
+* ``figures`` — regenerate Figure 3/4/5 tables; ``--out DIR`` also writes
+  each figure as JSON and CSV plus a ``summary.txt`` of the tables.
 * ``saturation`` — bisect a scheduler variant's saturation load.
 * ``obs`` — run a point with the flight recorder on and export the
   telemetry, kernel profile and Perfetto-loadable flit trace.
@@ -23,6 +24,13 @@ Commands:
 ``run`` accepts ``--checkpoint-every N --checkpoint-out PATH`` to write
 periodic checkpoints, and ``--resume-from PATH`` to continue a run from
 its latest checkpoint — results are bit-identical to a straight run.
+
+Every experiment command reads the one experiment-kind registry
+(:func:`~repro.harness.resumable.experiment_kinds`).  A spec flag's
+``dest`` is the spec field it sets, so one builder (:func:`_spec`) makes
+any kind's spec, one grammar (:func:`_parse_axis`) reads any kind's
+``--axis``, and ``sweep``, ``sweep --network``, ``fabric submit`` and
+``churn --axis`` share one grid path (:func:`_grid`, :func:`cmd_sweep`).
 """
 
 from __future__ import annotations
@@ -32,35 +40,32 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .ckpt.codec import CKPT_SCHEMA, CheckpointCodec, CheckpointError
 from .core.config import RouterConfig
-from .harness.churn import ChurnSpec, run_churn_experiment
-from .harness.figures import main as figures_main
-from .harness.network_experiment import (
-    NetworkExperimentSpec,
-    run_network_experiment,
-)
-from .harness.export import write_trace_json
-from .harness.report import format_kernel_profile, format_telemetry
+from .harness.export import write_figure_csv, write_figure_json, write_trace_json
+from .harness.figures import DEFAULT_LOADS, enable_figure_cache
+from .harness.figures import figure3, figure4, figure5
+from .harness.report import format_kernel_profile, format_table, format_telemetry
+from .harness.resumable import experiment_kinds
 from .harness.saturation import find_saturation_load
-from .harness.single_router import (
-    PAPER_CONFIG,
-    SCHEDULERS,
-    ExperimentSpec,
-    run_single_router_experiment,
-)
-from .harness.sweep import Checkpointing, SweepAxis, run_sweep
+from .harness.single_router import PAPER_CONFIG, SCHEDULERS
+from .harness.sweep import Checkpointing, SweepAxis, run_sweep, sweep_points
 from .obs.health import merge_health, read_health
 from .obs.report import render_report, render_rollup
-from .obs.slo import SloBudget
 
-#: Field names an ``--axis`` may target, and where each one lives.
-_SPEC_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
+#: The experiment kinds by tag, and each kind's spec fields.
+_KINDS = experiment_kinds()
+_FIELDS = {
+    kind: {f.name for f in dataclasses.fields(kind.SPEC)} for kind in _KINDS.values()
+}
+_ALL_FIELDS = set().union(*_FIELDS.values())
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RouterConfig)}
-_CHURN_FIELDS = {f.name for f in dataclasses.fields(ChurnSpec)}
-_NETWORK_FIELDS = {f.name for f in dataclasses.fields(NetworkExperimentSpec)}
+
+#: Defaults of the spec flags whose spec field has none.  The other spec
+#: flags default to None: left out, they take their spec class's default.
+_FLAG_DEFAULTS = {"target_load": 0.8, "target_link_load": 0.4}
 
 
 def _add_spec_arguments(
@@ -68,90 +73,98 @@ def _add_spec_arguments(
 ) -> None:
     if multi_load:
         parser.add_argument(
-            "--load", type=float, nargs="+", default=[0.8], metavar="LOAD",
-            help="offered load(s); several values fan out over --jobs",
+            "--load", dest="target_load", type=float, nargs="+", default=[0.8],
+            metavar="LOAD", help="offered load(s); several values fan out over --jobs",
         )
     else:
-        parser.add_argument("--load", type=float, default=0.8, help="offered load")
+        parser.add_argument("--load", dest="target_load", type=float, help="offered load")
     parser.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="greedy",
+        "--scheduler", choices=SCHEDULERS,
         help="switch scheduler variant",
     )
     parser.add_argument(
-        "--priority", default="biased",
+        "--priority",
         help="priority scheme: biased, fixed, age, rate, static, frozen",
     )
-    parser.add_argument("--candidates", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--warmup", type=int, default=20000, help="warm-up cycles")
-    parser.add_argument("--cycles", type=int, default=100000, help="measured cycles")
+    parser.add_argument("--candidates", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--warmup", dest="warmup_cycles", type=int, help="warm-up cycles")
+    parser.add_argument("--cycles", dest="measure_cycles", type=int, help="measured cycles")
 
 
 def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
     """Cluster-shape options shared by ``network`` and ``sweep --network``."""
     parser.add_argument(
-        "--link-load", type=float, default=0.4,
+        "--link-load", dest="target_link_load", type=float,
         help="target mean router-to-router link utilisation",
     )
     parser.add_argument(
-        "--nodes", type=int, default=12,
+        "--nodes", dest="num_nodes", type=int,
         help="node count (irregular topology only)",
     )
     parser.add_argument(
-        "--best-effort", type=float, default=0.0,
+        "--best-effort", dest="best_effort_rate", type=float,
         help="best-effort packets per node per 100 cycles",
     )
     parser.add_argument(
-        "--topology", default="irregular", metavar="NAME",
+        "--topology", metavar="NAME",
         help="irregular (default), mesh<W>x<H> or torus<W>x<H>",
     )
     parser.add_argument(
         "--routing", choices=("adaptive", "dimension_order"),
-        default="adaptive",
         help="probe + best-effort routing (dimension_order needs a grid)",
     )
 
 
-def _spec_from_args(
-    args: argparse.Namespace,
-    telemetry: bool = False,
-    load: Optional[float] = None,
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        target_load=args.load if load is None else load,
-        scheduler=args.scheduler,
-        priority=args.priority,
-        candidates=args.candidates,
-        seed=args.seed,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        telemetry=telemetry or getattr(args, "telemetry", False),
-    )
+def _spec(args: argparse.Namespace, **overrides: Any):
+    """Build ``args.kind``'s spec from the flags whose dest is its field.
 
-
-def _result_payload(result) -> dict:
-    return {
-        "offered_load": result.offered_load,
-        "connections": result.connections,
-        "utilisation": result.utilisation,
-        "mean_delay_cycles": result.mean_delay_cycles,
-        "mean_delay_us": result.mean_delay_us,
-        "mean_jitter_cycles": result.mean_jitter_cycles,
-        "per_connection_delay_cycles": result.per_connection.mean_delay_cycles,
-        "per_connection_jitter_cycles": result.per_connection.mean_jitter_cycles,
-        "max_interface_backlog": result.max_interface_backlog,
+    A given flag that sets another kind's field (``--load`` under
+    ``--network``) is an error, not silently dropped, and so is a value
+    the spec refuses.
+    """
+    fields = _FIELDS[args.kind]
+    given = {
+        name: value for name, value in vars(args).items()
+        if name in _ALL_FIELDS and value is not None
     }
+    stray = given.keys() - fields
+    if stray:
+        flags = [a.option_strings[0] for a in args.parser._actions if a.dest in stray]
+        raise argparse.ArgumentTypeError(
+            f"{', '.join(flags)}: not a {args.kind.KIND} experiment option"
+        )
+    values = {**_FLAG_DEFAULTS, **given, **overrides}
+    try:
+        return args.kind.SPEC(**{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in values.items()
+            if name in fields
+        })
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _print_payload(payload: dict, indent: str = "") -> None:
+def _write(path, writer, data) -> None:
+    """``writer(data, stream)`` into a fresh UTF-8 text file at ``path``."""
+    with open(path, "w", encoding="utf-8") as stream:
+        writer(data, stream)
+
+
+def _dump_json(data, stream) -> None:
+    json.dump(data, stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
+def _print_payload(payload: dict) -> None:
     for key, value in payload.items():
-        print(f"{indent}{key:>30}: {value:.4f}" if isinstance(value, float) else
-              f"{indent}{key:>30}: {value}")
+        print(f"{key:>30}: {value:.4f}" if isinstance(value, float) else
+              f"{key:>30}: {value}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment point (or several loads) and print the metrics."""
-    loads = list(args.load)
+    loads = list(args.target_load)
     checkpointed = args.checkpoint_every is not None or args.resume_from is not None
     if checkpointed and len(loads) > 1:
         print("--checkpoint-every/--resume-from are single-point only; "
@@ -161,12 +174,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Several loads: one experiment per load, fanned out over --jobs
         # worker processes (telemetry/trace export is single-point only).
         sweep = run_sweep(
-            _spec_from_args(args, load=loads[0]),
+            _spec(args, target_load=loads[0]),
             [SweepAxis("target_load", tuple(loads))],
             jobs=args.jobs,
         )
         points = [
-            {"target_load": load, **_result_payload(sweep.results[(load,)])}
+            {"target_load": load, **args.kind.summary(sweep.results[(load,)])}
             for load in loads
         ]
         if args.json:
@@ -185,8 +198,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     try:
         # Without --checkpoint-every or --resume-from this is a plain run.
-        result = run_single_router_experiment(
-            _spec_from_args(args, load=loads[0]),
+        result = args.kind.runner()(
+            _spec(args, target_load=loads[0]),
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=path,
             resume=args.resume_from is not None,
@@ -194,7 +207,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 1
-    payload = _result_payload(result)
+    payload = args.kind.summary(result)
     if result.checkpoint is not None:
         payload["checkpoint"] = result.checkpoint
     recorder = result.recorder
@@ -212,24 +225,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             print()
             print(format_kernel_profile(recorder.kernel_snapshot()))
     if recorder is not None and args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as stream:
-            write_trace_json(recorder, stream)
+        _write(args.trace_out, write_trace_json, recorder)
         print(f"trace written to {args.trace_out}", file=sys.stderr)
     return 0
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
     """Run one point with the flight recorder on; export its artefacts."""
-    result = run_single_router_experiment(_spec_from_args(args, telemetry=True))
+    result = args.kind.runner()(_spec(args, telemetry=True))
     recorder = result.recorder
     assert recorder is not None
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as stream:
-            write_trace_json(recorder, stream)
+        _write(args.trace_out, write_trace_json, recorder)
     if args.export_out:
-        with open(args.export_out, "w", encoding="utf-8") as stream:
-            json.dump(recorder.export(), stream, indent=2, sort_keys=True)
-            stream.write("\n")
+        _write(args.export_out, _dump_json, recorder.export())
     dropped = recorder.dropped_summary()
     if args.json:
         print(
@@ -283,12 +292,13 @@ def _parse_axis_value(text: str) -> Any:
     return text
 
 
-def _parse_axis(text: str) -> SweepAxis:
-    """Parse ``name=v1,v2,...`` into a SweepAxis, inferring the target.
+def _parse_axis(kind, text: str) -> SweepAxis:
+    """Parse ``name=v1,v2,...`` into a SweepAxis of experiment ``kind``.
 
-    Axis names are looked up among :class:`ExperimentSpec` fields first
-    ('spec' target), then :class:`RouterConfig` fields ('config' target,
-    applied via ``config.with_``).
+    Axis names are looked up among the kind's spec fields first ('spec'
+    target), then, for a spec with a ``config`` (the single router's),
+    among :class:`RouterConfig` fields ('config' target, applied via
+    ``config.with_``).
     """
     name, sep, values_text = text.partition("=")
     values = tuple(
@@ -298,66 +308,25 @@ def _parse_axis(text: str) -> SweepAxis:
         raise argparse.ArgumentTypeError(
             f"axis must look like name=v1,v2,... (got {text!r})"
         )
-    if name in _SPEC_FIELDS:
-        target = "spec"
-    elif name in _CONFIG_FIELDS:
-        target = "config"
-    else:
-        raise argparse.ArgumentTypeError(
-            f"unknown axis {name!r}: not an ExperimentSpec or RouterConfig field"
-        )
-    return SweepAxis(name, values, target)
+    fields = _FIELDS[kind]
+    if name in fields:
+        return SweepAxis(name, values, "spec")
+    if "config" in fields and name in _CONFIG_FIELDS:
+        return SweepAxis(name, values, "config")
+    where = kind.SPEC.__name__ + (" or RouterConfig" if "config" in fields else "")
+    raise argparse.ArgumentTypeError(f"unknown axis {name!r}: not a field of {where}")
 
 
-def _parse_network_axis(text: str) -> SweepAxis:
-    """Parse ``name=v1,v2,...`` against :class:`NetworkExperimentSpec`."""
-    name, sep, values_text = text.partition("=")
-    values = tuple(
-        _parse_axis_value(v) for v in values_text.split(",") if v != ""
-    )
-    if not sep or not values:
-        raise argparse.ArgumentTypeError(
-            f"axis must look like name=v1,v2,... (got {text!r})"
-        )
-    if name not in _NETWORK_FIELDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown axis {name!r}: not a NetworkExperimentSpec field"
-        )
-    return SweepAxis(name, values, "spec")
-
-
-def _network_spec_from_args(
-    args: argparse.Namespace, **overrides: Any
-) -> NetworkExperimentSpec:
-    kwargs = dict(
-        target_link_load=args.link_load,
-        num_nodes=args.nodes,
-        best_effort_rate=args.best_effort,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        topology=args.topology,
-        routing=args.routing,
-    )
-    kwargs.update(overrides)
-    return NetworkExperimentSpec(**kwargs)
-
-
-def _network_sweep_base(
-    args: argparse.Namespace, axes: Sequence[SweepAxis]
-) -> NetworkExperimentSpec:
-    """The base spec of a ``--network`` sweep.
+def _grid(args: argparse.Namespace):
+    """The base spec and axes of a sweep of ``args.kind``.
 
     A swept field overrides every point, so the base takes the axis's
     first value — otherwise e.g. a topology sweep under dimension_order
     routing would fail base-spec validation against the irregular default.
     """
-    overrides = {
-        axis.name: axis.values[0]
-        for axis in axes
-        if axis.name in ("topology", "routing")
-    }
-    return _network_spec_from_args(args, **overrides)
+    axes = [_parse_axis(args.kind, text) for text in args.axis]
+    firsts = {axis.name: axis.values[0] for axis in axes if axis.target == "spec"}
+    return _spec(args, **firsts), axes
 
 
 def _checkpointing_from_args(args: argparse.Namespace) -> Optional[Checkpointing]:
@@ -372,45 +341,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     ``--network`` sweeps :class:`NetworkExperimentSpec` axes (topology,
     routing, target_link_load, ...) over the multi-router cluster
-    instead of the single-router grid; points are checkpoint-resumable
-    with ``--checkpoint-dir``.
+    instead of the single-router grid, and ``repro churn --axis`` sweeps
+    :class:`ChurnSpec` axes; points are checkpoint-resumable with
+    ``--checkpoint-dir``.
     """
-    parse_axis = _parse_network_axis if args.network else _parse_axis
-    try:
-        axes = [parse_axis(text) for text in args.axis]
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.network:
-        sweep = run_sweep(
-            _network_sweep_base(args, axes),
-            axes,
-            jobs=args.jobs,
-            checkpointing=_checkpointing_from_args(args),
-            _runner=run_network_experiment,
-        )
-        default_metrics = "mean_delay_cycles,mean_jitter_cycles,acceptance_ratio"
-    else:
-        sweep = run_sweep(_spec_from_args(args), axes, jobs=args.jobs)
-        default_metrics = "mean_delay_us,mean_jitter_cycles,utilisation"
-    metrics = (args.metrics or default_metrics).split(",")
-    rows = sweep.rows(metrics)
-    header = [axis.name for axis in axes] + metrics
+    kind = args.kind
+    base, axes = _grid(args)
+    sweep = run_sweep(
+        base,
+        axes,
+        jobs=args.jobs,
+        checkpointing=_checkpointing_from_args(args),
+        _runner=kind.runner(),
+    )
+    metrics = getattr(args, "metrics", None)
+    columns = metrics.split(",") if metrics else list(kind.SWEEP_COLUMNS)
+    header = [axis.name for axis in axes] + columns
+    rows = sweep.rows([kind.SUMMARY_FIELDS.get(name, name) for name in columns])
+    table = {"columns": header, "rows": rows}
+    status, complaints = 0, []
+    if kind is _KINDS["churn"]:
+        status, complaints = _churn_verdict(args, sweep, axes, table)
     if args.json:
-        print(json.dumps({"columns": header, "rows": rows}, indent=2))
-        return 0
-    cells = [
-        [f"{v:.4f}" if isinstance(v, float) else str(v) for v in row]
-        for row in rows
-    ]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in cells))
-        for i in range(len(header))
-    ]
-    print("  ".join(name.rjust(w) for name, w in zip(header, widths)))
-    for row in cells:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return 0
+        print(json.dumps(table, indent=2))
+    else:
+        print(format_table(header, rows, precision=4))
+    for line in complaints:
+        print(line, file=sys.stderr)
+    return status
 
 
 def _fabric_from_args(args: argparse.Namespace):
@@ -425,37 +383,15 @@ def _fabric_from_args(args: argparse.Namespace):
     )
 
 
-def _fabric_grid_from_args(args: argparse.Namespace):
-    """Build the (points, runner, axes) triple a fabric submission needs.
-
-    Mirrors :func:`cmd_sweep`'s spec construction so ``repro fabric
-    submit`` accepts the same ``--axis`` grammar (and ``--network``) as
-    ``repro sweep``.
-    """
-    from .harness.sweep import sweep_points
-
-    parse_axis = _parse_network_axis if args.network else _parse_axis
-    axes = [parse_axis(text) for text in args.axis]
-    if args.network:
-        base = _network_sweep_base(args, axes)
-        runner = run_network_experiment
-    else:
-        base = _spec_from_args(args)
-        runner = run_single_router_experiment
-    return sweep_points(base, axes), runner, axes
-
-
 def cmd_fabric_submit(args: argparse.Namespace) -> int:
     """Explode a sweep onto a fabric directory's work queue."""
     from .fabric import submit_sweep
 
     fabric = _fabric_from_args(args)
-    try:
-        points, runner, axes = _fabric_grid_from_args(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    manifest = submit_sweep(fabric, points, runner, axes=tuple(axes))
+    base, axes = _grid(args)
+    manifest = submit_sweep(
+        fabric, sweep_points(base, axes), args.kind.runner(), axes=tuple(axes)
+    )
     print(
         f"submitted grid {manifest['grid_digest']} "
         f"({manifest['points']} points, kind {manifest['kind']}) "
@@ -529,7 +465,7 @@ def cmd_fabric_gc(args: argparse.Namespace) -> int:
 
 def cmd_saturation(args: argparse.Namespace) -> int:
     """Bisect the saturation load of the selected variant."""
-    base = _spec_from_args(args)
+    base = _spec(args)
     estimate = find_saturation_load(base, tolerance=args.tolerance)
     print(f"variant: scheduler={base.scheduler} priority={base.priority} "
           f"candidates={base.candidates}")
@@ -542,80 +478,58 @@ def cmd_saturation(args: argparse.Namespace) -> int:
 
 def cmd_network(args: argparse.Namespace) -> int:
     """Run the network-level (multi-router) experiment."""
-    spec = _network_spec_from_args(args)
-    result = run_network_experiment(spec)
-    payload = {
-        "streams": result.streams,
-        "acceptance_ratio": result.acceptance_ratio,
-        "mean_hops": result.mean_hops,
-        "mean_delay_cycles": result.delay_cycles.mean,
-        "delay_per_hop_cycles": result.delay_per_hop,
-        "mean_jitter_cycles": result.jitter_cycles.mean,
-        "best_effort_delivered": result.best_effort_delivered,
-        "links_searched": result.links_searched,
-        "backtracks": result.backtracks,
-    }
+    result = args.kind.runner()(_spec(args))
+    payload = args.kind.summary(result)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for key, value in payload.items():
-            print(f"{key:>25}: {value:.4f}" if isinstance(value, float) else
-                  f"{key:>25}: {value}")
+        _print_payload(payload)
     return 0
 
 
-def _parse_churn_axis(text: str) -> SweepAxis:
-    """Parse ``name=v1,v2,...`` against :class:`ChurnSpec` fields."""
-    name, sep, values_text = text.partition("=")
-    values = tuple(
-        _parse_axis_value(v) for v in values_text.split(",") if v != ""
-    )
-    if not sep or not values:
-        raise argparse.ArgumentTypeError(
-            f"axis must look like name=v1,v2,... (got {text!r})"
+def _churn_verdict(args, sweep, axes, table) -> Tuple[int, List[str]]:
+    """A churn sweep's verdict: (exit status, stderr lines).
+
+    Writes the health rollup (``--health-out``, ``--report-out``) and
+    adds the leaky and SLO-breached points to ``table``.
+    """
+    leaky = [
+        key for key, result in sweep.results.items() if not result.leak_free
+    ]
+    breached = [
+        key for key, result in sweep.results.items() if not result.slo_ok
+    ]
+
+    def _point_label(key) -> str:
+        return ",".join(
+            f"{axis.name}={value}" for axis, value in zip(axes, key)
         )
-    if name not in _CHURN_FIELDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown axis {name!r}: not a ChurnSpec field"
-        )
-    return SweepAxis(name, values, "spec")
 
-
-def _parse_slo(text: str) -> str:
-    """Validate a ``metric=limit`` budget; keep it as text for ChurnSpec."""
-    try:
-        SloBudget.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
-
-
-def _churn_payload(result) -> dict:
-    return {
-        "arrivals": result.arrivals,
-        "established": result.established,
-        "blocked": result.blocked,
-        "torn_down": result.torn_down,
-        "blocking_probability": result.blocking_probability,
-        "setup_p50_cycles": result.setup_p50,
-        "setup_p99_cycles": result.setup_p99,
-        "setup_mean_cycles": result.setup_mean,
-        "mean_delay_cycles": result.mean_delay_cycles,
-        "mean_jitter_cycles": result.mean_jitter_cycles,
-        "flits_delivered": result.flits_delivered,
-        "renegotiations_applied": result.renegotiations_applied,
-        "renegotiations_refused": result.renegotiations_refused,
-        "teardown_retries": result.teardown_retries,
-        "links_searched": result.links_searched,
-        "backtracks": result.backtracks,
-        "unclassified_connections": result.unclassified_connections,
-        "drained": result.drained,
-        "leak_free": result.leak_free,
-        "slo_ok": result.slo_ok,
-        "slo_state": result.slo_state,
-        "slo_violations": result.slo_violations,
-        "violating_sessions": result.violating_sessions,
-    }
+    points = [
+        (_point_label(key), result.health)
+        for key, result in sorted(sweep.results.items())
+        if result.health is not None
+    ]
+    rollup = merge_health(points) if points else None
+    if rollup is not None and args.health_out:
+        _write(args.health_out, _dump_json, rollup)
+    if rollup is not None and args.report_out:
+        html = render_rollup(rollup, title="churn sweep health")
+        Path(args.report_out).write_text(html, encoding="utf-8")
+    table["leaky_points"] = [list(k) for k in leaky]
+    table["slo_breached_points"] = [list(k) for k in breached]
+    if leaky:
+        return 1, [f"resource-leak invariant FAILED at {len(leaky)} point(s)"]
+    if breached:
+        lines = [f"SLO budgets tripped at {len(breached)} point(s):"]
+        for key in breached:
+            point = sweep.results[key]
+            sessions = ", ".join(str(s) for s in point.violating_sessions)
+            lines.append(f"  {_point_label(key)}: "
+                         f"{len(point.slo_violations)} violation(s)"
+                         + (f", sessions {sessions}" if sessions else ""))
+        return 2, lines
+    return 0, []
 
 
 def cmd_churn(args: argparse.Namespace) -> int:
@@ -625,100 +539,13 @@ def cmd_churn(args: argparse.Namespace) -> int:
     invariant fails (at any sweep point); 2 when every invariant holds
     but a declared ``--slo`` budget tripped.  Both are CI gates.
     """
-    telemetry = args.telemetry or bool(
+    args.telemetry = args.telemetry or bool(
         args.trace_out or args.export_out or args.report_out
     )
-    spec = ChurnSpec(
-        num_sessions=args.sessions,
-        mean_interarrival_cycles=args.interarrival,
-        mean_holding_cycles=args.holding,
-        vbr_fraction=args.vbr_fraction,
-        renegotiation_fraction=args.renegotiation_fraction,
-        diurnal_amplitude=args.diurnal_amplitude,
-        num_nodes=args.nodes,
-        seed=args.seed,
-        telemetry=telemetry,
-        police=not args.no_police,
-        slos=tuple(args.slo),
-        exact_setup_stats=args.exact_setup_stats,
-    )
-    checkpointing = _checkpointing_from_args(args)
     if args.axis:
-        sweep = run_sweep(
-            spec,
-            args.axis,
-            jobs=args.jobs,
-            checkpointing=checkpointing,
-            _runner=run_churn_experiment,
-        )
-        header = [axis.name for axis in args.axis] + [
-            "blocking_probability", "setup_p50_cycles", "setup_p99_cycles",
-            "mean_delay_cycles", "leak_free",
-        ]
-        rows = sweep.rows(
-            ["blocking_probability", "setup_p50", "setup_p99",
-             "mean_delay_cycles", "leak_free"]
-        )
-        leaky = [
-            key for key, result in sweep.results.items() if not result.leak_free
-        ]
-        breached = [
-            key for key, result in sweep.results.items() if not result.slo_ok
-        ]
-
-        def _point_label(key) -> str:
-            return ",".join(
-                f"{axis.name}={value}" for axis, value in zip(args.axis, key)
-            )
-
-        points = [
-            (_point_label(key), result.health)
-            for key, result in sorted(sweep.results.items())
-            if result.health is not None
-        ]
-        rollup = merge_health(points) if points else None
-        if rollup is not None and args.health_out:
-            with open(args.health_out, "w", encoding="utf-8") as stream:
-                json.dump(rollup, stream, indent=2, sort_keys=True)
-                stream.write("\n")
-        if rollup is not None and args.report_out:
-            with open(args.report_out, "w", encoding="utf-8") as stream:
-                stream.write(render_rollup(rollup, title="churn sweep health"))
-        if args.json:
-            print(json.dumps(
-                {"columns": header, "rows": rows,
-                 "leaky_points": [list(k) for k in leaky],
-                 "slo_breached_points": [list(k) for k in breached]},
-                indent=2,
-            ))
-        else:
-            cells = [
-                [f"{v:.4f}" if isinstance(v, float) else str(v) for v in row]
-                for row in rows
-            ]
-            widths = [
-                max(len(header[i]), *(len(row[i]) for row in cells))
-                for i in range(len(header))
-            ]
-            print("  ".join(name.rjust(w) for name, w in zip(header, widths)))
-            for row in cells:
-                print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if leaky:
-            print(f"resource-leak invariant FAILED at {len(leaky)} point(s)",
-                  file=sys.stderr)
-            return 1
-        if breached:
-            print(f"SLO budgets tripped at {len(breached)} point(s):",
-                  file=sys.stderr)
-            for key in breached:
-                point = sweep.results[key]
-                sessions = ", ".join(str(s) for s in point.violating_sessions)
-                print(f"  {_point_label(key)}: "
-                      f"{len(point.slo_violations)} violation(s)"
-                      + (f", sessions {sessions}" if sessions else ""),
-                      file=sys.stderr)
-            return 2
-        return 0
+        return cmd_sweep(args)
+    spec = _spec(args)
+    checkpointing = _checkpointing_from_args(args)
     checkpoint = {}
     if checkpointing is not None:
         checkpoint = dict(
@@ -726,10 +553,10 @@ def cmd_churn(args: argparse.Namespace) -> int:
             checkpoint_path=str(checkpointing.point_path(("churn",))),
             resume=True,
         )
-    result = run_churn_experiment(
+    result = args.kind.runner()(
         spec, health_path=args.health_out, health_every=args.health_every, **checkpoint
     )
-    payload = _churn_payload(result)
+    payload = args.kind.summary(result)
     if result.checkpoint is not None:
         payload["checkpoint"] = result.checkpoint
     recorder = result.recorder
@@ -739,14 +566,11 @@ def cmd_churn(args: argparse.Namespace) -> int:
         payload["spans"] = len(recorder.spans)
         payload["dropped"] = recorder.dropped_summary()
         if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as stream:
-                write_trace_json(recorder, stream)
+            _write(args.trace_out, write_trace_json, recorder)
         if args.export_out or args.report_out:
             export = recorder.export()
         if args.export_out:
-            with open(args.export_out, "w", encoding="utf-8") as stream:
-                json.dump(export, stream, indent=2, sort_keys=True)
-                stream.write("\n")
+            _write(args.export_out, _dump_json, export)
     if args.report_out and result.health is not None:
         # Full heartbeat trail when one was written; else just the final
         # snapshot (sparklines then come from the export, if any).
@@ -754,14 +578,10 @@ def cmd_churn(args: argparse.Namespace) -> int:
             read_health(args.health_out) if args.health_out
             else [result.health]
         )
-        with open(args.report_out, "w", encoding="utf-8") as stream:
-            stream.write(
-                render_report(trail, export=export, title="churn run health")
-            )
+        html = render_report(trail, export=export, title="churn run health")
+        Path(args.report_out).write_text(html, encoding="utf-8")
     if args.bench_out:
-        with open(args.bench_out, "w", encoding="utf-8") as stream:
-            json.dump({"churn": payload}, stream, indent=2, sort_keys=True)
-            stream.write("\n")
+        _write(args.bench_out, _dump_json, {"churn": payload})
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -880,11 +700,45 @@ def cmd_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(html)
+        Path(args.out).write_text(html, encoding="utf-8")
         print(f"report written to {args.out}", file=sys.stderr)
     else:
         print(html)
+    return 0
+
+
+def cmd_figures(args: argparse.Namespace) -> int:
+    """Regenerate Figure 3/4/5 and print their tables; ``--out DIR`` also
+    writes each figure as ``<name>.json`` and ``<name>.csv`` and the
+    tables as ``summary.txt``."""
+    store = enable_figure_cache(args.cache_dir) if args.cache_dir else None
+    options = dict(full=args.full, jobs=args.jobs)
+    figures = {}
+    if args.which in ("fig3", "all"):
+        figures["figure3"] = figure3(args.loads, **options)
+    if args.which in ("fig4", "all"):
+        figures["figure4"] = figure4(args.loads, **options)
+    if args.which in ("fig5", "all"):
+        figures["figure5a"], figures["figure5b"] = figure5(args.loads, **options)
+    summary = "\n\n".join(figure.table() for figure in figures.values()) + "\n"
+    # A blank line follows every table but Figure 5b's, which ends the output.
+    print(summary, end="" if "figure5b" in figures else "\n")
+    if args.out is not None:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, figure in figures.items():
+            _write(out / f"{name}.json", write_figure_json, figure)
+            _write(out / f"{name}.csv", write_figure_csv, figure)
+            print(f"wrote {out / name}.{{json,csv}}")
+        (out / "summary.txt").write_text(summary, encoding="utf-8")
+        print(f"wrote {out / 'summary.txt'}")
+    if store is not None:
+        stats = store.stats()
+        print(
+            f"figure cache [{stats['root']}]: {stats['hits']} hits, "
+            f"{stats['misses']} misses, {stats['writes']} written "
+            f"(hit ratio {stats['hit_ratio']:.2f})"
+        )
     return 0
 
 
@@ -941,7 +795,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="resume from an existing checkpoint instead of cycle 0 "
              "(bit-identical to a straight run)",
     )
-    run_parser.set_defaults(func=cmd_run)
+    run_parser.set_defaults(func=cmd_run, kind=_KINDS["single_router"])
 
     obs_parser = sub.add_parser(
         "obs", help="flight-recorder run: telemetry, profile, trace export"
@@ -956,7 +810,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--export-out", default=None, metavar="PATH",
         help="write the full recorder export (manifest+telemetry+trace) here",
     )
-    obs_parser.set_defaults(func=cmd_obs)
+    obs_parser.set_defaults(func=cmd_obs, kind=_KINDS["single_router"])
 
     sweep_parser = sub.add_parser(
         "sweep", help="cartesian design-space sweep over spec/config axes"
@@ -979,21 +833,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "mean_delay_cycles,mean_jitter_cycles,acceptance_ratio)",
     )
     sweep_parser.add_argument(
-        "--network", action="store_true",
+        "--network", dest="kind", action="store_const", const=_KINDS["network"],
         help="sweep the multi-router cluster (NetworkExperimentSpec axes: "
              "topology=mesh8x8,torus16x16,..., routing, target_link_load, ...)",
     )
     _add_network_arguments(sweep_parser)
     sweep_parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="with --network: periodic per-point checkpoints under DIR; "
+        help="periodic per-point checkpoints under DIR; "
              "rerunning the sweep resumes from them",
     )
     sweep_parser.add_argument(
         "--checkpoint-every", type=int, default=10000, metavar="CYCLES",
     )
     sweep_parser.add_argument("--json", action="store_true", help="JSON output")
-    sweep_parser.set_defaults(func=cmd_sweep)
+    sweep_parser.set_defaults(
+        func=cmd_sweep, kind=_KINDS["single_router"], parser=sweep_parser
+    )
 
     figures_parser = sub.add_parser("figures", help="regenerate figure tables")
     figures_parser.add_argument("which", nargs="?", default="all",
@@ -1008,14 +864,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="persistent content-addressed figure cache: reruns with the "
              "same specs on the same commit recompute nothing",
     )
-    figures_parser.set_defaults(
-        func=lambda args: figures_main(
-            [args.which]
-            + (["--full"] if args.full else [])
-            + ([f"--jobs={args.jobs}"] if args.jobs != 1 else [])
-            + ([f"--cache-dir={args.cache_dir}"] if args.cache_dir else [])
-        )
+    figures_parser.add_argument(
+        "--loads", type=lambda text: tuple(float(x) for x in text.split(",")),
+        default=DEFAULT_LOADS, metavar="L1,L2,...",
+        help="comma-separated offered loads (default: "
+             + ",".join(f"{load:g}" for load in DEFAULT_LOADS) + ")",
     )
+    figures_parser.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="also write figure{3,4,5a,5b}.{json,csv} and summary.txt "
+             "(all tables) into DIR",
+    )
+    figures_parser.set_defaults(func=cmd_figures)
 
     fabric_parser = sub.add_parser(
         "fabric",
@@ -1055,7 +915,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="swept parameter (repeatable), same grammar as `repro sweep`",
     )
     submit_parser.add_argument(
-        "--network", action="store_true",
+        "--network", dest="kind", action="store_const", const=_KINDS["network"],
         help="sweep NetworkExperimentSpec axes over the multi-router cluster",
     )
     _add_network_arguments(submit_parser)
@@ -1063,7 +923,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--checkpoint-every", type=int, default=10000, metavar="CYCLES",
         help="per-point checkpoint period workers use (default 10000)",
     )
-    submit_parser.set_defaults(func=cmd_fabric_submit)
+    submit_parser.set_defaults(
+        func=cmd_fabric_submit, kind=_KINDS["single_router"], parser=submit_parser
+    )
 
     work_parser = fabric_sub.add_parser(
         "work", help="drain the queue as one worker (run on any sharing host)"
@@ -1108,41 +970,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     _add_spec_arguments(saturation_parser)
     saturation_parser.add_argument("--tolerance", type=float, default=0.02)
-    saturation_parser.set_defaults(func=cmd_saturation)
+    saturation_parser.set_defaults(func=cmd_saturation, kind=_KINDS["single_router"])
 
     network_parser = sub.add_parser(
         "network", help="multi-router cluster experiment"
     )
     _add_network_arguments(network_parser)
-    network_parser.add_argument("--warmup", type=int, default=5000)
-    network_parser.add_argument("--cycles", type=int, default=20000)
-    network_parser.add_argument("--seed", type=int, default=1)
+    network_parser.add_argument("--warmup", dest="warmup_cycles", type=int)
+    network_parser.add_argument("--cycles", dest="measure_cycles", type=int)
+    network_parser.add_argument("--seed", type=int)
     network_parser.add_argument("--json", action="store_true")
-    network_parser.set_defaults(func=cmd_network)
+    network_parser.set_defaults(func=cmd_network, kind=_KINDS["network"])
 
     churn_parser = sub.add_parser(
         "churn", help="open-loop session-churn workload over the probe protocol"
     )
-    churn_parser.add_argument("--sessions", type=int, default=10000,
-                              help="total session arrivals")
-    churn_parser.add_argument("--interarrival", type=float, default=400.0,
+    churn_parser.add_argument("--sessions", dest="num_sessions", type=int,
+                              default=10000, help="total session arrivals")
+    churn_parser.add_argument("--interarrival", dest="mean_interarrival_cycles",
+                              type=float, default=400.0,
                               help="mean Poisson inter-arrival gap (cycles)")
-    churn_parser.add_argument("--holding", type=float, default=20000.0,
+    churn_parser.add_argument("--holding", dest="mean_holding_cycles",
+                              type=float, default=20000.0,
                               help="mean session lifetime (cycles)")
     churn_parser.add_argument("--vbr-fraction", type=float, default=0.3)
     churn_parser.add_argument("--renegotiation-fraction", type=float, default=0.25,
                               help="fraction of VBR sessions renegotiating mid-life")
     churn_parser.add_argument("--diurnal-amplitude", type=float, default=0.0,
                               help="sinusoidal arrival-rate modulation depth [0,1)")
-    churn_parser.add_argument("--nodes", type=int, default=12)
+    churn_parser.add_argument("--nodes", dest="num_nodes", type=int, default=12)
     churn_parser.add_argument("--seed", type=int, default=1)
-    churn_parser.add_argument("--no-police", action="store_true",
+    churn_parser.add_argument("--no-police", dest="police", action="store_false",
                               help="disable per-session token-bucket policing")
     churn_parser.add_argument("--telemetry", action="store_true",
                               help="attach the flight recorder (churn.* channels)")
     churn_parser.add_argument(
-        "--axis", action="append", default=[], type=_parse_churn_axis,
-        metavar="NAME=V1,V2,...",
+        "--axis", action="append", default=[], metavar="NAME=V1,V2,...",
         help="sweep a ChurnSpec field (repeatable); enables sweep mode",
     )
     churn_parser.add_argument("--jobs", type=int, default=1,
@@ -1158,7 +1021,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the churn metrics as a BENCH JSON artifact",
     )
     churn_parser.add_argument(
-        "--slo", action="append", default=[], type=_parse_slo,
+        "--slo", dest="slos", action="append", default=[],
         metavar="METRIC=LIMIT",
         help="declare an SLO budget (repeatable): setup_p99=N, "
              "blocking_probability=F, jitter_mean=F, "
@@ -1193,7 +1056,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "--axis mode); implies --telemetry",
     )
     churn_parser.add_argument("--json", action="store_true", help="JSON output")
-    churn_parser.set_defaults(func=cmd_churn)
+    churn_parser.set_defaults(func=cmd_churn, kind=_KINDS["churn"])
 
     ckpt_parser = sub.add_parser("ckpt", help="checkpoint tooling")
     ckpt_sub = ckpt_parser.add_subparsers(dest="ckpt_command", required=True)
@@ -1236,7 +1099,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     info_parser.set_defaults(func=cmd_info)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -73,41 +73,33 @@ class FabricSubmissionError(FabricError):
     """The directory already holds a different sweep's queue."""
 
 
-#: Runner registry: the submission manifest names the runner by kind so a
-#: worker on another host (which only sees the directory) can resolve the
-#: same per-point experiment function.  Values are import paths resolved
-#: lazily to keep this module import-light.
-RUNNER_KINDS: Dict[str, Tuple[str, str]] = {
-    "single_router": ("repro.harness.single_router", "run_single_router_experiment"),
-    "network": ("repro.harness.network_experiment", "run_network_experiment"),
-    "churn": ("repro.harness.churn", "run_churn_experiment"),
-}
-
-
 def resolve_runner(kind: str) -> Callable[..., Any]:
-    """Import and return the per-point runner for a submission kind."""
-    try:
-        module_name, attr = RUNNER_KINDS[kind]
-    except KeyError:
-        raise FabricError(
-            f"unknown runner kind {kind!r}; known: {sorted(RUNNER_KINDS)}"
-        ) from None
-    import importlib
+    """The per-point runner for a submission kind.
 
-    return getattr(importlib.import_module(module_name), attr)
+    The submission manifest names the runner by its experiment kind
+    (:func:`~repro.harness.resumable.experiment_kinds`), so a worker on
+    another host, which only sees the directory, resolves the same
+    per-point experiment function.
+    """
+    from ..harness.resumable import experiment_kinds
+
+    kinds = experiment_kinds()
+    if kind not in kinds:
+        raise FabricError(f"unknown runner kind {kind!r}; known: {sorted(kinds)}")
+    return kinds[kind].runner()
 
 
 def runner_kind(runner: Callable[..., Any]) -> str:
     """Map a known runner callable back to its submission kind."""
-    for kind, (module_name, attr) in RUNNER_KINDS.items():
-        if (
-            getattr(runner, "__module__", None) == module_name
-            and getattr(runner, "__name__", None) == attr
-        ):
+    from ..harness.resumable import experiment_kinds
+
+    kinds = experiment_kinds()
+    for kind, experiment in kinds.items():
+        if experiment.runner() is runner:
             return kind
     raise FabricError(
         f"runner {runner!r} has no fabric kind; fabric sweeps support "
-        f"{sorted(RUNNER_KINDS)} (module-level experiment runners)"
+        f"{sorted(kinds)} (module-level experiment runners)"
     )
 
 
@@ -197,10 +189,7 @@ class FabricQueue:
         :class:`FabricSubmissionError`: results markers from another
         sweep must never be misread as this one's.
         """
-        if kind not in RUNNER_KINDS:
-            raise FabricError(
-                f"unknown runner kind {kind!r}; known: {sorted(RUNNER_KINDS)}"
-            )
+        resolve_runner(kind)  # an unknown kind raises FabricError
         digest = self.grid_digest(kind, points)
         existing = self.read_manifest()
         if existing is not None:

@@ -257,6 +257,36 @@ class ChurnWorkload(Resumable):
     MANIFEST_FIELDS = (
         "num_sessions", "mean_interarrival_cycles", "mean_holding_cycles", "num_nodes"
     )
+    SPEC = ChurnSpec
+    SWEEP_COLUMNS = (
+        "blocking_probability", "setup_p50_cycles", "setup_p99_cycles",
+        "mean_delay_cycles", "leak_free",
+    )
+    SUMMARY_FIELDS = {
+        "arrivals": "arrivals",
+        "established": "established",
+        "blocked": "blocked",
+        "torn_down": "torn_down",
+        "blocking_probability": "blocking_probability",
+        "setup_p50_cycles": "setup_p50",
+        "setup_p99_cycles": "setup_p99",
+        "setup_mean_cycles": "setup_mean",
+        "mean_delay_cycles": "mean_delay_cycles",
+        "mean_jitter_cycles": "mean_jitter_cycles",
+        "flits_delivered": "flits_delivered",
+        "renegotiations_applied": "renegotiations_applied",
+        "renegotiations_refused": "renegotiations_refused",
+        "teardown_retries": "teardown_retries",
+        "links_searched": "links_searched",
+        "backtracks": "backtracks",
+        "unclassified_connections": "unclassified_connections",
+        "drained": "drained",
+        "leak_free": "leak_free",
+        "slo_ok": "slo_ok",
+        "slo_state": "slo_state",
+        "slo_violations": "slo_violations",
+        "violating_sessions": "violating_sessions",
+    }
     #: Churn measures from cycle 0.
     warmup_cycles = 0
 

@@ -11,15 +11,15 @@ cached per spec and shared.  Every run prints the series as a table (the
 same rows the paper plots); the benchmark suite wraps these functions
 with pytest-benchmark timing.
 
-Run standalone::
+Run them through the command line (``repro figures``)::
 
-    python -m repro.harness.figures fig3 [--full] [--jobs=N]
-    python -m repro.harness.figures all  --full --jobs=4   # paper-scale cycles
+    python -m repro figures fig3 [--full] [--jobs N]
+    python -m repro figures all --full --jobs 4     # paper-scale cycles
+    python -m repro figures all --out results/      # + JSON, CSV, summary.txt
 """
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -306,48 +306,3 @@ def figure5(
         delay.series[label] = delays
         jitter.series[label] = jitters
     return delay, jitter
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: regenerate one figure (or all) and print its table(s)."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    full = "--full" in args
-    jobs = 1
-    cache_dir = None
-    for arg in args:
-        if arg.startswith("--jobs="):
-            jobs = int(arg.split("=", 1)[1])
-        elif arg.startswith("--cache-dir="):
-            cache_dir = arg.split("=", 1)[1]
-    args = [a for a in args if not a.startswith("--")]
-    which = args[0] if args else "all"
-    if which not in ("fig3", "fig4", "fig5", "all"):
-        print(
-            f"unknown figure {which!r}; use fig3|fig4|fig5|all "
-            "[--full] [--jobs=N] [--cache-dir=PATH]"
-        )
-        return 2
-    store = enable_figure_cache(cache_dir) if cache_dir else None
-    if which in ("fig3", "all"):
-        print(figure3(full=full, jobs=jobs).table())
-        print()
-    if which in ("fig4", "all"):
-        print(figure4(full=full, jobs=jobs).table())
-        print()
-    if which in ("fig5", "all"):
-        delay, jitter = figure5(full=full, jobs=jobs)
-        print(delay.table())
-        print()
-        print(jitter.table())
-    if store is not None:
-        stats = store.stats()
-        print(
-            f"figure cache [{stats['root']}]: {stats['hits']} hits, "
-            f"{stats['misses']} misses, {stats['writes']} written "
-            f"(hit ratio {stats['hit_ratio']:.2f})"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

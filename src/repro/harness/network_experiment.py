@@ -167,6 +167,19 @@ class NetworkExperiment(Resumable):
 
     KIND = "network"
     MANIFEST_FIELDS = ("num_nodes", "target_link_load", "warmup_cycles", "measure_cycles")
+    SPEC = NetworkExperimentSpec
+    SWEEP_COLUMNS = ("mean_delay_cycles", "mean_jitter_cycles", "acceptance_ratio")
+    SUMMARY_FIELDS = {
+        "streams": "streams",
+        "acceptance_ratio": "acceptance_ratio",
+        "mean_hops": "mean_hops",
+        "mean_delay_cycles": "mean_delay_cycles",
+        "delay_per_hop_cycles": "delay_per_hop",
+        "mean_jitter_cycles": "mean_jitter_cycles",
+        "best_effort_delivered": "best_effort_delivered",
+        "links_searched": "links_searched",
+        "backtracks": "backtracks",
+    }
 
     def __init__(
         self,

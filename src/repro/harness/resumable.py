@@ -9,12 +9,20 @@
 the three ``run_*`` functions.  A kind keeps what differs: its ``KIND``
 tag, how it builds, what starting the measurement resets, its
 :meth:`~Resumable.checkpoint_extra` header fields and its ``result``.
+
+The kinds are also the one registry (:func:`experiment_kinds`) that the
+command line, the sweep fabric and the sweeps read.  Each declares its
+``SPEC`` class, its ``run_<KIND>_experiment`` entry point
+(:meth:`Resumable.runner`), its default ``SWEEP_COLUMNS`` and its
+``SUMMARY_FIELDS``.
 """
 
 from __future__ import annotations
 
+import sys
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from ..ckpt.codec import (
     CheckpointCodec,
@@ -37,10 +45,27 @@ class Resumable:
     KIND = ""
     #: Spec fields copied into run and checkpoint manifests.
     MANIFEST_FIELDS: Tuple[str, ...] = ()
+    #: The spec dataclass the kind runs.
+    SPEC: type = object
+    #: Summary fields a sweep of this kind tabulates by default.
+    SWEEP_COLUMNS: Tuple[str, ...] = ()
+    #: A result's summary: field name -> result attribute (dotted path).
+    SUMMARY_FIELDS: Dict[str, str] = {}
     #: Whether the warm-up boundary has been crossed.  ``sim.now`` alone
     #: cannot tell: a checkpoint taken exactly at the boundary may be from
     #: just before or just after the reset.
     _measurement_started = False
+
+    @classmethod
+    def runner(cls) -> Callable[..., Any]:
+        """The kind's module-level ``run_<KIND>_experiment`` entry point
+        (sweep workers and fabric hosts resolve it by name)."""
+        return getattr(sys.modules[cls.__module__], f"run_{cls.KIND}_experiment")
+
+    @classmethod
+    def summary(cls, result: Any) -> Dict[str, Any]:
+        """``result``'s :attr:`SUMMARY_FIELDS`, in declaration order."""
+        return {name: attrgetter(path)(result) for name, path in cls.SUMMARY_FIELDS.items()}
 
     @property
     def now(self) -> int:
@@ -217,3 +242,14 @@ class Resumable:
         result = experiment.result()
         result.checkpoint = lineage
         return result
+
+
+def experiment_kinds() -> Dict[str, Type[Resumable]]:
+    """The experiment-kind registry: each :class:`Resumable` kind by its
+    ``KIND`` tag.  Imported on first call (the kinds import this module)."""
+    from .churn import ChurnWorkload
+    from .network_experiment import NetworkExperiment
+    from .single_router import SingleRouterExperiment
+
+    kinds = (SingleRouterExperiment, NetworkExperiment, ChurnWorkload)
+    return {cls.KIND: cls for cls in kinds}

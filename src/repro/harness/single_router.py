@@ -149,6 +149,19 @@ class SingleRouterExperiment(Resumable):
     MANIFEST_FIELDS = (
         "scheduler", "priority", "target_load", "warmup_cycles", "measure_cycles"
     )
+    SPEC = ExperimentSpec
+    SWEEP_COLUMNS = ("mean_delay_us", "mean_jitter_cycles", "utilisation")
+    SUMMARY_FIELDS = {
+        "offered_load": "offered_load",
+        "connections": "connections",
+        "utilisation": "utilisation",
+        "mean_delay_cycles": "mean_delay_cycles",
+        "mean_delay_us": "mean_delay_us",
+        "mean_jitter_cycles": "mean_jitter_cycles",
+        "per_connection_delay_cycles": "per_connection.mean_delay_cycles",
+        "per_connection_jitter_cycles": "per_connection.mean_jitter_cycles",
+        "max_interface_backlog": "max_interface_backlog",
+    }
 
     def __init__(
         self, spec: ExperimentSpec, plan: Optional[ConnectionPlan] = None

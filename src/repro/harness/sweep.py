@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -122,17 +123,20 @@ class SweepResult:
         return {key: getattr(result, metric) for key, result in self.results.items()}
 
     def rows(self, metrics: Sequence[str]) -> List[List[Any]]:
-        """Table rows: axis values followed by the requested metrics.
+        """Table rows: axis values followed by the requested metrics
+        (result attributes, or dotted paths such as
+        ``per_connection.mean_delay_cycles``).
 
         Rows are ordered by the axis-value tuples themselves, not their
         string forms: numeric axes sort numerically (``(9,)`` before
         ``(10,)``), non-numeric values sort by string within their own
         group, and mixed-type axes never raise.
         """
+        getters = [attrgetter(m) for m in metrics]
         out = []
         for key in sorted(self.results, key=_point_sort_key):
             result = self.results[key]
-            out.append(list(key) + [getattr(result, m) for m in metrics])
+            out.append(list(key) + [get(result) for get in getters])
         return out
 
 
