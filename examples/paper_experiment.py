@@ -4,67 +4,28 @@
 Runs the single-router CBR experiment grid — jitter and delay vs offered
 load for fixed and biased priorities at several candidate-set sizes, plus
 the four-way comparison against the DEC/Autonet scheduler and the perfect
-switch — and prints the figure tables.
-
-By default a reduced grid runs in a few minutes; pass ``--full`` for the
-paper-scale 100k-cycle measurement windows (slow on one core), and
-``--loads 0.5,0.9`` / ``--candidates 2,8`` to reshape the grid.
+switch — and prints the figure tables.  This is ``repro figures`` with
+the paper's expected shape appended: every argument is passed through,
+so ``--full`` selects the paper-scale windows, ``--loads 0.5,0.9``
+reshapes the grid, ``fig5`` runs one figure and ``--out DIR`` writes the
+artefacts.
 
 Run:  python examples/paper_experiment.py [--full]
 """
 
-import argparse
+import sys
 
-from repro import figure3, figure4, figure5
-from repro.harness.report import ascii_plot
+from repro.cli import main
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true",
-        help="paper-scale windows (20k warm-up + 100k measured cycles)",
-    )
-    parser.add_argument(
-        "--loads", default="0.3,0.6,0.8,0.95",
-        help="comma-separated offered loads",
-    )
-    parser.add_argument(
-        "--candidates", default="2,8",
-        help="comma-separated candidate-set sizes for figures 3-4",
-    )
-    args = parser.parse_args()
-    loads = tuple(float(x) for x in args.loads.split(","))
-    candidates = tuple(int(x) for x in args.candidates.split(","))
-
-    print("=" * 72)
-    print("Figure 3 — jitter vs offered load (flit cycles)")
-    print("=" * 72)
-    fig3 = figure3(loads=loads, candidates=candidates, full=args.full)
-    print(fig3.table())
-    print()
-
-    print("=" * 72)
-    print("Figure 4 — delay vs offered load (microseconds)")
-    print("=" * 72)
-    fig4 = figure4(loads=loads, candidates=candidates, full=args.full)
-    print(fig4.table())
-    print()
-    print(ascii_plot(fig4.xs, fig4.series, logy=True))
-    print()
-
-    print("=" * 72)
-    print("Figure 5 — biased vs fixed vs DEC vs perfect (8 candidates)")
-    print("=" * 72)
-    delay, jitter = figure5(loads=loads, full=args.full)
-    print(delay.table())
-    print()
-    print(jitter.table())
+def run(argv) -> int:
+    status = main(["figures", *argv])
     print()
     print("Expected shape (paper §5.2): biased < fixed on both metrics at")
     print("every load below saturation; more candidates help; the biased")
     print("curve closely tracks the perfect switch; DEC sits between.")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(sys.argv[1:]))

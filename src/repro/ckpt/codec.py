@@ -50,6 +50,9 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/9``: ``Router`` lost its ``tracer`` attribute, and the debug
+#: tracer's module is deleted — a ``ckpt/8`` graph pickles that module's
+#: ``NullTracer`` and would fail inside ``pickle.loads`` on the import.
 #: ``ckpt/8``: the event queue is per-cycle lanes of ``Event`` objects
 #: (no priority or sequence slot; ``queued`` instead) that a CBR source
 #: re-files, and ``ConnectionStats`` / ``StatsRegistry`` carry pending
@@ -77,7 +80,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/8"
+CKPT_SCHEMA = "ckpt/9"
 
 
 class CheckpointError(RuntimeError):

@@ -239,23 +239,10 @@ def cmd_obs(args: argparse.Namespace) -> int:
         _write(args.trace_out, write_trace_json, recorder)
     if args.export_out:
         _write(args.export_out, _dump_json, recorder.export())
-    dropped = recorder.dropped_summary()
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "manifest": recorder.manifest,
-                    "telemetry": recorder.telemetry.snapshot(),
-                    "kernel": recorder.kernel_snapshot(),
-                    "trace_events": len(recorder.events),
-                    "trace_dropped": recorder.dropped,
-                    "dropped": dropped,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(recorder.summary(), indent=2, sort_keys=True))
     else:
+        dropped = recorder.dropped_summary()
         manifest = recorder.manifest
         print(
             f"run manifest: seed={manifest.get('seed')} "

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional
 from ..obs.recorder import NULL_RECORDER
 from ..sim.engine import Simulator
 from ..sim.stats import ConnectionStats, Histogram, StatsRegistry
-from ..sim.trace import NullTracer
 from .admission import AdmissionController
 from .bandwidth import BandwidthRequest
 from .config import RouterConfig
@@ -124,7 +123,6 @@ class Router:
         rng=None,
         sink_outputs: bool = True,
         checked: bool = False,
-        tracer=None,
         delay_histogram_bins: int = 0,
         recorder=None,
     ) -> None:
@@ -138,7 +136,6 @@ class Router:
         self.sim = sim
         self.name = name
         self.checked = checked
-        self.tracer = tracer if tracer is not None else NullTracer()
         #: Flight recorder (see :mod:`repro.obs.recorder`).  Every hot-path
         #: emission guards on ``recorder.enabled`` so the default
         #: NULL_RECORDER costs one attribute read per site.
@@ -407,12 +404,6 @@ class Router:
         if output_vc < 0:  # flits leave the network here: see _deliver
             self.connection_stats[connection_id] = ConnectionStats()
         self.stats.counter("connections_admitted")
-        self.tracer.record(
-            self.sim.now,
-            "connection",
-            f"open {input_port}.{vc_index} -> {output_port}",
-            connection_id=connection_id,
-        )
         if self.recorder.enabled:
             self.recorder.connection_open(
                 self.sim.now, connection_id, input_port, vc_index
@@ -484,12 +475,6 @@ class Router:
         self.rau.release_connection(connection_id)
         self.admission.release(input_port, output_port, request)
         self.stats.counter("connections_closed")
-        self.tracer.record(
-            self.sim.now,
-            "connection",
-            f"close {input_port}.{vc_index}",
-            connection_id=connection_id,
-        )
         if self.recorder.enabled:
             self.recorder.connection_close(
                 self.sim.now, connection_id, input_port, vc_index
@@ -587,15 +572,6 @@ class Router:
             flits_available._bits |= bit
         if occupancy + 1 >= vc.capacity:
             self._input_buffer_full[input_port]._bits |= bit
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record(
-                self.sim.now,
-                "inject",
-                f"port {input_port} vc {vc_index}",
-                connection_id=flit.connection_id,
-                flit_id=flit.flit_id,
-            )
         recorder = self.recorder
         if recorder.enabled:
             recorder.flit_inject(
@@ -641,14 +617,6 @@ class Router:
         self.activity.set(self._act_immediate)
         self.rau.immediate_forwards += 1
         self.stats.counter("immediate_cut_throughs")
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "cutthrough",
-                f"port {input_port} -> {output_port}",
-                connection_id=flit.connection_id,
-                flit_id=flit.flit_id,
-            )
         return True
 
     def tick(self, cycle: int) -> None:
@@ -733,9 +701,6 @@ class Router:
                 scheduler.on_round_boundary()
             if self._switch_delays:
                 self.fold_statistics()
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.record(cycle, "round", "round boundary")
 
     def account_idle_cycles(self, start: int, count: int) -> None:
         """Bookkeeping for cycles the kernel skipped this router's tick.
@@ -775,8 +740,6 @@ class Router:
                     scalars["cycles"] = before + count
                 for scheduler in self.link_schedulers:
                     scheduler.on_round_boundary()
-                if self.tracer.enabled:
-                    self.tracer.record(cycle, "round", "round boundary")
 
     def _transmit(self, grant: Grant, cycle: int) -> None:
         input_port, vc_index, output_port = grant
@@ -822,21 +785,12 @@ class Router:
         the single-router sink, a host port in a network — and there as
         two appends (the connection's pending list and ``switch_delay``'s),
         folded once per round by :meth:`fold_statistics`.  A transit hop
-        bumps ``output_flits`` and nothing else (a live tracer or recorder
-        still sees every hop); network results are read at
+        bumps ``output_flits`` and nothing else (a live recorder still sees
+        every hop); network results are read at
         ``NetworkInterface.end_to_end``.
         """
         flit.depart_time = depart_time
         delay = depart_time - flit.created
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record(
-                depart_time,
-                "deliver",
-                f"output {output_port} delay {delay}",
-                connection_id=flit.connection_id,
-                flit_id=flit.flit_id,
-            )
         recorder = self.recorder
         if recorder.enabled:
             recorder.flit_deliver(

@@ -15,7 +15,7 @@ from .churn import (
     ChurnWorkload,
     run_churn_experiment,
 )
-from .report import ascii_plot, format_series, format_table
+from .report import format_series, format_table
 from .single_router import (
     PAPER_CONFIG,
     ExperimentResult,
@@ -26,10 +26,8 @@ from .single_router import (
 )
 from .export import (
     figure_to_dict,
-    result_to_dict,
     write_figure_csv,
     write_figure_json,
-    write_result_json,
 )
 from .saturation import SaturationEstimate, find_saturation_load, is_saturated
 from .sweep import (
@@ -53,7 +51,6 @@ __all__ = [
     "figure4",
     "figure5",
     "run_point",
-    "ascii_plot",
     "format_series",
     "format_table",
     "PAPER_CONFIG",
@@ -69,10 +66,8 @@ __all__ = [
     "build_spec",
     "run_sweep",
     "figure_to_dict",
-    "result_to_dict",
     "write_figure_csv",
     "write_figure_json",
-    "write_result_json",
     "SaturationEstimate",
     "find_saturation_load",
     "is_saturated",

@@ -1,85 +1,21 @@
-"""Result export: JSON and CSV records of experiments and figures.
+"""Artefact export: figure series as JSON and CSV, the flit trace as JSON.
 
 A reproduction is only useful if its numbers leave the process: this
-module serialises experiment results and figure series so EXPERIMENTS.md
-(and downstream analysis) can be regenerated mechanically.
+module serialises figure series so EXPERIMENTS.md (and downstream
+analysis) can be regenerated mechanically.  A run's result is encoded by
+its experiment kind's ``summary`` (``repro run --json``) and a recorder's
+by :meth:`~repro.obs.FlightRecorder.summary` / ``export``.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 from typing import Any, Dict, Mapping, TextIO
 
-from ..obs import FlightRecorder, build_manifest, validate_chrome_trace
+from ..obs import FlightRecorder, validate_chrome_trace
 from .figures import FigureData
-from .single_router import ExperimentResult, ExperimentSpec
-
-
-def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
-    """A JSON-safe record of an experiment spec (config flattened)."""
-    record = dataclasses.asdict(spec)
-    record["config"] = dataclasses.asdict(spec.config)
-    return record
-
-
-def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
-    """A JSON-safe record of one experiment outcome.
-
-    Every record carries a run manifest: the recorder's when telemetry was
-    on (captured at run time), otherwise one built at export time from the
-    spec's seed and configuration.
-    """
-    if result.recorder is not None:
-        manifest = result.recorder.manifest
-    else:
-        manifest = build_manifest(
-            seed=result.spec.seed,
-            config=result.spec.config,
-            command="result_to_dict",
-        )
-    record: Dict[str, Any] = {
-        "manifest": manifest,
-        "spec": spec_to_dict(result.spec),
-        "offered_load": result.offered_load,
-        "connections": result.connections,
-        "utilisation": result.utilisation,
-        "max_interface_backlog": result.max_interface_backlog,
-        "flit_weighted": {
-            "mean_delay_cycles": result.summary.mean_delay_cycles,
-            "mean_delay_us": result.mean_delay_us,
-            "mean_jitter_cycles": result.summary.mean_jitter_cycles,
-            "flits_delivered": result.summary.flits_delivered,
-        },
-        "per_connection": {
-            "mean_delay_cycles": result.per_connection.mean_delay_cycles,
-            "mean_jitter_cycles": result.per_connection.mean_jitter_cycles,
-            "connections": result.per_connection.connections,
-        },
-        "per_rate": {
-            str(rate): {
-                "connections": summary.connections,
-                "mean_delay_cycles": summary.mean_delay_cycles,
-                "mean_jitter_cycles": summary.mean_jitter_cycles,
-                "flits": summary.flits_delivered,
-            }
-            for rate, summary in sorted(result.per_rate.items())
-        },
-    }
-    if result.recorder is not None:
-        record["telemetry"] = result.recorder.telemetry.snapshot()
-        record["kernel_profile"] = result.recorder.kernel_snapshot()
-        record["trace_events"] = len(result.recorder.events)
-        record["trace_dropped"] = result.recorder.dropped
-    return record
-
-
-def write_result_json(result: ExperimentResult, stream: TextIO) -> None:
-    """Serialise one experiment result as pretty-printed JSON."""
-    json.dump(result_to_dict(result), stream, indent=2, sort_keys=True)
-    stream.write("\n")
 
 
 def write_trace_json(recorder: FlightRecorder, stream: TextIO) -> None:

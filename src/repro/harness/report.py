@@ -7,7 +7,7 @@ leaves a readable record next to the timing numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_table(
@@ -111,47 +111,3 @@ def format_kernel_profile(snapshot: Mapping[str, object]) -> str:
         )
     return "\n".join(lines)
 
-
-def ascii_plot(
-    xs: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-    width: int = 60,
-    height: int = 16,
-    logy: bool = False,
-) -> str:
-    """A rough ASCII rendering of curves, for terminal inspection.
-
-    Not a substitute for the tables — a sanity-check visual of curve
-    ordering and knees.
-    """
-    import math
-
-    points = []
-    for values in series.values():
-        points.extend(v for v in values if v is not None)
-    if not points:
-        return "(no data)"
-    transform = (lambda v: math.log10(max(v, 1e-9))) if logy else (lambda v: v)
-    lo = min(transform(v) for v in points)
-    hi = max(transform(v) for v in points)
-    if hi <= lo:
-        hi = lo + 1.0
-    x_lo, x_hi = min(xs), max(xs)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    markers = "ox+*#@%&"
-    legend = []
-    for idx, (name, values) in enumerate(series.items()):
-        mark = markers[idx % len(markers)]
-        legend.append(f"{mark}={name}")
-        for x, v in zip(xs, values):
-            if v is None:
-                continue
-            col = int((x - x_lo) / (x_hi - x_lo) * (width - 1))
-            row = int((transform(v) - lo) / (hi - lo) * (height - 1))
-            grid[height - 1 - row][col] = mark
-    lines = ["".join(row) for row in grid]
-    lines.append(f"x: [{x_lo:g}, {x_hi:g}]  y: [{lo:g}, {hi:g}]{' (log10)' if logy else ''}")
-    lines.append("  ".join(legend))
-    return "\n".join(lines)

@@ -4,8 +4,8 @@ One :class:`FlightRecorder` serves a whole simulation (all routers share
 it).  It owns three stores, each with fixed memory:
 
 * a typed trace buffer of flit-lifecycle / connection / round events —
-  compact tuples, no string formatting on the hot path (unlike the debug
-  :class:`~repro.sim.trace.Tracer` it supersedes for production use);
+  compact tuples, no string formatting on the hot path; it is the
+  router's only observation channel;
 * a :class:`~repro.obs.timeseries.TelemetryHub` of ring-buffered time
   series, fed per round boundary by :meth:`sample_round` — link
   utilisation, CBR cycles consumed vs reserved, VBR permanent/excess
@@ -330,21 +330,30 @@ class FlightRecorder:
             "total": self.dropped + self.spans.dropped + sum(channels.values()),
         }
 
-    def export(self) -> Dict[str, Any]:
-        """One self-describing JSON-safe record of everything recorded."""
+    def summary(self) -> Dict[str, Any]:
+        """The JSON-safe record minus the trace itself and the spans.
+
+        What ``repro obs --json`` prints; :meth:`export` adds the rest,
+        so the Chrome trace is only built when it is written.
+        """
         return {
             "manifest": self.manifest,
             "telemetry": self.telemetry.snapshot(),
             "kernel": self.kernel_snapshot(),
-            "trace": self.chrome_trace(),
             "trace_events": len(self.events),
             "trace_dropped": self.dropped,
-            "spans": self.spans.to_dicts(),
-            "span_count": len(self.spans),
-            "spans_open": self.spans.open_count,
-            "spans_dropped": self.spans.dropped,
             "dropped": self.dropped_summary(),
         }
+
+    def export(self) -> Dict[str, Any]:
+        """One self-describing JSON-safe record of everything recorded."""
+        record = self.summary()
+        record["trace"] = self.chrome_trace()
+        record["spans"] = self.spans.to_dicts()
+        record["span_count"] = len(self.spans)
+        record["spans_open"] = self.spans.open_count
+        record["spans_dropped"] = self.spans.dropped
+        return record
 
 
 class NullFlightRecorder(FlightRecorder):
@@ -356,7 +365,9 @@ class NullFlightRecorder(FlightRecorder):
     """
 
     def __init__(self) -> None:
-        super().__init__(capacity=1)
+        # An empty manifest: building one runs ``git`` and ``uname`` in
+        # subprocesses, at import, for a recorder that never records.
+        super().__init__(capacity=1, manifest={})
         self.enabled = False
 
     def set_enabled(self, enabled: bool) -> None:

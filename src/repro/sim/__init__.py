@@ -3,7 +3,6 @@
 from .engine import Simulator
 from .events import Event, EventQueue
 from .rng import SeededRng, substream_seed
-from .trace import NullTracer, TraceRecord, Tracer
 from .stats import (
     ConnectionStats,
     Histogram,
@@ -23,7 +22,4 @@ __all__ = [
     "RunningStats",
     "StatsRegistry",
     "TimeWeightedStats",
-    "NullTracer",
-    "TraceRecord",
-    "Tracer",
 ]

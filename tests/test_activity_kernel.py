@@ -22,9 +22,10 @@ from repro.harness.network_experiment import (
     NetworkExperimentSpec,
     attach_delivery_log,
 )
+from repro.obs import FlightRecorder
+from repro.obs.trace_export import ROUND
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
-from repro.sim.trace import Tracer
 from repro.traffic.cbr import CbrSource
 
 from tests.polling_kernel import PollingKernel
@@ -212,13 +213,19 @@ class TestTickerContextScheduling:
         assert order == ["outer", "inner"]
 
 
+def round_boundaries(recorder):
+    """The cycles of ``recorder``'s ``ROUND`` events, in emission order;
+    a full buffer could hide a boundary, so none may have been dropped."""
+    assert recorder.dropped == 0
+    return [event[1] for event in recorder.events if event[0] == ROUND]
+
+
 def _run_single_router(sim, cycles=6000, connections=8, rate=20e6):
     """A seeded single-router CBR scenario on kernel ``sim``; returns
     delivery log and stats."""
     config = RouterConfig(enforce_round_budgets=False)
     router = Router(config, BiasedPriority(), GreedyPriorityScheduler(), sim)
-    tracer = Tracer(capacity=100000, categories=("round",))
-    router.tracer = tracer
+    recorder = router.recorder = FlightRecorder()
     rng = SeededRng(7, "identity")
     delivered = []
     for port in range(config.num_ports):
@@ -242,8 +249,7 @@ def _run_single_router(sim, cycles=6000, connections=8, rate=20e6):
         ).start()
     sim.run(cycles)
     router.check_invariants()
-    rounds = [r.time for r in tracer.records()]
-    return delivered, dict(router.stats.scalars), rounds, sim
+    return delivered, dict(router.stats.scalars), round_boundaries(recorder), sim
 
 
 def _run_multihop(monkeypatch, kernel):
@@ -261,13 +267,13 @@ def _run_multihop(monkeypatch, kernel):
     )
     assert type(experiment.sim) is kernel
     log = attach_delivery_log(experiment)
-    tracer = Tracer(capacity=100000, categories=("round",))
-    for router in experiment.network.routers:
-        router.tracer = tracer
+    routers = experiment.network.routers
+    for router in routers:
+        router.recorder = FlightRecorder()
     result = experiment.result()
     experiment.network.check_invariants()
-    counters = [dict(router.stats.scalars) for router in experiment.network.routers]
-    rounds = [r.time for r in tracer.records()]
+    counters = [dict(router.stats.scalars) for router in routers]
+    rounds = [cycle for router in routers for cycle in round_boundaries(router.recorder)]
     return log, counters, sorted(rounds), result
 
 
@@ -306,14 +312,13 @@ class TestKernelIdentity:
         config = RouterConfig(num_ports=4, vcs_per_port=8)  # round = 16
         sim = Simulator()
         router = Router(config, BiasedPriority(), GreedyPriorityScheduler(), sim)
-        tracer = Tracer(categories=("round",))
-        router.tracer = tracer
+        recorder = router.recorder = FlightRecorder()
         sim.run(100)
         assert sim.fast_forwarded_cycles == 100
         assert router.stats.get_counter("cycles") == 100
         round_length = config.round_length
         expected = [c for c in range(100) if (c + 1) % round_length == 0]
-        assert [r.time for r in tracer.records()] == expected
+        assert round_boundaries(recorder) == expected
 
     def test_activity_published_through_lifecycle(self):
         from repro.core.flit import Flit, FlitType

@@ -11,7 +11,7 @@ from repro.harness.figures import (
     figure5,
     run_point,
 )
-from repro.harness.report import ascii_plot, format_series, format_table
+from repro.harness.report import format_series, format_table
 from repro.harness.single_router import (
     ExperimentSpec,
     run_single_router_experiment,
@@ -226,18 +226,6 @@ class TestReport:
         text = format_series("T", "x", [1.0, 2.0], {"y": [3.0, 4.0]})
         assert text.startswith("T\n")
         assert "4.000" in text
-
-    def test_ascii_plot_contains_markers(self):
-        plot = ascii_plot([0, 1, 2], {"up": [1, 2, 3], "down": [3, 2, 1]})
-        assert "o=up" in plot
-        assert "x=down" in plot
-
-    def test_ascii_plot_log_scale(self):
-        plot = ascii_plot([0, 1], {"s": [1, 1000]}, logy=True)
-        assert "log10" in plot
-
-    def test_ascii_plot_empty(self):
-        assert ascii_plot([], {}) == "(no data)"
 
 
 class TestDelayHistogram:

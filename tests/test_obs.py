@@ -470,3 +470,16 @@ class TestDroppedSurfacing:
             e for e in export["trace"]["traceEvents"] if e["ph"] == "X"
         ]
         assert len(span_events) == 1 and span_events[0]["pid"] == 2
+
+    def test_export_is_the_summary_plus_trace_and_spans(self):
+        """``repro obs --json`` prints ``summary()``; ``--export-out``
+        writes ``export()``, the same record with the trace and spans."""
+        recorder = FlightRecorder(manifest={"schema": "x"})
+        recorder.flit_inject(0, 0, 0, 1, 1)
+        summary = recorder.summary()
+        export = recorder.export()
+        assert {key: export[key] for key in summary} == summary
+        assert sorted(set(export) - set(summary)) == [
+            "span_count", "spans", "spans_dropped", "spans_open", "trace",
+        ]
+        assert summary["trace_events"] == 1

@@ -1,6 +1,9 @@
-"""Tests for the event tracer and its router integration."""
+"""The flight recorder is the router's one observation channel: what the
+router emits into it, and what a router without one pays for it."""
 
-import pytest
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
@@ -9,156 +12,125 @@ from repro.core.priority import BiasedPriority
 from repro.core.router import Router
 from repro.core.switch_scheduler import GreedyPriorityScheduler
 from repro.core.virtual_channel import ServiceClass
+from repro.obs import NULL_RECORDER, FlightRecorder
+from repro.obs.trace_export import CONN_CLOSE, CONN_OPEN, CUTTHROUGH, DELIVER, ROUND
 from repro.sim.engine import Simulator
-from repro.sim.trace import CATEGORIES, NullTracer, TraceRecord, Tracer
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Imports the router with ``subprocess.run`` spied on; exits non-zero
+#: when the import started a subprocess.
+IMPORT_ROUTER = """
+import subprocess
+import sys
+calls = []
+real_run = subprocess.run
+def spy(*args, **kwargs):
+    calls.append(args[0] if args else kwargs.get("args"))
+    return real_run(*args, **kwargs)
+subprocess.run = spy
+import repro.core.router
+print(calls)
+sys.exit(1 if calls else 0)
+"""
 
 
-class TestTracer:
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
+def build(recorder=None):
+    config = RouterConfig(
+        num_ports=4, vcs_per_port=8, enforce_round_budgets=False,
+        round_factor=1,
+    )
+    sim = Simulator()
+    router = Router(
+        config, BiasedPriority(), GreedyPriorityScheduler(), sim,
+        recorder=recorder,
+    )
+    return router, sim, config
 
-    def test_records_in_order(self):
-        tracer = Tracer()
-        tracer.record(1, "inject", "a")
-        tracer.record(2, "deliver", "b")
-        records = tracer.records()
-        assert [r.time for r in records] == [1, 2]
-        assert tracer.recorded == 2
 
-    def test_bounded_buffer_drops_oldest(self):
-        tracer = Tracer(capacity=2)
-        for t in range(5):
-            tracer.record(t, "inject", "x")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-        assert [r.time for r in tracer.records()] == [3, 4]
-
-    def test_category_filter_at_record_time(self):
-        tracer = Tracer(categories=("deliver",))
-        tracer.record(1, "inject", "skip me")
-        tracer.record(2, "deliver", "keep me")
-        assert len(tracer) == 1
-        assert tracer.records()[0].category == "deliver"
-
-    def test_query_filters(self):
-        tracer = Tracer()
-        tracer.record(1, "inject", "a", connection_id=7, flit_id=100)
-        tracer.record(2, "inject", "b", connection_id=8, flit_id=101)
-        tracer.record(3, "deliver", "c", connection_id=7, flit_id=100)
-        assert len(tracer.records(connection_id=7)) == 2
-        assert len(tracer.records(flit_id=101)) == 1
-        assert len(tracer.records(category="deliver", connection_id=7)) == 1
-
-    def test_disable(self):
-        tracer = Tracer()
-        tracer.enabled = False
-        tracer.record(1, "inject", "x")
-        assert len(tracer) == 0
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1, "inject", "x")
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.recorded == 1
-
-    def test_format(self):
-        tracer = Tracer()
-        tracer.record(5, "deliver", "out", connection_id=3, flit_id=9)
-        text = tracer.format()
-        assert "deliver" in text
-        assert "conn=3" in text
-        assert "flit=9" in text
-
-    def test_record_str(self):
-        record = TraceRecord(10, "grant", "port 0")
-        assert "grant" in str(record)
-
-    def test_unknown_filter_category_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown trace categories"):
-            Tracer(categories=("deliver", "delivery"))
-
-    def test_unknown_category_rejected_at_record_time(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError, match="unknown trace category"):
-            tracer.record(1, "injected", "typo")
-        assert len(tracer) == 0
-
-    def test_all_known_categories_accepted(self):
-        tracer = Tracer(categories=CATEGORIES)
-        for t, category in enumerate(CATEGORIES):
-            tracer.record(t, category, "ok")
-        assert len(tracer) == len(CATEGORIES)
-
-    def test_disabled_tracer_skips_category_check(self):
-        # The enable flag is the zero-cost escape hatch: a disabled
-        # tracer must not pay (or raise) for anything.
-        tracer = Tracer()
-        tracer.enabled = False
-        tracer.record(1, "not-a-category", "ignored")
-        assert len(tracer) == 0
-
-    def test_null_tracer_discards(self):
-        tracer = NullTracer()
-        tracer.record(1, "inject", "x")
-        assert len(tracer) == 0
-        assert tracer.records() == []
+def kinds(recorder, *wanted):
+    return [event for event in recorder.events if event[0] in wanted]
 
 
 class TestRouterIntegration:
-    def build(self, tracer):
-        config = RouterConfig(
-            num_ports=4, vcs_per_port=8, enforce_round_budgets=False,
-            round_factor=1,
-        )
-        sim = Simulator()
-        router = Router(
-            config, BiasedPriority(), GreedyPriorityScheduler(), sim,
-            tracer=tracer,
-        )
-        return router, sim, config
-
-    def test_flit_lifecycle_traced(self):
-        tracer = Tracer()
-        router, sim, config = self.build(tracer)
-        vc_index = router.open_connection(
-            1, 0, 2, BandwidthRequest(2), interarrival_cycles=5.0
-        )
-        flit = Flit(FlitType.DATA, connection_id=1, created=0)
-        router.inject(0, vc_index, flit)
-        sim.run(3)
-        lifecycle = tracer.records(flit_id=flit.flit_id)
-        categories = [r.category for r in lifecycle]
-        assert categories == ["inject", "deliver"]
-        assert lifecycle[0].time <= lifecycle[1].time
-
     def test_connection_events_traced(self):
-        tracer = Tracer()
-        router, sim, config = self.build(tracer)
+        recorder = FlightRecorder()
+        router, sim, config = build(recorder)
         vc_index = router.open_connection(
             1, 0, 2, BandwidthRequest(2), interarrival_cycles=5.0
         )
         router.close_connection(1, 0, vc_index, 2, BandwidthRequest(2))
-        events = tracer.records(category="connection")
-        assert len(events) == 2
-        assert "open" in events[0].message
-        assert "close" in events[1].message
+        assert kinds(recorder, CONN_OPEN, CONN_CLOSE) == [
+            (CONN_OPEN, 0, 0, vc_index, 1, -1),
+            (CONN_CLOSE, 0, 0, vc_index, 1, -1),
+        ]
 
     def test_round_boundary_traced(self):
-        tracer = Tracer(categories=("round",))
-        router, sim, config = self.build(tracer)
+        """One ``ROUND`` event per boundary, at the boundary's cycle."""
+        recorder = FlightRecorder()
+        router, sim, config = build(recorder)
         sim.run(config.round_length * 2)
-        assert len(tracer.records(category="round")) == 2
+        rounds = [event[1] for event in kinds(recorder, ROUND)]
+        assert rounds == [config.round_length - 1, 2 * config.round_length - 1]
 
     def test_cut_through_traced(self):
-        tracer = Tracer()
-        router, sim, config = self.build(tracer)
+        """The ``CUTTHROUGH`` event precedes the ``DELIVER`` it causes."""
+        recorder = FlightRecorder()
+        router, sim, config = build(recorder)
         vc_index = router.open_packet_vc(0, 3, ServiceClass.CONTROL, 60)
         flit = Flit(FlitType.CONTROL, connection_id=60, is_tail=True)
         router.inject(0, vc_index, flit)
-        assert tracer.records(category="cutthrough")
+        events = [
+            event[0] for event in kinds(recorder, CUTTHROUGH, DELIVER)
+            if event[5] == flit.flit_id
+        ]
+        assert events == [CUTTHROUGH, DELIVER]
 
-    def test_default_router_has_null_tracer(self):
-        router, sim, config = self.build(None)
-        assert isinstance(router.tracer, NullTracer)
+    def test_default_router_holds_null_recorder(self):
+        router, sim, config = build()
+        assert router.recorder is NULL_RECORDER
+
+
+def test_open_and_close_make_no_observation_call_when_disabled():
+    """With the recorder disabled, opening and closing a connection calls
+    nothing in ``repro/obs/`` and, of ``repro/sim/``, only the clock
+    (``engine``) and the router's counters (``stats``): each emission
+    site is a guarded attribute read, not a call."""
+    router, sim, config = build()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        vc_index = router.open_connection(
+            1, 0, 2, BandwidthRequest(2), interarrival_cycles=5.0
+        )
+        router.close_connection(1, 0, vc_index, 2, BandwidthRequest(2))
+    finally:
+        sys.setprofile(None)
+    observing = sorted(
+        str(path.relative_to(SRC / "repro"))
+        for path in {Path(name).resolve() for name in called}
+        if path.is_relative_to(SRC / "repro/obs")
+        or (
+            path.is_relative_to(SRC / "repro/sim")
+            and path.name not in ("engine.py", "stats.py")
+        )
+    )
+    assert observing == []
+
+
+def test_importing_the_router_starts_no_subprocess():
+    """The null recorder carries an empty manifest: building a real one
+    runs ``git`` and ``uname`` for a recorder that never records."""
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_ROUTER],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

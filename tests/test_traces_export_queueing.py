@@ -1,7 +1,6 @@
-"""Tests for frame traces, result export and the queueing references."""
+"""Tests for frame traces, figure export and the queueing references."""
 
 import io
-import json
 import math
 
 import pytest
@@ -16,12 +15,9 @@ from repro.core.virtual_channel import ServiceClass
 from repro.harness.export import (
     figure_from_dict,
     figure_to_dict,
-    result_to_dict,
     round_trip_figure,
-    spec_to_dict,
     write_figure_csv,
     write_figure_json,
-    write_result_json,
 )
 from repro.harness.figures import FigureData
 from repro.harness.single_router import ExperimentSpec, run_single_router_experiment
@@ -154,32 +150,6 @@ TINY = RouterConfig(num_ports=4, vcs_per_port=32, enforce_round_budgets=False)
 
 
 class TestExport:
-    def result(self):
-        spec = ExperimentSpec(
-            target_load=0.4, config=TINY, candidates=4, seed=2,
-            warmup_cycles=300, measure_cycles=1200,
-        )
-        return run_single_router_experiment(spec)
-
-    def test_spec_round_trips_through_json(self):
-        record = spec_to_dict(self.result().spec)
-        text = json.dumps(record)
-        assert json.loads(text)["target_load"] == 0.4
-        assert json.loads(text)["config"]["num_ports"] == 4
-
-    def test_result_record_structure(self):
-        record = result_to_dict(self.result())
-        assert record["flit_weighted"]["flits_delivered"] > 0
-        assert record["per_connection"]["connections"] > 0
-        assert record["per_rate"]
-        json.dumps(record)  # JSON-safe
-
-    def test_write_result_json(self):
-        buffer = io.StringIO()
-        write_result_json(self.result(), buffer)
-        payload = json.loads(buffer.getvalue())
-        assert payload["utilisation"] > 0
-
     def figure(self):
         return FigureData(
             title="T", x_label="load", xs=[0.1, 0.2],
