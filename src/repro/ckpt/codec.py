@@ -50,6 +50,11 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/10``: ``VirtualChannel`` lost the two slots that keyed its
+#: priority terms (head flit and connection id): the terms are kept
+#: current by their writers, not re-validated by the scan.  A ``ckpt/9``
+#: graph sets those slots and would fail inside ``pickle.loads`` with
+#: ``AttributeError``.
 #: ``ckpt/9``: ``Router`` lost its ``tracer`` attribute, and the debug
 #: tracer's module is deleted — a ``ckpt/8`` graph pickles that module's
 #: ``NullTracer`` and would fail inside ``pickle.loads`` on the import.
@@ -80,7 +85,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/9"
+CKPT_SCHEMA = "ckpt/10"
 
 
 class CheckpointError(RuntimeError):

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..sim.rng import SeededRng
 from .config import RouterConfig
 from .priority import PriorityScheme
-from .status_vectors import StatusBank
+from .status_vectors import BYTE_BITS, StatusBank, set_bits
 from .virtual_channel import ServiceClass, VirtualChannel
 
 # Priority offset pushing VBR excess-bandwidth service below every
@@ -122,38 +122,45 @@ class LinkScheduler:
             scheme.time_dependence, 3
         )
 
-    def invalidate_vc(self, vc: VirtualChannel) -> None:
-        """Drop the VC's cached priority terms.
+    def refresh_terms(self, vc: VirtualChannel) -> None:
+        """Rewrite the VC's priority terms from its current head flit.
 
-        The cache is keyed on (head-flit identity, connection id); this
-        resets both components so a torn-down-and-readmitted connection
-        on the same VC — or a renegotiated contract under the same head
-        flit — never inherits stale terms.  Call after any mutation of a
-        priority input (binding, route, interarrival, static priority,
-        service contract).
+        The terms (``prio_base``, ``prio_div``, ``prio_key``) are VC state
+        their writers keep current, so the scan only reads them.  Every
+        control-plane write of a priority input — binding, route,
+        interarrival, static priority, service contract — calls this.
+        Terms that follow the flit (``PriorityScheme.terms_per_flit``)
+        are also written by the flit path where a flit becomes head
+        (``Router.inject``, ``Router._transmit``), so an empty VC keeps
+        them until its next flit arrives; terms that follow the
+        connection alone are written here whether or not a flit is
+        parked, and the flit path leaves them be.
         """
-        vc.prio_flit = None
-        vc.prio_conn = None
+        buffer = vc.buffer
+        if buffer:
+            head = buffer[0]
+        elif self.scheme.terms_per_flit:
+            return
+        else:
+            head = None
+        vc.prio_base, vc.prio_div, vc.prio_key = self.scheme.cache_terms(vc, head)
 
     # ----- round accounting --------------------------------------------------
 
     def on_round_boundary(self) -> None:
         """Reset per-round serviced counters and the serviced bit vectors.
 
-        One pass over the OR of the three vectors that can mark a VC as
-        touched this round — a VC both serviced and active is visited
+        One byte walk over the OR of the three vectors that can mark a VC
+        as touched this round — a VC both serviced and active is visited
         once, not three times.
         """
         vcs = self.vcs
-        bits = (
+        for vc_index in set_bits(
             self._cbr_serviced._bits
             | self._vbr_serviced._bits
             | self._connection_active._bits
-        )
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            vc = vcs[low.bit_length() - 1]
+        ):
+            vc = vcs[vc_index]
             vc.serviced_this_round = 0
             self.refresh_round_state(vc)
         self._cbr_serviced.clear_all()
@@ -252,7 +259,10 @@ class LinkScheduler:
         ascending (see the module docstring for the tuple shape).
 
         One fused bit-parallel scan: the wide AND of the status vectors
-        (§4.1) names the eligible VCs, and only those are visited.  An
+        (§4.1) names the eligible VCs, and only those are visited.  The
+        mask is walked a byte at a time (``status_vectors.set_bits``,
+        inline), and each visit is arithmetic on the VC's priority terms,
+        which their writers keep current (:meth:`refresh_terms`).  An
         explicit ``limit`` overrides the configured candidate count and
         must be positive.
         """
@@ -270,7 +280,6 @@ class LinkScheduler:
             return []
         vcs = self.vcs
         port = self.port
-        scheme = self.scheme
         dep = self._scheme_dep
         selection = self.selection
         per_output = selection == "per_output"
@@ -280,47 +289,42 @@ class LinkScheduler:
         best = {}
         pool: List[Candidate] = []
         count = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            vc_index = low.bit_length() - 1
-            vc = vcs[vc_index]
-            buffer = vc.buffer
-            if not buffer:
-                raise RuntimeError(
-                    f"status vector out of sync: vc {self.port}.{vc_index} "
-                    "flagged available but empty"
-                )
-            flit = buffer[0]
-            # Priority-term cache: valid while the same flit heads the VC
-            # *under the same connection* (bind, release and route changes
-            # reset prio_flit/prio_conn to None; the connection-id leg
-            # catches contract mutations that keep the head flit parked).
-            if vc.prio_flit is not flit or vc.prio_conn != vc.connection_id:
-                vc.prio_base, vc.prio_div, vc.prio_key = scheme.cache_terms(
-                    vc, flit
-                )
-                vc.prio_flit = flit
-                vc.prio_conn = vc.connection_id
-            if dep == 1:
-                priority = vc.prio_base + (now - flit.created) / vc.prio_div
-            elif dep == 0:
-                priority = vc.prio_base
-            elif dep == 2:
-                priority = vc.prio_base + (
-                    (vc.prio_key * 31 + now) * 2654435761 & 0xFFFFFFFF
-                ) / 2**32
-            else:
-                priority = scheme.priority(vc, flit, now)
-            rank = -(priority + vc.round_offset)
-            output_port = vc.output_port
-            count += 1
-            if not per_output:
-                pool.append((rank, port, vc_index, output_port))
-            elif output_port not in best or rank < best[output_port][0]:
-                # Strict ``<`` in an ascending walk: on equal rank the
-                # lowest VC index, met first, keeps the output.
-                best[output_port] = (rank, port, vc_index, output_port)
+        base = 0
+        for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+            if not byte:
+                base += 8
+                continue
+            for offset in BYTE_BITS[byte]:
+                vc_index = base + offset
+                vc = vcs[vc_index]
+                buffer = vc.buffer
+                if not buffer:
+                    raise RuntimeError(
+                        f"status vector out of sync: vc {self.port}.{vc_index} "
+                        "flagged available but empty"
+                    )
+                if dep == 1:
+                    priority = (
+                        vc.prio_base + (now - buffer[0].created) / vc.prio_div
+                    )
+                elif dep == 0:
+                    priority = vc.prio_base
+                elif dep == 2:
+                    priority = vc.prio_base + (
+                        (vc.prio_key * 31 + now) * 2654435761 & 0xFFFFFFFF
+                    ) / 2**32
+                else:
+                    priority = self.scheme.priority(vc, buffer[0], now)
+                rank = -(priority + vc.round_offset)
+                output_port = vc.output_port
+                count += 1
+                if not per_output:
+                    pool.append((rank, port, vc_index, output_port))
+                elif output_port not in best or rank < best[output_port][0]:
+                    # Strict ``<`` in an ascending walk: on equal rank the
+                    # lowest VC index, met first, keeps the output.
+                    best[output_port] = (rank, port, vc_index, output_port)
+            base += 8
         self.eligible_vcs_total += count
         if count == 1 and selection != "rotating":
             # One eligible VC — most scans of a loaded network: nothing

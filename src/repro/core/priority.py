@@ -27,8 +27,8 @@ class PriorityScheme(abc.ABC):
     name: str = "abstract"
 
     #: How the priority of a fixed head flit varies with ``now``.  The
-    #: link scheduler's fast path uses this to cache the flit-constant
-    #: terms (via :meth:`cache_terms`) and re-derive only the time-varying
+    #: candidate scan reads the flit-constant terms (:meth:`cache_terms`,
+    #: kept on the VC by their writers) and derives only the time-varying
     #: part each cycle, bit-identically to :meth:`priority`:
     #:
     #: * ``"static"``  — ``base`` (constant while the flit heads the VC);
@@ -37,6 +37,15 @@ class PriorityScheme(abc.ABC):
     #:   multiplicative hash of :func:`_hash_priority`;
     #: * ``"percycle"``— no cacheable structure; call :meth:`priority`.
     time_dependence: str = "percycle"
+
+    #: Whether :meth:`cache_terms` reads the head flit.  When it does, the
+    #: terms are written where each flit becomes head (``Router.inject``,
+    #: ``Router._transmit``).  When they follow the connection alone, the
+    #: flit path writes nothing: the control plane's refresh after every
+    #: write of a priority input keeps them current, with or without a
+    #: flit parked, and :meth:`cache_terms` is then called with
+    #: ``flit=None`` on an empty VC.
+    terms_per_flit: bool = True
 
     @abc.abstractmethod
     def priority(self, vc: VirtualChannel, flit: Flit, now: int) -> float:
@@ -47,12 +56,17 @@ class PriorityScheme(abc.ABC):
         """
 
     def cache_terms(self, vc: VirtualChannel, flit: Flit):
-        """``(base, div, key)`` for the fast path's cached recomputation.
+        """``(base, div, key)``: the priority terms of ``flit`` heading ``vc``.
 
-        Only meaningful when :attr:`time_dependence` is not ``"percycle"``.
-        The terms must reproduce :meth:`priority` exactly — same floating
-        point operations in the same order — so fast-path candidate
-        ordering stays bit-identical to the reference path.
+        The VC stores them (``prio_base``, ``prio_div``, ``prio_key``) and
+        their writers keep them current — see :attr:`terms_per_flit` for
+        where — so the candidate scan evaluates each eligible VC with
+        arithmetic alone; ``Router.check_invariants`` holds every VC
+        holding a flit to this method.  Only meaningful when
+        :attr:`time_dependence` is not ``"percycle"``.  The terms must
+        reproduce :meth:`priority` exactly — same floating point
+        operations in the same order — so the scan's candidate ordering
+        stays bit-identical to the reference path.
         """
         return (0.0, 1.0, 0)
 
@@ -140,6 +154,7 @@ class StaticConnectionPriority(PriorityScheme):
 
     name = "static"
     time_dependence = "static"
+    terms_per_flit = False
 
     def priority(self, vc: VirtualChannel, flit: Flit, now: int) -> float:
         return self.with_class_offset(vc, vc.static_priority)
@@ -160,6 +175,7 @@ class BiasedPriority(PriorityScheme):
 
     name = "biased"
     time_dependence = "aging"
+    terms_per_flit = False
 
     def priority(self, vc: VirtualChannel, flit: Flit, now: int) -> float:
         waited = now - flit.created
@@ -179,6 +195,7 @@ class AgePriority(PriorityScheme):
 
     name = "age"
     time_dependence = "aging"
+    terms_per_flit = False
 
     def priority(self, vc: VirtualChannel, flit: Flit, now: int) -> float:
         return self.with_class_offset(vc, float(now - flit.created))
@@ -198,6 +215,7 @@ class RatePriority(PriorityScheme):
 
     name = "rate"
     time_dependence = "static"
+    terms_per_flit = False
 
     def priority(self, vc: VirtualChannel, flit: Flit, now: int) -> float:
         return self.with_class_offset(vc, 1.0 / vc.interarrival_cycles)

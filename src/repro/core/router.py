@@ -208,6 +208,7 @@ class Router:
         # Hot-path caches: the tick/transmit/deliver pipeline runs hundreds
         # of thousands of times per experiment.
         self._round_length = config.round_length
+        self._terms_per_flit = scheme.terms_per_flit
         self._port_mask = (1 << config.num_ports) - 1
         #: Flits sent per output port: all a transit hop records (§7h).
         self.output_flits = [0] * config.num_ports
@@ -253,18 +254,19 @@ class Router:
         """
         self.sim.catch_up(self._ticker)
 
-    def invalidate_priority_cache(self, input_port: int, vc_index: int) -> None:
-        """Drop one VC's cached priority terms.
+    def refresh_priority_terms(self, input_port: int, vc_index: int) -> None:
+        """Rewrite one VC's priority terms from its current head flit.
 
         Must be called after mutating any input of the priority
         computation outside the router's own APIs — e.g. the connection
         manager rewriting ``static_priority`` or a bandwidth
         renegotiation rewriting ``interarrival_cycles`` while a head
         flit sits parked on the VC.  Without it the candidate scan
-        keeps serving the stale terms until the head flit drains.
+        keeps serving the stale terms until the head flit drains, and
+        :meth:`check_invariants` reports the VC.
         """
         vc = self.input_ports[input_port].vcs[vc_index]
-        self.link_schedulers[input_port].invalidate_vc(vc)
+        self.link_schedulers[input_port].refresh_terms(vc)
 
     # ----- route state (scan vector maintenance) ----------------------------
 
@@ -319,7 +321,6 @@ class Router:
         status.vector("cbr_bandwidth_serviced").clear(vc_index)
         status.vector("vbr_bandwidth_serviced").clear(vc_index)
         status.vector("round_budget_exhausted").clear(vc_index)
-        self.link_schedulers[input_port].invalidate_vc(vc)
 
     def assign_route(
         self, input_port: int, vc_index: int, output_port: int, output_vc: int = -1
@@ -344,9 +345,10 @@ class Router:
         vc.output_port = output_port
         vc.output_vc = output_vc
         self._register_route_state(input_port, vc_index, output_port, output_vc)
-        # Route context feeds the cached priority terms (class offsets,
-        # interarrival) — invalidate so the next scan recomputes.
-        self.link_schedulers[input_port].invalidate_vc(vc)
+        # Callers write the VC's contract (interarrival, static priority)
+        # before resolving its route: refresh the terms a parked head
+        # flit competes under.
+        self.link_schedulers[input_port].refresh_terms(vc)
 
     # ----- connection management ------------------------------------------------
 
@@ -393,7 +395,7 @@ class Router:
         self._register_route_state(input_port, vc_index, output_port, output_vc)
         scheduler = self.link_schedulers[input_port]
         scheduler.refresh_round_state(vc)
-        scheduler.invalidate_vc(vc)
+        scheduler.refresh_terms(vc)
         if output_vc >= 0:
             # A real downstream VC exists: record the direct/reverse channel
             # mappings.  Sink outputs (single-router mode) have no channel
@@ -445,7 +447,7 @@ class Router:
         self._register_route_state(input_port, vc_index, output_port, output_vc)
         scheduler = self.link_schedulers[input_port]
         scheduler.refresh_round_state(vc)
-        scheduler.invalidate_vc(vc)
+        scheduler.refresh_terms(vc)
         self.stats.counter("packet_vcs_opened")
         return vc_index
 
@@ -511,10 +513,10 @@ class Router:
             vc.peak_cycles = new.effective_peak
         # The new contract may change which round tier the VC sits in
         # right now (e.g. a raised allocation un-exhausts it mid-round)
-        # and feeds the cached priority terms.
+        # and feeds the priority terms.
         scheduler = self.link_schedulers[input_port]
         scheduler.refresh_round_state(vc)
-        scheduler.invalidate_vc(vc)
+        scheduler.refresh_terms(vc)
         self.stats.counter("renegotiations")
         return True
 
@@ -529,8 +531,10 @@ class Router:
         cut-through first (§3.4).
 
         Held to the per-hop budget (DESIGN.md §7h): one buffer-length read,
-        ``VirtualChannel.enqueue`` inline, a write per status bit that
-        changes, and no statistics (those are :meth:`_deliver`'s).
+        ``VirtualChannel.enqueue`` inline, the new head's priority terms
+        when the scheme's follow the flit (``terms_per_flit``), a write
+        per status bit that changes, and no statistics (those are
+        :meth:`_deliver`'s).
         """
         vcs = self.input_ports[input_port].vcs
         # The caller names the VC: check it, because the status bits
@@ -556,9 +560,14 @@ class Router:
         if occupancy:
             buffer.append(flit)
         else:
-            # The flit becomes head: stamp it and publish the VC (and
-            # the port, if idle).
+            # The flit becomes head: stamp it, write its priority terms
+            # (if they follow the flit) and publish the VC (and the port,
+            # if idle).
             flit.ready_time = self.sim.now
+            if self._terms_per_flit:
+                vc.prio_base, vc.prio_div, vc.prio_key = self.scheme.cache_terms(
+                    vc, flit
+                )
             if type(buffer) is tuple:
                 buffer = vc.buffer = deque()
             buffer.append(flit)
@@ -753,9 +762,14 @@ class Router:
         scheduler = self.link_schedulers[input_port]
         bit = 1 << vc_index
         if buffer:
-            # The successor becomes head: stamp it (the scan re-checks
-            # head identity, so its cached terms need no invalidation).
-            buffer[0].ready_time = cycle + 1
+            # The successor becomes head: stamp it and write its
+            # priority terms (if they follow the flit).
+            head = buffer[0]
+            head.ready_time = cycle + 1
+            if self._terms_per_flit:
+                vc.prio_base, vc.prio_div, vc.prio_key = self.scheme.cache_terms(
+                    vc, head
+                )
         else:
             flits_available = self._flits_available[input_port]
             flits_available._bits &= ~bit
@@ -905,6 +919,8 @@ class Router:
           ports, ``credits_available`` mirrors :meth:`_credit_check` on
           routed VCs, and ``round_budget_exhausted`` plus the cached
           ``round_offset`` reproduce the reference round gate;
+        * every VC holding a flit carries its head's priority terms,
+          ``scheme.cache_terms(vc, head)`` (the scan reads them unchecked);
         * the published activity bits mirror ``flits_available`` per port
           (a desync here would let the kernel skip a busy router);
         * the RAU's direct/reverse stores are mirror images.
@@ -961,6 +977,13 @@ class Router:
                         f"{self.name}: round_offset desync at "
                         f"{port.port}.{vc.index}: "
                         f"{vc.round_offset} != {gate}"
+                    )
+                if vc.buffer:
+                    terms = (vc.prio_base, vc.prio_div, vc.prio_key)
+                    expected = self.scheme.cache_terms(vc, vc.buffer[0])
+                    assert terms == expected, (
+                        f"{self.name}: priority terms stale at "
+                        f"{port.port}.{vc.index}: {terms} != {expected}"
                     )
             assert self.activity.test(port.port) == status.vector(
                 "flits_available"

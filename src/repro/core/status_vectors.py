@@ -15,6 +15,34 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional
 
 
+#: ``BYTE_BITS[value]``: the offsets of the set bits of one byte value,
+#: ascending — the table the byte walk (:func:`set_bits`) reads.
+BYTE_BITS = tuple(
+    tuple(offset for offset in range(8) if value >> offset & 1)
+    for value in range(256)
+)
+
+
+def set_bits(bits: int) -> List[int]:
+    """The indices of the set bits of a non-negative ``bits``, ascending.
+
+    The byte walk: one ``to_bytes`` of the mask, then each non-zero byte
+    names its set bits through :data:`BYTE_BITS`.  That is a table read
+    per byte instead of, per set bit, a ``bit_length`` and three big-int
+    operations (negate, isolate the lowest bit, clear it), each of which
+    builds a new int as wide as the mask.
+    ``LinkScheduler.candidates`` carries this walk inline.
+    """
+    indices = []
+    base = 0
+    for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for offset in BYTE_BITS[byte]:
+                indices.append(base + offset)
+        base += 8
+    return indices
+
+
 class BitVector:
     """A fixed-width vector of per-virtual-channel status bits."""
 
@@ -76,24 +104,12 @@ class BitVector:
         return self._bits != 0
 
     def indices(self) -> Iterator[int]:
-        """Yield the set-bit indices in ascending order.
+        """Yield the set-bit indices in ascending order (:func:`set_bits`).
 
-        Walks only the set bits: ``bits & -bits`` isolates the lowest
-        set bit (two's complement), ``bit_length() - 1`` names it, and
-        xor clears it, so the cost is proportional to the population
-        count, not the width — important when scanning 256-wide vectors
-        every flit cycle.  Microbench (CPython 3.11, 16 of 256 bits
-        set): ~2.9µs per walk vs ~18.6µs for the naive test-every-index
-        scan, ~6.5x; the gap widens with sparser vectors and vanishes
-        only near full occupancy.  ``tests/test_status_vectors.py``
-        property-tests this walk against the naive scan on random
-        vectors.
+        ``tests/test_status_vectors.py`` property-tests this walk against
+        the naive test-every-index scan on random vectors.
         """
-        bits = self._bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(set_bits(self._bits))
 
     def first_set(self) -> int:
         """Lowest set-bit index, or -1 when empty (a priority encoder)."""

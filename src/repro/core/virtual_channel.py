@@ -54,6 +54,14 @@ class VirtualChannel:
     :meth:`enqueue` allocates the ``deque``; :meth:`release` hands it
     back.  Readers only ever test it for truth, take its length or index
     a non-empty one, which the placeholder answers like an empty deque.
+
+    ``prio_base``, ``prio_div`` and ``prio_key`` are the head flit's
+    priority terms (``PriorityScheme.cache_terms``), kept current by
+    their writers whenever the VC holds a flit; ``Router.check_invariants``
+    audits them.  The VC knows no scheme, so :meth:`enqueue` and
+    :meth:`dequeue` do not write them: code that moves flits with those
+    instead of the router's flit path refreshes the terms through
+    ``LinkScheduler.refresh_terms``.
     """
 
     __slots__ = (
@@ -73,8 +81,6 @@ class VirtualChannel:
         "interarrival_cycles",
         "serviced_this_round",
         "round_offset",
-        "prio_flit",
-        "prio_conn",
         "prio_base",
         "prio_div",
         "prio_key",
@@ -108,13 +114,12 @@ class VirtualChannel:
         # contract, the VBR excess offset beyond it); owned by
         # LinkScheduler.refresh_round_state.
         self.round_offset: float = 0.0
-        # Priority-term cache for the scheduling fast path: valid while
-        # ``prio_flit`` is the current head flit (identity check) *and*
-        # ``prio_conn`` matches the bound connection, so terms never
-        # survive a rebind or contract change; the scheme's cache_terms()
-        # fills base/div/key.
-        self.prio_flit: Optional[Flit] = None
-        self.prio_conn: Optional[int] = None
+        # The head flit's priority terms, ``scheme.cache_terms(vc, head)``:
+        # current whenever the VC holds a flit.  Their writers keep them
+        # so — LinkScheduler.refresh_terms after a control-plane write of
+        # a priority input, and Router.inject / Router._transmit where a
+        # flit becomes head if the terms follow the flit — and the
+        # candidate scan only reads them.
         self.prio_base: float = 0.0
         self.prio_div: float = 1.0
         self.prio_key: int = 0
@@ -156,8 +161,6 @@ class VirtualChannel:
         self.class_offset = CLASS_OFFSETS[service_class]
         self.output_port = output_port
         self.output_vc = output_vc
-        self.prio_flit = None
-        self.prio_conn = None
 
     def release(self) -> None:
         """Free the VC (connection torn down or packet fully sent).
@@ -184,8 +187,6 @@ class VirtualChannel:
         self.interarrival_cycles = 1.0
         self.serviced_this_round = 0
         self.round_offset = 0.0
-        self.prio_flit = None
-        self.prio_conn = None
         self.prio_base = 0.0
         self.prio_div = 1.0
         self.prio_key = 0

@@ -314,5 +314,5 @@ class ConnectionManager:
                 vc_index
             ].static_priority = priority
             # Without this a parked head flit keeps its pre-change
-            # priority terms until it drains (stale-cache bug).
-            router.invalidate_priority_cache(entry_port, vc_index)
+            # priority terms until it drains.
+            router.refresh_priority_terms(entry_port, vc_index)

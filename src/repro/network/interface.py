@@ -189,9 +189,9 @@ class NetworkInterface:
         if stream.policer is not None:
             stream.policer.set_rate(1.0 / interarrival, now=self.network.sim.now)
         # Update the per-hop VC state the biased priority consults, and
-        # drop the cached priority terms: a head flit parked on the VC
-        # would otherwise keep competing under the old rate's bias until
-        # it drains.
+        # refresh the priority terms: a head flit parked on the VC would
+        # otherwise keep competing under the old rate's bias until it
+        # drains.
         for i, node in enumerate(stream.connection.path):
             router = self.network.routers[node]
             entry_port = stream.connection.entry_ports[i]
@@ -199,7 +199,7 @@ class NetworkInterface:
             router.input_ports[entry_port].vcs[
                 vc_index
             ].interarrival_cycles = interarrival
-            router.invalidate_priority_cache(entry_port, vc_index)
+            router.refresh_priority_terms(entry_port, vc_index)
         return True
 
     def set_priority(self, stream: OpenStream, priority: float) -> None:

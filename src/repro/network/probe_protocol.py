@@ -401,8 +401,8 @@ class ProbeProtocol:
                     "vbr_service_requested"
                 ).set(hop.vc_index)
             # assign_route (not direct field writes) keeps the fast-path
-            # routed/credits vectors in sync and invalidates the priority
-            # cache; the bandwidth fields above feed the round gate, so
+            # routed/credits vectors in sync and refreshes the priority
+            # terms; the bandwidth fields above feed the round gate, so
             # refresh that too.
             router.assign_route(
                 hop.entry_port, hop.vc_index, hop.output_port, downstream_vc
@@ -539,8 +539,8 @@ class ProbeProtocol:
                 router.input_ports[hop.entry_port].vcs[
                     hop.vc_index
                 ].interarrival_cycles = interarrival_cycles
-                # Centralised invalidation of the cached priority terms.
-                router.invalidate_priority_cache(hop.entry_port, hop.vc_index)
+                # A head flit parked on the VC competes under the new rate.
+                router.refresh_priority_terms(hop.entry_port, hop.vc_index)
         self.renegotiations_applied += 1
         return True
 

@@ -21,6 +21,10 @@ class TopologyError(ValueError):
     """Raised for malformed topology descriptions."""
 
 
+class DisconnectedError(TopologyError):
+    """Raised by :meth:`Topology.distance` for two nodes with no path."""
+
+
 class Topology:
     """An undirected router graph with deterministic port numbering.
 
@@ -150,7 +154,7 @@ class Topology:
             self._distances = [self._bfs(node) for node in range(self.num_nodes)]
         d = self._distances[a][b]
         if d < 0:
-            raise TopologyError(f"nodes {a} and {b} are disconnected")
+            raise DisconnectedError(f"nodes {a} and {b} are disconnected")
         return d
 
     def _bfs(self, start: int) -> List[int]:

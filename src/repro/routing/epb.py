@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..network.topology import Topology
+from ..network.topology import DisconnectedError, Topology
 from .history import HistoryStore
 
 # admissible(node, output_port, next_node) -> bool: can the probe reserve
@@ -51,13 +51,14 @@ def profitable_ports(
     """(output port, next node) pairs lying on a minimal path.
 
     A link is profitable when the neighbor is strictly closer to the
-    destination.  Sorted by port for determinism.
+    destination.  Sorted by port for determinism.  A node outside the
+    topology raises :class:`TopologyError` naming it.
     """
     if node == destination:
         return []
     try:
         here = topology.distance(node, destination)
-    except Exception:
+    except DisconnectedError:
         # Destination unreachable (partitioned network): nothing is
         # profitable, the probe backs out and the request fails cleanly.
         return []

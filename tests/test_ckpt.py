@@ -1,4 +1,4 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/9`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/10`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
@@ -278,7 +278,9 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/8`` graph pickles each router's ``NullTracer``, whose
+        """A ``ckpt/9`` graph sets the ``prio_flit`` and ``prio_conn``
+        slots of its virtual channels, which no longer exist: unpickled,
+        it would fail with ``AttributeError``.  A ``ckpt/8`` graph pickles each router's ``NullTracer``, whose
         module is deleted: unpickled, it would fail on the import.
         A ``ckpt/7`` graph keeps its events in a binary heap of tuples
         and its statistics objects have no pending lists.  A ``ckpt/6``
@@ -292,12 +294,12 @@ class TestSchemaAndProvenanceChecks:
         stream of records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
         wake hooks (the arena held them, or nobody): resumed here its
         routers would sleep for ever.  A ``ckpt/1`` file also keeps
-        in-flight flits as heap events.  Refuse all eight up front."""
+        in-flight flits as heap events.  Refuse all nine up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
         for previous in (
-            "ckpt/8", "ckpt/7", "ckpt/6", "ckpt/5", "ckpt/4", "ckpt/3",
-            "ckpt/2", "ckpt/1",
+            "ckpt/9", "ckpt/8", "ckpt/7", "ckpt/6", "ckpt/5", "ckpt/4",
+            "ckpt/3", "ckpt/2", "ckpt/1",
         ):
             self._rewrite_header(path, lambda r: r.update(schema=previous))
             for read in (CheckpointCodec.read_header, CheckpointCodec.load):

@@ -16,17 +16,21 @@ from repro.harness.network_experiment import NetworkExperiment
 from repro.harness.single_router import SingleRouterExperiment
 from tests.hop_budget import HopBudget, budget_spec, paper_spec
 
-#: Calls per flit hop of :func:`budget_spec`.  33.84 while every source
+#: Calls per flit hop of :func:`budget_spec`.  31.02 while the candidate
+#: scan re-validated each VC's priority terms and walked its mask a bit at
+#: a time (the new head's terms cost nothing here: biased terms follow
+#: the connection, not the flit); 33.84 while every source
 #: arrival was a heap event and every delivery folded its statistics at
 #: once; 45.53 while offers and grants were namedtuples ordered by key
 #: functions; 46.68 until ``candidates`` became the scan itself instead of
 #: dispatching to it (one frame per scan, 1.16 per hop); 78.85 before the
 #: budget was written (7436230).
-MEASURED_CALLS_PER_HOP = 31.02
-#: Calls per flit hop of :func:`paper_spec`: 51.91 with heap-event
-#: arrivals and per-flit statistics, 90.21 with namedtuple offers and
-#: grants.
-MEASURED_PAPER_CALLS_PER_HOP = 40.86
+MEASURED_CALLS_PER_HOP = 30.44
+#: Calls per flit hop of :func:`paper_spec`: 40.86 with a ``bit_length``
+#: per eligible VC and the priority terms re-validated in the scan, 51.91
+#: with heap-event arrivals and per-flit statistics, 90.21 with namedtuple
+#: offers and grants.
+MEASURED_PAPER_CALLS_PER_HOP = 34.38
 #: What the switch scheduler may spend per hop on either scenario.
 SCHEDULE_CALLS_PER_HOP = 4.0
 #: The paper point's bookkeeping layers: ``_transmit`` + ``_deliver`` was
@@ -49,7 +53,9 @@ def paper_budget():
 
 def test_calls_per_hop_within_budget(budget):
     """mesh4x4, XY routing, 60 % link load, 1 200 cycles, seed 11:
-    1 412 027 calls for 45 519 flit hops = 31.02 per hop (was 1 540 501 =
+    1 385 748 calls for 45 519 flit hops = 30.44 per hop (was 1 412 027 =
+    31.02 with the bit-at-a-time scan, ``candidates`` 6.13 per hop, now
+    5.55; 1 540 501 =
     33.84 with heap-event arrivals and per-flit statistics, 2 072 507 =
     45.53 with namedtuple offers and grants — ``candidates`` 11.25 and
     ``schedule`` 9.46 per hop, now 6.13 and 2.15 — 2 124 807 = 46.68 with
@@ -63,12 +69,14 @@ def test_calls_per_hop_within_budget(budget):
 
 def test_paper_point_calls_per_hop_within_budget(paper_budget):
     """One 8x8 router, 90 % load, biased priority, ``per_output``
-    candidates, greedy arbitration, 3 000 cycles, seed 11: 735 926 calls
-    for 18 009 flit hops = 40.86 per hop (was 934 760 = 51.91 with
+    candidates, greedy arbitration, 3 000 cycles, seed 11: 619 216 calls
+    for 18 009 flit hops = 34.38 per hop (was 735 926 = 40.86 with a
+    ``bit_length`` per eligible VC and the priority terms re-validated in
+    the scan, ``candidates`` 14.46 per hop, now 7.97; 934 760 = 51.91 with
     heap-event arrivals and per-flit statistics, 1 624 531 = 90.21 with
     namedtuple offers and grants: ``candidates`` 41.86 and ``schedule``
-    13.76 per hop, now 14.46 and 1.70).  Calls cover the warm-up too, so
-    the figure reads higher than the same run's steady state."""
+    13.76 per hop, now 1.70).  Calls cover the warm-up too, so the figure
+    reads higher than the same run's steady state."""
     print()
     print(paper_budget.table())
     assert paper_budget.hops == 18009  # the scenario itself has not moved

@@ -44,14 +44,17 @@ def build(
     return scheduler, vcs, status
 
 
-def activate(vcs, status, index, output_port, service=ServiceClass.CBR, created=0,
+def activate(scheduler, index, output_port, service=ServiceClass.CBR, created=0,
              interarrival=10.0, static=0.0):
-    vc = vcs[index]
+    vc = scheduler.vcs[index]
     vc.bind(100 + index, service, output_port)
     vc.interarrival_cycles = interarrival
     vc.static_priority = static
     flit = Flit(FlitType.DATA, connection_id=100 + index, created=created)
     vc.enqueue(flit, now=created)
+    # In a full router the control plane and Router.inject keep these terms.
+    scheduler.refresh_terms(vc)
+    status = scheduler.status
     status.vector("flits_available").set(index)
     status.vector("connection_active").set(index)
     if output_port >= 0:
@@ -68,8 +71,8 @@ class TestCandidateSelection:
 
     def test_offers_eligible_vcs(self):
         scheduler, vcs, status = build()
-        activate(vcs, status, 2, output_port=1)
-        activate(vcs, status, 5, output_port=3)
+        activate(scheduler, 2, output_port=1)
+        activate(scheduler, 5, output_port=3)
         offered = scheduler.candidates(now=5)
         assert {vc_index for _, _, vc_index, _ in offered} == {2, 5}
         assert all(input_port == 0 for _, input_port, _, _ in offered)
@@ -77,12 +80,12 @@ class TestCandidateSelection:
     def test_respects_candidate_limit(self):
         scheduler, vcs, status = build(candidates=2)
         for i in range(6):
-            activate(vcs, status, i, output_port=i % 4)
+            activate(scheduler, i, output_port=i % 4)
         assert len(scheduler.candidates(now=5)) == 2
 
     def test_credit_gating(self):
         scheduler, vcs, status = build(credit_ok=False)
-        activate(vcs, status, 0, output_port=1)
+        activate(scheduler, 0, output_port=1)
         # The scan reads the credits_available vector (the router
         # mirrors downstream credit state into it); the reference walk
         # polls the credit_check callable.  Gate both.
@@ -101,16 +104,16 @@ class TestCandidateSelection:
 
     def test_priority_order_in_output(self):
         scheduler, vcs, status = build(selection="priority")
-        activate(vcs, status, 0, output_port=0, created=5)   # young
-        activate(vcs, status, 1, output_port=1, created=0)   # old -> higher
+        activate(scheduler, 0, output_port=0, created=5)   # young
+        activate(scheduler, 1, output_port=1, created=0)   # old -> higher
         offered = scheduler.candidates(now=10)
         assert [vc_index for _, _, vc_index, _ in offered] == [1, 0]
 
     def test_per_output_dedupes_outputs(self):
         scheduler, vcs, status = build(selection="per_output", candidates=8)
-        activate(vcs, status, 0, output_port=2, created=5)
-        activate(vcs, status, 1, output_port=2, created=0)  # older, wins slot
-        activate(vcs, status, 2, output_port=3, created=3)
+        activate(scheduler, 0, output_port=2, created=5)
+        activate(scheduler, 1, output_port=2, created=0)  # older, wins slot
+        activate(scheduler, 2, output_port=3, created=3)
         offered = scheduler.candidates(now=10)
         assert {output_port for _, _, _, output_port in offered} == {2, 3}
         port2 = next(c for c in offered if c[3] == 2)
@@ -135,14 +138,14 @@ class TestCandidateSelection:
     def test_random_selection_bounded(self):
         scheduler, vcs, status = build(selection="random", candidates=2)
         for i in range(5):
-            activate(vcs, status, i, output_port=i % 4)
+            activate(scheduler, i, output_port=i % 4)
         offered = scheduler.candidates(now=1)
         assert len(offered) == 2
 
     def test_rotating_selection_is_fair(self):
         scheduler, vcs, status = build(selection="rotating", candidates=1)
         for i in range(4):
-            activate(vcs, status, i, output_port=0, created=0)
+            activate(scheduler, i, output_port=0, created=0)
         seen = set()
         for t in range(8):
             offered = scheduler.candidates(now=t + 1)
@@ -152,7 +155,7 @@ class TestCandidateSelection:
 
     def test_counters(self):
         scheduler, vcs, status = build()
-        activate(vcs, status, 0, output_port=0)
+        activate(scheduler, 0, output_port=0)
         scheduler.candidates(now=1)
         assert scheduler.candidates_offered == 1
         assert scheduler.cycles_with_candidates == 1
@@ -164,14 +167,14 @@ class TestCandidateSelection:
         resumed from a stale pointer and re-favoured low-index VCs."""
         scheduler, vcs, status = build(selection="rotating", candidates=1)
         # Quiet spell: only VC 0 is eligible; each scan fits the limit.
-        activate(vcs, status, 0, output_port=0, created=0)
+        activate(scheduler, 0, output_port=0, created=0)
         for t in range(3):
             offered = scheduler.candidates(now=t + 1)
             assert [vc_index for _, _, vc_index, _ in offered] == [0]
         # Burst: VCs 0..3 all eligible.  A fair scan resumes past the VC
         # serviced during the quiet spell instead of re-favouring VC 0.
         for i in range(1, 4):
-            activate(vcs, status, i, output_port=0, created=0)
+            activate(scheduler, i, output_port=0, created=0)
         offered = scheduler.candidates(now=10)
         assert [vc_index for _, _, vc_index, _ in offered] == [1]
 
@@ -180,7 +183,7 @@ class TestCandidateSelection:
         next limited scan continues from where the wrap ended."""
         scheduler, vcs, status = build(selection="rotating", candidates=8)
         for i in range(4):
-            activate(vcs, status, i, output_port=0, created=0)
+            activate(scheduler, i, output_port=0, created=0)
         offered = scheduler.candidates(now=1)  # pool of 4 fits limit 8
         assert {vc_index for _, _, vc_index, _ in offered} == {0, 1, 2, 3}
         # Pointer wrapped past VC 3 back to 0; a limit-2 scan starts there.
@@ -198,8 +201,8 @@ class TestCandidateSelection:
         (rotating), return an offer over the limit (priority, one VC) or
         return ``[]`` while counting a scan (per_output, random)."""
         scheduler, vcs, status = build(selection=selection)
-        activate(vcs, status, 0, output_port=1)
-        activate(vcs, status, 3, output_port=2)
+        activate(scheduler, 0, output_port=1)
+        activate(scheduler, 3, output_port=2)
         with pytest.raises(ValueError, match="limit must be positive"):
             scheduler.candidates(now=1, limit=limit)
         status.vector("flits_available").clear(3)  # one eligible VC
@@ -214,7 +217,7 @@ class TestCandidateSelection:
 class TestRoundBudgets:
     def test_cbr_capped_at_allocation(self):
         scheduler, vcs, status = build()
-        vc = activate(vcs, status, 0, output_port=0)
+        vc = activate(scheduler, 0, output_port=0)
         vc.allocated_cycles = 2
         status.vector("cbr_service_requested").set(0)
         scheduler.on_flit_serviced(vc)
@@ -225,7 +228,7 @@ class TestRoundBudgets:
 
     def test_round_boundary_resets_budget(self):
         scheduler, vcs, status = build()
-        vc = activate(vcs, status, 0, output_port=0)
+        vc = activate(scheduler, 0, output_port=0)
         vc.allocated_cycles = 1
         scheduler.on_flit_serviced(vc)
         assert scheduler.candidates(now=1) == []
@@ -236,7 +239,7 @@ class TestRoundBudgets:
 
     def test_budgets_ignored_when_disabled(self):
         scheduler, vcs, status = build(enforce_budgets=False)
-        vc = activate(vcs, status, 0, output_port=0)
+        vc = activate(scheduler, 0, output_port=0)
         vc.allocated_cycles = 1
         scheduler.on_flit_serviced(vc)
         scheduler.on_flit_serviced(vc)
@@ -245,7 +248,7 @@ class TestRoundBudgets:
     def test_vbr_permanent_then_excess_tier(self):
         scheduler, vcs, status = build(scheme=StaticConnectionPriority())
         vc = activate(
-            vcs, status, 0, output_port=0, service=ServiceClass.VBR, static=0.5
+            scheduler, 0, output_port=0, service=ServiceClass.VBR, static=0.5
         )
         vc.permanent_cycles = 1
         vc.peak_cycles = 3
@@ -259,7 +262,7 @@ class TestRoundBudgets:
 
     def test_vbr_capped_at_peak(self):
         scheduler, vcs, status = build()
-        vc = activate(vcs, status, 0, output_port=0, service=ServiceClass.VBR)
+        vc = activate(scheduler, 0, output_port=0, service=ServiceClass.VBR)
         vc.permanent_cycles = 1
         vc.peak_cycles = 2
         scheduler.on_flit_serviced(vc)
@@ -274,10 +277,10 @@ class TestRoundBudgets:
             scheme=StaticConnectionPriority(), candidates=8
         )
         low = activate(
-            vcs, status, 0, output_port=0, service=ServiceClass.VBR, static=0.1
+            scheduler, 0, output_port=0, service=ServiceClass.VBR, static=0.1
         )
         high = activate(
-            vcs, status, 1, output_port=1, service=ServiceClass.VBR, static=0.9
+            scheduler, 1, output_port=1, service=ServiceClass.VBR, static=0.9
         )
         for vc in (low, high):
             vc.permanent_cycles = 1
@@ -301,7 +304,7 @@ class TestVbrRoundAccounting:
     def _vbr(self, scheduler, vcs, status, index, *, permanent, peak,
              static=0.5, output_port=0):
         vc = activate(
-            vcs, status, index, output_port=output_port,
+            scheduler, index, output_port=output_port,
             service=ServiceClass.VBR, static=static,
         )
         vc.permanent_cycles = permanent
@@ -382,7 +385,7 @@ class TestVbrRoundAccounting:
             scheduler, vcs, status, 2, permanent=1, peak=2, static=0.3,
             output_port=2,
         )
-        cbr = activate(vcs, status, 3, output_port=3, static=0.4)
+        cbr = activate(scheduler, 3, output_port=3, static=0.4)
         cbr.allocated_cycles = 1
         status.vector("cbr_service_requested").set(3)
         scheduler.on_flit_serviced(permanent_only)
@@ -426,7 +429,7 @@ class TestUnroutedPackets:
         granting it would configure the crossbar with an invalid port."""
         scheduler, vcs, status = build()
         vc = activate(
-            vcs, status, 0, output_port=-1, service=ServiceClass.BEST_EFFORT
+            scheduler, 0, output_port=-1, service=ServiceClass.BEST_EFFORT
         )
         assert scheduler.candidates(now=5) == []
         # Once routing assigns an output the packet becomes schedulable.

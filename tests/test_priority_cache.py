@@ -1,23 +1,33 @@
-"""Regression tests: the priority-term cache vs mid-flight control words.
+"""Regression tests: the priority terms vs mid-flight control words.
 
-The fused candidate scan caches each VC's priority terms
-while the same head flit sits parked under the same connection.  A
+The fused candidate scan reads each VC's priority terms without checking
+them; their writers keep them current (the flit path where a flit
+becomes head, ``refresh_terms`` after a control-plane write).  A
 SET_PRIORITY / SET_BANDWIDTH control word (or a teardown-and-readmission
 reusing the VC) changes the inputs of that computation *without* moving
-the head flit, so every such site must drop the cached terms — the
+the head flit, so every such site must refresh the terms — the
 reference walk (``tests/reference_scheduler.py``) recomputes from scratch
-each cycle and is the oracle.
+each cycle and is the oracle, and ``Router.check_invariants`` audits the
+terms of every VC holding a flit.
 """
 
 import pytest
 
+from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
 from repro.core.flit import Flit, FlitType
 from repro.core.link_scheduler import LinkScheduler
-from repro.core.priority import BiasedPriority, StaticConnectionPriority
+from repro.core.priority import (
+    BiasedPriority,
+    FrozenFlitPriority,
+    StaticConnectionPriority,
+)
+from repro.core.router import Router
 from repro.core.status_vectors import StatusBank
+from repro.core.switch_scheduler import GreedyPriorityScheduler
 from repro.core.virtual_channel import ServiceClass, VirtualChannel
 from repro.harness.churn import ChurnSpec, run_churn_experiment
+from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
 
 from tests.reference_scheduler import reference_candidates
@@ -42,37 +52,65 @@ def build_scheduler(scheme):
     return scheduler, vcs, status
 
 
-def park_flit(vcs, status, index, interarrival=100.0, static=0.25):
-    vc = vcs[index]
+def park_flit(scheduler, index, interarrival=100.0, static=0.25):
+    vc = scheduler.vcs[index]
     vc.bind(700 + index, ServiceClass.CBR, 1)
     vc.interarrival_cycles = interarrival
     vc.static_priority = static
     vc.enqueue(
         Flit(FlitType.DATA, connection_id=700 + index, created=0), now=0
     )
+    # In a full router the control plane and Router.inject keep these terms.
+    scheduler.refresh_terms(vc)
+    status = scheduler.status
     status.vector("flits_available").set(index)
     status.vector("connection_active").set(index)
     status.vector("routed").set(index)
     return vc
 
 
+def build_router(scheme):
+    config = RouterConfig(
+        num_ports=4, vcs_per_port=8, vc_buffer_flits=4, enforce_round_budgets=False
+    )
+    sim = Simulator()
+    router = Router(config, scheme, GreedyPriorityScheduler(), sim, checked=True)
+    return router, sim
+
+
+def open_static(router, connection_id, static=0.25, interarrival=100.0):
+    return router.open_connection(
+        connection_id,
+        0,
+        1,
+        BandwidthRequest(4),
+        service_class=ServiceClass.CBR,
+        interarrival_cycles=interarrival,
+        static_priority=static,
+    )
+
+
+def router_flit(connection_id):
+    return Flit(FlitType.DATA, connection_id=connection_id, created=0)
+
+
 class TestRenegotiationInvalidatesCache:
     def test_stale_terms_without_invalidation(self):
-        """The pre-fix failure mode: a parked head flit keeps competing
-        under the old rate's bias after a renegotiation, because the
-        cache key (head-flit identity, connection id) never changed."""
+        """The failure mode the refresh exists for: a parked head flit
+        keeps competing under the old rate's bias after a renegotiation
+        that does not refresh its terms."""
         scheduler, vcs, status = build_scheduler(BiasedPriority())
-        vc = park_flit(vcs, status, 2, interarrival=100.0)
+        vc = park_flit(scheduler, 2, interarrival=100.0)
         assert scheduler.candidates(50) == reference_candidates(scheduler, 50)
         vc.interarrival_cycles = 4.0  # SET_BANDWIDTH, cache not dropped
         assert scheduler.candidates(60) != reference_candidates(scheduler, 60)
 
     def test_invalidate_vc_restores_identity(self):
         scheduler, vcs, status = build_scheduler(BiasedPriority())
-        vc = park_flit(vcs, status, 2, interarrival=100.0)
-        scheduler.candidates(50)  # populate the cache
+        vc = park_flit(scheduler, 2, interarrival=100.0)
+        scheduler.candidates(50)
         vc.interarrival_cycles = 4.0
-        scheduler.invalidate_vc(vc)
+        scheduler.refresh_terms(vc)
         fast = scheduler.candidates(60)
         assert fast == reference_candidates(scheduler, 60)
         assert -fast[0][0] == pytest.approx(60 / 4.0)
@@ -80,31 +118,68 @@ class TestRenegotiationInvalidatesCache:
     def test_static_priority_rewrite_invalidates(self):
         """SET_PRIORITY under a static scheme: same flit, new base."""
         scheduler, vcs, status = build_scheduler(StaticConnectionPriority())
-        vc = park_flit(vcs, status, 1, static=0.25)
+        vc = park_flit(scheduler, 1, static=0.25)
         before = scheduler.candidates(10)
         assert before == reference_candidates(scheduler, 10)
         vc.static_priority = 0.75
-        scheduler.invalidate_vc(vc)
+        scheduler.refresh_terms(vc)
         after = scheduler.candidates(11)
         assert after == reference_candidates(scheduler, 11)
         assert -after[0][0] != -before[0][0]
 
-    def test_connection_id_leg_catches_readmission(self):
-        """A torn-down-and-readmitted connection on the same VC must not
-        inherit the old terms even if the head-flit object is reused."""
-        scheduler, vcs, status = build_scheduler(StaticConnectionPriority())
-        vc = park_flit(vcs, status, 3, static=0.9)
-        scheduler.candidates(5)
-        # Same Flit object parked, but the VC now belongs to a different
-        # connection with a different static priority (the reallocation
-        # race the (vc, flit, connection) cache key exists for).
-        vc.connection_id = 900
-        vc.static_priority = 0.1
-        fast = scheduler.candidates(6)
-        assert fast == reference_candidates(scheduler, 6)
-        assert -fast[0][0] == pytest.approx(
-            -reference_candidates(scheduler, 6)[0][0]
-        )
+    def test_readmitted_vc_gets_new_terms(self):
+        """A connection closed and a new one admitted onto the same VC
+        index, with a different static priority: the new connection's
+        first head flit competes under the new terms — written by the
+        open (static terms follow the connection) or by the inject
+        (frozen terms follow the flit)."""
+        for scheme in (StaticConnectionPriority(), FrozenFlitPriority()):
+            router, sim = build_router(scheme)
+            scheduler = router.link_schedulers[0]
+            first = open_static(router, 1, static=0.9)
+            assert router.inject(0, first, router_flit(1))
+            assert scheduler.candidates(sim.now) == reference_candidates(
+                scheduler, sim.now
+            )
+            sim.run(5)  # the flit crosses the switch; the VC drains
+            assert not router.input_ports[0].vcs[first].buffer
+            router.close_connection(1, 0, first, 1, BandwidthRequest(4))
+            second = open_static(router, 2, static=0.1)
+            assert second == first  # the same VC, readmitted
+            assert router.inject(0, second, router_flit(2))
+            router.check_invariants()
+            assert scheduler.candidates(sim.now) == reference_candidates(
+                scheduler, sim.now
+            )
+
+
+class TestInvariantsAuditTheTerms:
+    """``Router.check_invariants`` holds every VC holding a flit to
+    ``scheme.cache_terms(vc, head)``: a control-plane write that skips
+    the refresh is caught even though the scan never re-checks."""
+
+    def park(self, scheme):
+        router, _ = build_router(scheme)
+        vc_index = open_static(router, 1)
+        assert router.inject(0, vc_index, router_flit(1))
+        router.check_invariants()
+        return router, router.input_ports[0].vcs[vc_index]
+
+    def test_interarrival_rewrite_without_refresh_is_caught(self):
+        router, vc = self.park(BiasedPriority())
+        vc.interarrival_cycles = 4.0  # SET_BANDWIDTH, terms not refreshed
+        with pytest.raises(AssertionError, match="priority terms stale"):
+            router.check_invariants()
+        router.refresh_priority_terms(0, vc.index)
+        router.check_invariants()
+
+    def test_static_priority_rewrite_without_refresh_is_caught(self):
+        router, vc = self.park(StaticConnectionPriority())
+        vc.static_priority = 0.75  # SET_PRIORITY, terms not refreshed
+        with pytest.raises(AssertionError, match="priority terms stale"):
+            router.check_invariants()
+        router.refresh_priority_terms(0, vc.index)
+        router.check_invariants()
 
 
 class TestChurnDrivenIdentity:

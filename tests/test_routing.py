@@ -82,6 +82,15 @@ class TestProfitablePorts:
         ports = profitable_ports(topo, 0, 3)
         assert {n for _, n in ports} == {1, 2}
 
+    def test_unreachable_destination_has_no_profitable_port(self):
+        topo = Topology(4, [(0, 1), (2, 3)])  # two islands
+        assert profitable_ports(topo, 0, 3) == []
+
+    def test_out_of_range_destination_raises(self):
+        """A mistyped destination is an error, not a refused connection."""
+        with pytest.raises(TopologyError, match="node 99 out of range"):
+            profitable_ports(mesh(4, 4), 0, 99)
+
 
 class TestEpbSearch:
     def test_trivial_same_node(self):

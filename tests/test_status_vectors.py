@@ -75,7 +75,7 @@ class TestBitVector:
         )
     )
     def test_indices_match_naive_scan(self, width_and_indices):
-        # The lowest-set-bit walk (bits & -bits) must agree with the
+        # The byte walk (to_bytes + a table per byte) must agree with the
         # naive test-every-position scan on arbitrary widths, including
         # widths that are not multiples of the word size.
         width, indices = width_and_indices
