@@ -50,6 +50,12 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/11``: an ``InputPort`` builds its VCs at its first binding —
+#: an unbound port pickles an empty ``vcs`` list and a ``vc_capacity`` to
+#: build them from — and a ``LinkScheduler`` holds a random stream only
+#: under ``random`` selection.  A ``ckpt/10`` graph restores input ports
+#: without ``vc_capacity``, every one built, and a random stream in every
+#: link scheduler: objects this build never makes.
 #: ``ckpt/10``: ``VirtualChannel`` lost the two slots that keyed its
 #: priority terms (head flit and connection id): the terms are kept
 #: current by their writers, not re-validated by the scan.  A ``ckpt/9``
@@ -85,7 +91,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/10"
+CKPT_SCHEMA = "ckpt/11"
 
 
 class CheckpointError(RuntimeError):

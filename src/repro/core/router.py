@@ -56,17 +56,54 @@ CreditReturnHandler = Callable[[int], None]
 
 
 class InputPort:
-    """One physical input link: its virtual channels and status bank."""
+    """One physical input link: its virtual channels and status bank.
+
+    The VCs are built at the port's first binding (:meth:`bind_vc`), so
+    a link nobody binds costs its status bank and nothing per VC (§3.2:
+    one shared VC memory per link, most of its VCs idle).  Until then
+    ``vcs`` is empty and every VC is unbound at its defaults.  The list
+    is filled in place: the port's link scheduler holds the same object.
+    """
 
     def __init__(self, port: int, config: RouterConfig) -> None:
         self.port = port
-        self.vcs: List[VirtualChannel] = [
-            VirtualChannel(port, index, config.vc_buffer_flits)
-            for index in range(config.vcs_per_port)
-        ]
+        self.vcs: List[VirtualChannel] = []
+        self.vc_capacity = config.vc_buffer_flits
         self.status = StatusBank(config.vcs_per_port)
         # Free pool as a bit mask: bit i set = VC i unbound.
         self._free_vcs = (1 << config.vcs_per_port) - 1
+
+    def bind_vc(
+        self,
+        vc_index: int,
+        connection_id: int,
+        service_class: ServiceClass,
+        output_port: int,
+        output_vc: int = -1,
+    ) -> VirtualChannel:
+        """Bind VC ``vc_index`` and take it out of the free pool.
+
+        Every binding goes through here, so the port's first one builds
+        its VCs.
+        """
+        vcs = self.vcs
+        if not vcs:
+            vcs[:] = [
+                VirtualChannel(self.port, index, self.vc_capacity)
+                for index in range(self.status.width)
+            ]
+        vc = vcs[vc_index]
+        vc.bind(connection_id, service_class, output_port, output_vc)
+        self.mark_bound(vc_index)
+        return vc
+
+    def bound_vc(self, vc_index: int) -> Optional[VirtualChannel]:
+        """VC ``vc_index`` if it is bound, else None (an unbuilt port has
+        no bound VC)."""
+        if not self.vcs:
+            return None
+        vc = self.vcs[vc_index]
+        return vc if vc.connection_id is not None else None
 
     def find_free_vc(self) -> Optional[int]:
         """Lowest-numbered free virtual channel, or None."""
@@ -158,7 +195,14 @@ class Router:
                 scheme,
                 self._credit_check,
                 selection=selection,
-                rng=rng.spawn(f"link{port}") if rng is not None else None,
+                # Only random selection draws: spawn no stream the scheduler
+                # never reads (each name hashes alone, so skipping one
+                # leaves the others unchanged).
+                rng=(
+                    rng.spawn(f"link{port}")
+                    if rng is not None and selection == "random"
+                    else None
+                ),
             )
             for port in range(config.num_ports)
         ]
@@ -335,8 +379,8 @@ class Router:
         by probe-driven connection establishment (§3.5).
         """
         self.catch_up()
-        vc = self.input_ports[input_port].vcs[vc_index]
-        if vc.connection_id is None:
+        vc = self.input_ports[input_port].bound_vc(vc_index)
+        if vc is None:
             raise RuntimeError(
                 f"{self.name}: cannot route unbound VC {input_port}.{vc_index}"
             )
@@ -379,8 +423,9 @@ class Router:
         if not decision:
             self.stats.counter("connections_refused")
             return None
-        vc = port.vcs[vc_index]
-        vc.bind(connection_id, service_class, output_port, output_vc)
+        vc = port.bind_vc(
+            vc_index, connection_id, service_class, output_port, output_vc
+        )
         vc.interarrival_cycles = interarrival_cycles
         vc.static_priority = static_priority
         if service_class is ServiceClass.CBR:
@@ -391,7 +436,6 @@ class Router:
             vc.peak_cycles = request.effective_peak
             port.status.vector("vbr_service_requested").set(vc_index)
         port.status.vector("connection_active").set(vc_index)
-        port.mark_bound(vc_index)
         self._register_route_state(input_port, vc_index, output_port, output_vc)
         scheduler = self.link_schedulers[input_port]
         scheduler.refresh_round_state(vc)
@@ -439,11 +483,11 @@ class Router:
         if vc_index is None:
             self.stats.counter("packet_vc_blocked")
             return None
-        vc = port.vcs[vc_index]
-        vc.bind(connection_id, service_class, output_port, output_vc)
+        vc = port.bind_vc(
+            vc_index, connection_id, service_class, output_port, output_vc
+        )
         vc.interarrival_cycles = interarrival_cycles
         port.status.vector("connection_active").set(vc_index)
-        port.mark_bound(vc_index)
         self._register_route_state(input_port, vc_index, output_port, output_vc)
         scheduler = self.link_schedulers[input_port]
         scheduler.refresh_round_state(vc)
@@ -462,10 +506,11 @@ class Router:
         """Tear down a connection and return its resources."""
         self.catch_up()
         port = self.input_ports[input_port]
-        vc = port.vcs[vc_index]
-        if vc.connection_id != connection_id:
+        vc = port.bound_vc(vc_index)
+        bound_to = vc.connection_id if vc is not None else None
+        if bound_to != connection_id:
             raise RuntimeError(
-                f"VC {input_port}.{vc_index} bound to {vc.connection_id}, "
+                f"VC {input_port}.{vc_index} bound to {bound_to}, "
                 f"not {connection_id}"
             )
         self.scrub_vc_scheduling_state(input_port, vc_index)
@@ -495,8 +540,8 @@ class Router:
         VC's round budget follows the new contract.
         """
         self.catch_up()
-        vc = self.input_ports[input_port].vcs[vc_index]
-        if vc.connection_id is None:
+        vc = self.input_ports[input_port].bound_vc(vc_index)
+        if vc is None:
             raise RuntimeError(f"VC {input_port}.{vc_index} has no connection")
         output_port = vc.output_port
         if not self.admission.outputs[output_port].renegotiate(old, new):
@@ -527,8 +572,9 @@ class Router:
 
         Returns False (without enqueuing) when the VC buffer is full —
         the caller models upstream flow control and must retry after a
-        credit returns.  Control-class flits attempt asynchronous VCT
-        cut-through first (§3.4).
+        credit returns.  Raises ``RuntimeError`` for a VC nothing has
+        bound: no route would ever take the flit out.  Control-class
+        flits attempt asynchronous VCT cut-through first (§3.4).
 
         Held to the per-hop budget (DESIGN.md §7h): one buffer-length read,
         ``VirtualChannel.enqueue`` inline, the new head's priority terms
@@ -541,8 +587,16 @@ class Router:
         # below are written longhand (no ``BitVector`` range check) and
         # a negative index would alias another VC.
         if not 0 <= vc_index < self.config.vcs_per_port:
-            raise IndexError(f"vc {vc_index} out of range [0, {len(vcs)})")
-        vc = vcs[vc_index]
+            raise IndexError(
+                f"vc {vc_index} out of range [0, {self.config.vcs_per_port})"
+            )
+        try:
+            vc = vcs[vc_index]
+        except IndexError:
+            # In range, so the port is unbuilt: none of its VCs is bound.
+            raise RuntimeError(
+                f"{self.name}: inject into unbound VC {input_port}.{vc_index}"
+            ) from None
         flit_type = flit.flit_type
         if (
             flit_type is not _DATA
@@ -562,7 +616,12 @@ class Router:
         else:
             # The flit becomes head: stamp it, write its priority terms
             # (if they follow the flit) and publish the VC (and the port,
-            # if idle).
+            # if idle).  An unbound VC is always empty, so this is where
+            # a flit sent to one is refused.
+            if vc.connection_id is None:
+                raise RuntimeError(
+                    f"{self.name}: inject into unbound VC {input_port}.{vc_index}"
+                )
             flit.ready_time = self.sim.now
             if self._terms_per_flit:
                 vc.prio_base, vc.prio_div, vc.prio_key = self.scheme.cache_terms(
@@ -923,13 +982,19 @@ class Router:
           ``scheme.cache_terms(vc, head)`` (the scan reads them unchecked);
         * the published activity bits mirror ``flits_available`` per port
           (a desync here would let the kernel skip a busy router);
-        * the RAU's direct/reverse stores are mirror images.
+        * the RAU's direct/reverse stores are mirror images;
+        * a port whose VCs are not built yet is all unbound: no flits,
+          no ``routed``, ``connection_active``, ``round_budget_exhausted``
+          or ``input_buffer_full`` bit, ``credits_available`` parked and
+          a full free pool.
 
         Raises ``AssertionError`` on the first violation.
         """
         for port in self.input_ports:
             status = port.status
             scheduler = self.link_schedulers[port.port]
+            if not port.vcs:
+                self._check_unbuilt_port(port)
             for vc in port.vcs:
                 has_flits = status.vector("flits_available").test(vc.index)
                 assert has_flits == (vc.occupancy > 0), (
@@ -989,6 +1054,29 @@ class Router:
                 "flits_available"
             ).any(), f"{self.name}: activity bit desync at port {port.port}"
         self.rau.mappings.check_consistency()
+
+    def _check_unbuilt_port(self, port: InputPort) -> None:
+        status = port.status
+        for name in (
+            "flits_available",
+            "input_buffer_full",
+            "connection_active",
+            "routed",
+            "round_budget_exhausted",
+        ):
+            stray = status.vector(name).first_set()
+            assert stray < 0, (
+                f"{self.name}: {name} desync at {port.port}.{stray} "
+                f"(port unbuilt)"
+            )
+        credits = status.vector("credits_available")
+        assert credits.count() == status.width, (
+            f"{self.name}: credits_available not parked at port {port.port} "
+            f"(port unbuilt)"
+        )
+        assert port.free_vc_count() == status.width, (
+            f"{self.name}: free pool desync at port {port.port} (port unbuilt)"
+        )
 
     def utilisation(self) -> float:
         """Delivered fraction of aggregate switch bandwidth so far."""

@@ -642,7 +642,9 @@ class ChurnWorkload(Resumable):
 
     def _on_delivery(self, node: int, port: int, flit) -> None:
         latency = self.sim.now - flit.created
-        stats = self.end_to_end.setdefault(flit.connection_id, ConnectionStats())
+        stats = self.end_to_end.get(flit.connection_id)
+        if stats is None:
+            stats = self.end_to_end[flit.connection_id] = ConnectionStats()
         stats.record_flit(latency)
         self.delivered[flit.connection_id] = (
             self.delivered.get(flit.connection_id, 0) + 1

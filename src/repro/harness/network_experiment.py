@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.bandwidth import BandwidthAllocator
 from ..core.config import RouterConfig
 from ..core.priority import make_priority_scheme
 from ..network.connection import ConnectionManager
@@ -225,8 +226,9 @@ class NetworkExperiment(Resumable):
         streams: List[Tuple[int, OpenStream]] = []
         attempts = 0
         consecutive_failures = 0
+        links = _router_links(network, topology)
         while consecutive_failures < 25:
-            if _mean_link_utilisation(network, topology) >= spec.target_link_load:
+            if _mean_link_utilisation(links) >= spec.target_link_load:
                 break
             src = demand_rng.randint(0, topology.num_nodes - 1)
             dst = demand_rng.randint(0, topology.num_nodes - 1)
@@ -382,18 +384,24 @@ def attach_delivery_log(experiment: NetworkExperiment) -> List[tuple]:
     return log
 
 
-def _mean_link_utilisation(network: Network, topology: Topology) -> float:
-    """Mean committed utilisation over router-to-router output links."""
+def _router_links(network: Network, topology: Topology) -> List[BandwidthAllocator]:
+    """The admission allocators of every router-to-router output link,
+    in node then port order."""
+    return [
+        network.routers[node].admission.outputs[port]
+        for node in range(topology.num_nodes)
+        for port in range(topology.num_ports)
+        if topology.neighbor_on_port(node, port) is not None
+    ]
+
+
+def _mean_link_utilisation(links: List[BandwidthAllocator]) -> float:
+    """Mean committed utilisation over ``links`` (see :func:`_router_links`),
+    summed in list order so repeated calls agree bit for bit."""
     total = 0.0
-    count = 0
-    for node in range(topology.num_nodes):
-        router = network.routers[node]
-        for port in range(topology.num_ports):
-            if topology.neighbor_on_port(node, port) is None:
-                continue
-            total += router.admission.outputs[port].utilisation
-            count += 1
-    return total / count if count else 0.0
+    for allocator in links:
+        total += allocator.utilisation
+    return total / len(links) if links else 0.0
 
 
 def _clone(stats: RunningStats) -> RunningStats:

@@ -367,18 +367,23 @@ class Network:
                 if neighbor is None:
                     continue
                 remote_port = self.topology.port_of(neighbor, node)
-                for vc in self.routers[neighbor].input_ports[remote_port].vcs:
-                    index = vc.index
+                vcs = self.routers[neighbor].input_ports[remote_port].vcs
+                for index in range(self.config.vcs_per_port):
                     parts = (
                         flow.credits(index),
                         flits[neighbor, remote_port, index],
-                        vc.occupancy,
+                        vcs[index].occupancy if vcs else 0,
                         credits[node, port, index],
                     )
-                    assert sum(parts) == depth, (
+                    # An unbuilt port was never bound, so nothing was sent
+                    # into it: every credit is home and nothing in flight.
+                    assert (
+                        sum(parts) == depth if vcs else parts == (depth, 0, 0, 0)
+                    ), (
                         f"link {node}.{port} -> {neighbor}.{remote_port} vc "
                         f"{index}: credits + flits on link + buffered + "
                         f"credits returning = {parts} != {depth}"
+                        f"{'' if vcs else ' (port unbuilt: all credits home)'}"
                     )
 
     def total_buffered(self) -> int:

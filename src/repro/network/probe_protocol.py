@@ -277,9 +277,9 @@ class ProbeProtocol:
         if not downstream.admission.inputs[entry].allocate(session.request):
             router.admission.outputs[out_port].release(session.request)
             return False
-        vc = downstream.input_ports[entry].vcs[vc_index]
-        vc.bind(-session.session_id, session.service_class, -1)
-        downstream.input_ports[entry].mark_bound(vc_index)
+        downstream.input_ports[entry].bind_vc(
+            vc_index, -session.session_id, session.service_class, -1
+        )
         session.reservations[-1].output_port = out_port
         session.reservations.append(HopReservation(neighbor, entry, vc_index))
         return True
@@ -352,9 +352,9 @@ class ProbeProtocol:
             ].release(session.request)
             self._backtrack(session)
             return
-        vc = source_router.input_ports[head.entry_port].vcs[source_vc]
-        vc.bind(-session.session_id, session.service_class, -1)
-        source_router.input_ports[head.entry_port].mark_bound(source_vc)
+        source_router.input_ports[head.entry_port].bind_vc(
+            source_vc, -session.session_id, session.service_class, -1
+        )
         head.vc_index = source_vc
         # The ack walks back over the reverse mappings, configuring each
         # hop's VC state; model it as one delayed installation.

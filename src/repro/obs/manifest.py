@@ -41,12 +41,29 @@ def config_digest(config: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+#: :func:`git_revision` answers by repository root, filled on first use.
+_REVISIONS: Dict[Path, Optional[str]] = {}
+
+
 def git_revision(repo_root: Optional[Path] = None) -> Optional[str]:
-    """The current git commit hash, or None outside a repository."""
+    """The current git commit hash, or None outside a repository.
+
+    Memoised per process and ``repo_root``: every checkpoint save and
+    store write builds a manifest, and one ``git`` subprocess per root
+    answers them all.  The first call runs it, so importing this module
+    starts none.
+    """
+    root = Path(repo_root) if repo_root is not None else _REPO_ROOT
+    if root not in _REVISIONS:
+        _REVISIONS[root] = _read_git_revision(root)
+    return _REVISIONS[root]
+
+
+def _read_git_revision(root: Path) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=repo_root or _REPO_ROOT,
+            cwd=root,
             capture_output=True,
             text=True,
             timeout=5,

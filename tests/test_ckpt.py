@@ -1,4 +1,4 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/10`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/11`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
@@ -278,7 +278,10 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/9`` graph sets the ``prio_flit`` and ``prio_conn``
+        """A ``ckpt/10`` graph's input ports carry every VC built and no
+        ``vc_capacity`` to build them from, and each of its link
+        schedulers a random stream whatever its selection mode.
+        A ``ckpt/9`` graph sets the ``prio_flit`` and ``prio_conn``
         slots of its virtual channels, which no longer exist: unpickled,
         it would fail with ``AttributeError``.  A ``ckpt/8`` graph pickles each router's ``NullTracer``, whose
         module is deleted: unpickled, it would fail on the import.
@@ -294,12 +297,12 @@ class TestSchemaAndProvenanceChecks:
         stream of records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
         wake hooks (the arena held them, or nobody): resumed here its
         routers would sleep for ever.  A ``ckpt/1`` file also keeps
-        in-flight flits as heap events.  Refuse all nine up front."""
+        in-flight flits as heap events.  Refuse all ten up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
         for previous in (
-            "ckpt/9", "ckpt/8", "ckpt/7", "ckpt/6", "ckpt/5", "ckpt/4",
-            "ckpt/3", "ckpt/2", "ckpt/1",
+            "ckpt/10", "ckpt/9", "ckpt/8", "ckpt/7", "ckpt/6", "ckpt/5",
+            "ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1",
         ):
             self._rewrite_header(path, lambda r: r.update(schema=previous))
             for read in (CheckpointCodec.read_header, CheckpointCodec.load):
@@ -624,7 +627,10 @@ class TestCheckpointSizeFollowsVcsInUse:
 
     def test_experiment_checkpoint_barely_grows_with_provisioned_vcs(self, tmp_path):
         """What ``repro run --checkpoint-out`` writes for a dozen
-        connections: 256 VCs/port stay below 1.5x the bytes of 64."""
+        connections: each VC provisioned beyond 64 per port costs what an
+        idle VC costs in the bare router above.  (A ratio of the two sizes
+        would measure the 64-VC side too, which shrinks whenever anything
+        else in the experiment does.)"""
         sizes = {}
         for vcs_per_port in (64, 256):
             spec = tiny_spec(config=self.config(vcs_per_port), target_load=0.005)
@@ -633,7 +639,8 @@ class TestCheckpointSizeFollowsVcsInUse:
             assert 10 <= len(experiment.router.connection_stats) <= 16
             header = experiment.checkpoint(tmp_path / f"run{vcs_per_port}.ckpt")
             sizes[vcs_per_port] = header.payload_bytes
-        assert sizes[256] < 1.5 * sizes[64], sizes
+        extra_vcs = 8 * (256 - 64)
+        assert (sizes[256] - sizes[64]) / extra_vcs < 20, sizes
 
 
 def _build_network(topology, config, label, flows, **network_options):

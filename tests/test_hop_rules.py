@@ -390,7 +390,9 @@ class TestInlineGuards:
     def test_transmit_from_an_empty_vc(self):
         router, sim = single_router(_GrantEmptyVc())
         assert router.open_connection(1, 0, 1, BandwidthRequest(1)) == 0
-        assert router.inject(1, 0, Flit(FlitType.DATA, 2)) is True  # keeps it ticking
+        # A flit on another port's bound VC keeps the router ticking.
+        assert router.open_connection(2, 1, 2, BandwidthRequest(1)) == 0
+        assert router.inject(1, 0, Flit(FlitType.DATA, 2)) is True
         with pytest.raises(RuntimeError, match="VC 0.0 empty"):
             sim.run(1)
 

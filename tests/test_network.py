@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
 from repro.core.flit import Flit, FlitType
 from repro.core.priority import BiasedPriority
+from repro.core.router import InputPort
 from repro.network.connection import ConnectionManager
 from repro.network.interface import NetworkInterface
 from repro.network.network import Network
-from repro.network.topology import irregular, mesh, ring
+from repro.network.topology import irregular, mesh, ring, torus
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
 
@@ -179,6 +181,55 @@ class TestBestEffort:
             for port in router.input_ports:
                 assert port.free_vc_count() >= 8 - 1  # stream-free network
         assert network.total_buffered() == 0
+
+
+class TestPortsBuiltAtFirstBinding:
+    """A network costs the VCs it binds: a port nobody binds holds none."""
+
+    def test_built_ports_are_the_ports_ever_bound(self, monkeypatch):
+        bound = set()
+        bind_vc = InputPort.bind_vc
+
+        def recording_bind_vc(port, vc_index, *args):
+            bound.add((id(port), port.port))
+            return bind_vc(port, vc_index, *args)
+
+        monkeypatch.setattr(InputPort, "bind_vc", recording_bind_vc)
+        network, manager, sim, rng = build_network(topo=torus(16, 16))
+        interfaces = [
+            NetworkInterface(network, manager, n, rng=rng.spawn(f"ni{n}"))
+            for n in range(0, 256, 37)
+        ]
+        streams = [
+            interface.open_cbr((interface.node * 5 + 17) % 256, 55e6)
+            for interface in interfaces
+        ]
+        assert sum(stream is not None for stream in streams) >= 5
+        interfaces[0].send_best_effort(200)
+        # A connection nobody sends on, torn down again: its ports stay
+        # built after their last release.
+        silent = manager.establish(3, 140, BandwidthRequest(2))
+        sim.run(200)
+        manager.teardown(silent)
+        sim.run(200)
+        network.check_invariants()
+        built = {
+            (id(port), port.port)
+            for router in network.routers
+            for port in router.input_ports
+            if port.vcs
+        }
+        assert built == bound
+        total = sum(len(router.input_ports) for router in network.routers)
+        assert 5 <= len(built) < total // 10
+
+    def test_a_flit_sent_into_an_unbuilt_port_breaks_conservation(self):
+        network, _, _, _ = build_network()
+        port = network.topology.port_of(1, 0)
+        assert not network.routers[1].input_ports[port].vcs
+        network._lanes[1] = [(1, port, 2, Flit(FlitType.DATA, 7))]
+        with pytest.raises(AssertionError, match="port unbuilt"):
+            network.check_invariants()
 
 
 class TestLinkPlane:

@@ -117,6 +117,25 @@ class TestManifest:
     def test_manifest_is_json_safe(self):
         json.dumps(build_manifest(seed=1, config=RouterConfig(), extra={"k": 2}))
 
+    def test_git_runs_at_most_once_per_process(self, monkeypatch):
+        """Every checkpoint save and store write builds a manifest; the
+        revision is read once, on first use."""
+        from repro.obs import manifest
+
+        runs = []
+        real_run = manifest.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            runs.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest, "_REVISIONS", {})
+        monkeypatch.setattr(manifest.subprocess, "run", counting_run)
+        first = build_manifest(seed=1)
+        second = build_manifest(seed=2)
+        assert len(runs) <= 1
+        assert first["git_revision"] == second["git_revision"]
+
 
 class TestKernelProfiler:
     def test_simulator_integration_accounts_every_cycle(self):

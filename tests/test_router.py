@@ -15,6 +15,7 @@ from repro.core.switch_scheduler import (
 )
 from repro.core.virtual_channel import ServiceClass
 from repro.sim.engine import Simulator
+from repro.sim.rng import SeededRng
 
 
 def small_config(**overrides):
@@ -180,7 +181,105 @@ class TestConnectionLifecycle:
             )
 
 
+class TestPortsBuiltAtFirstBinding:
+    """An input port builds its VCs the first time one of them is bound;
+    until then it holds none and counts as all unbound."""
+
+    def test_only_bound_ports_are_built(self):
+        router, _ = make_router()
+        assert [len(port.vcs) for port in router.input_ports] == [0, 0, 0, 0]
+        open_cbr(router, 1, input_port=2)
+        assert [len(port.vcs) for port in router.input_ports] == [0, 0, 8, 0]
+        # Filled in place: the link scheduler reads the same list.
+        assert router.link_schedulers[2].vcs is router.input_ports[2].vcs
+        router.check_invariants()
+
+    def test_packet_vc_builds_its_port(self):
+        router, _ = make_router()
+        router.open_packet_vc(3, 0, ServiceClass.BEST_EFFORT, 9)
+        assert [len(port.vcs) for port in router.input_ports] == [0, 0, 0, 8]
+
+    def test_a_port_stays_built_after_its_last_release(self):
+        router, _ = make_router()
+        vc_index = open_cbr(router, 1)
+        router.close_connection(1, 0, vc_index, 1, BandwidthRequest(4))
+        assert len(router.input_ports[0].vcs) == 8
+        assert router.input_ports[0].free_vc_count() == 8
+        router.check_invariants()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: r.assign_route(1, 0, 2),
+            lambda r: r.close_connection(1, 1, 0, 2, BandwidthRequest(1)),
+            lambda r: r.renegotiate_connection(
+                1, 0, BandwidthRequest(1), BandwidthRequest(2)
+            ),
+        ],
+        ids=["assign_route", "close_connection", "renegotiate_connection"],
+    )
+    def test_control_plane_on_an_unbuilt_port_is_refused(self, call):
+        router, _ = make_router()
+        with pytest.raises(RuntimeError, match="1.0"):
+            call(router)
+        assert not router.input_ports[1].vcs
+        router.check_invariants()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p: p.status.vector("routed").set(5), "routed desync at 1.5"),
+            (
+                lambda p: p.status.vector("connection_active").set(2),
+                "connection_active desync at 1.2",
+            ),
+            (
+                lambda p: p.status.vector("round_budget_exhausted").set(0),
+                "round_budget_exhausted desync at 1.0",
+            ),
+            (
+                lambda p: p.status.vector("credits_available").clear(7),
+                "credits_available not parked at port 1",
+            ),
+            (lambda p: p.mark_bound(4), "free pool desync at port 1"),
+        ],
+        ids=["routed", "active", "exhausted", "credits", "free_pool"],
+    )
+    def test_invariants_hold_an_unbuilt_port_to_all_unbound(self, corrupt, message):
+        router, _ = make_router()
+        corrupt(router.input_ports[1])
+        with pytest.raises(AssertionError, match=message):
+            router.check_invariants()
+
+    @pytest.mark.parametrize("selection", ["rotating", "priority", "per_output"])
+    def test_no_link_stream_without_random_selection(self, selection):
+        router, _ = make_router(selection=selection, rng=SeededRng(4, "r"))
+        assert all(s.rng is None for s in router.link_schedulers)
+
+    def test_random_selection_keeps_its_link_streams(self):
+        router, _ = make_router(selection="random", rng=SeededRng(4, "r"))
+        for port, scheduler in enumerate(router.link_schedulers):
+            expected = SeededRng(4, "r").spawn(f"link{port}")
+            assert scheduler.rng.getstate() == expected.getstate()
+
+
 class TestFlitPath:
+    def test_inject_into_an_unbound_vc_is_refused(self):
+        """On an unbuilt port, and on an unbound VC of a built one
+        (before any binding and after a release): the flit would sit in
+        a VC nothing routes for ever."""
+        router, sim = make_router()
+        with pytest.raises(RuntimeError, match="unbound VC 0.3"):
+            router.inject(0, 3, data_flit())
+        vc_index = open_cbr(router, 1)
+        with pytest.raises(RuntimeError, match="unbound VC 0.3"):
+            router.inject(0, 3, data_flit())
+        router.close_connection(1, 0, vc_index, 1, BandwidthRequest(4))
+        with pytest.raises(RuntimeError, match=f"unbound VC 0.{vc_index}"):
+            router.inject(0, vc_index, data_flit())
+        assert router.buffered_flits() == 0
+        router.check_invariants()
+
     def test_inject_and_transmit(self):
         router, sim = make_router()
         vc_index = open_cbr(router)

@@ -147,8 +147,7 @@ class VcPoolMachine(RuleBasedStateMachine):
             assert len(self.bound) == 8
             return
         self.next_id += 1
-        self.port.vcs[vc_index].bind(self.next_id, ServiceClass.CBR, 0)
-        self.port.mark_bound(vc_index)
+        self.port.bind_vc(vc_index, self.next_id, ServiceClass.CBR, 0)
         self.bound.add(vc_index)
 
     @precondition(lambda self: self.bound)
@@ -162,6 +161,8 @@ class VcPoolMachine(RuleBasedStateMachine):
     @invariant()
     def pool_matches_bindings(self):
         assert self.port.free_vc_count() == 8 - len(self.bound)
+        # Built at the first binding, all eight at once.
+        assert len(self.port.vcs) == (8 if self.next_id else 0)
         for vc in self.port.vcs:
             if vc.index in self.bound:
                 assert vc.connection_id is not None
