@@ -50,6 +50,11 @@ MAGIC = b"MMR-CKPT\n"
 
 #: Current checkpoint schema.  Bump the number when the file layout, the
 #: header's required fields or the pickled graph change incompatibly.
+#: ``ckpt/12``: a built ``InputPort`` holds ``None`` in the slot of each
+#: VC never bound, and ``LinkScheduler`` no longer carries
+#: ``credit_check``.  A ``ckpt/11`` graph restores a ``VirtualChannel``
+#: object in every slot of a built port and a bound ``_credit_check`` in
+#: every scheduler.
 #: ``ckpt/11``: an ``InputPort`` builds its VCs at its first binding —
 #: an unbound port pickles an empty ``vcs`` list and a ``vc_capacity`` to
 #: build them from — and a ``LinkScheduler`` holds a random stream only
@@ -91,7 +96,7 @@ MAGIC = b"MMR-CKPT\n"
 #: the network arena (or nowhere) and would resume with every router
 #: asleep and unwakeable, so it is refused by name.  ``ckpt/2`` moved
 #: in-flight flits and credits into ``Network._lanes``.)
-CKPT_SCHEMA = "ckpt/11"
+CKPT_SCHEMA = "ckpt/12"
 
 
 class CheckpointError(RuntimeError):

@@ -28,7 +28,7 @@ an offer without its rank, ``(input_port, vc_index, output_port)``.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim.rng import SeededRng
 from .config import RouterConfig
@@ -56,14 +56,10 @@ class LinkScheduler:
         vcs: Sequence[VirtualChannel],
         status: StatusBank,
         scheme: PriorityScheme,
-        credit_check: Callable[[int, int], bool],
         selection: str = "priority",
         rng: Optional[SeededRng] = None,
     ) -> None:
-        """``credit_check(output_port, output_vc)`` must report downstream
-        credit.
-
-        ``selection`` picks how the candidate set is drawn from the
+        """``selection`` picks how the candidate set is drawn from the
         eligible set (the bit-vector AND of §4.1):
 
         * ``'rotating'`` — the MMR: a round-robin scan over eligible VCs,
@@ -89,7 +85,6 @@ class LinkScheduler:
         self.vcs = vcs
         self.status = status
         self.scheme = scheme
-        self.credit_check = credit_check
         self.selection = selection
         self.rng = rng
         self.candidates_offered = 0

@@ -47,6 +47,15 @@ _CONTROL = ServiceClass.CONTROL
 _BEST_EFFORT = ServiceClass.BEST_EFFORT
 _DATA = FlitType.DATA
 
+# Status bits an unbound VC never has set (``Router.check_invariants``).
+_CLEAR_WHILE_UNBOUND = (
+    "flits_available",
+    "input_buffer_full",
+    "connection_active",
+    "routed",
+    "round_budget_exhausted",
+)
+
 # Handler invoked when a flit leaves through an output port:
 # handler(flit, output_vc).  None means the port drains to a sink.
 OutputHandler = Callable[[Flit, int], None]
@@ -58,16 +67,17 @@ CreditReturnHandler = Callable[[int], None]
 class InputPort:
     """One physical input link: its virtual channels and status bank.
 
-    The VCs are built at the port's first binding (:meth:`bind_vc`), so
-    a link nobody binds costs its status bank and nothing per VC (§3.2:
-    one shared VC memory per link, most of its VCs idle).  Until then
-    ``vcs`` is empty and every VC is unbound at its defaults.  The list
-    is filled in place: the port's link scheduler holds the same object.
+    A VC object exists only once it is bound (§3.2: one shared VC memory
+    per link, most of its VCs idle).  ``vcs`` is empty until the port's
+    first binding (:meth:`bind_vc`), which makes it one slot per VC,
+    ``None`` until that VC is first bound; a built port and a built VC
+    stay built.  The list is filled in place: the port's link scheduler
+    holds the same object.
     """
 
     def __init__(self, port: int, config: RouterConfig) -> None:
         self.port = port
-        self.vcs: List[VirtualChannel] = []
+        self.vcs: List[Optional[VirtualChannel]] = []
         self.vc_capacity = config.vc_buffer_flits
         self.status = StatusBank(config.vcs_per_port)
         # Free pool as a bit mask: bit i set = VC i unbound.
@@ -83,27 +93,26 @@ class InputPort:
     ) -> VirtualChannel:
         """Bind VC ``vc_index`` and take it out of the free pool.
 
-        Every binding goes through here, so the port's first one builds
-        its VCs.
+        Every binding goes through here, so this is where a port's slots
+        and a VC's object are built.
         """
         vcs = self.vcs
         if not vcs:
-            vcs[:] = [
-                VirtualChannel(self.port, index, self.vc_capacity)
-                for index in range(self.status.width)
-            ]
+            vcs[:] = [None] * self.status.width
         vc = vcs[vc_index]
+        if vc is None:
+            vc = vcs[vc_index] = VirtualChannel(self.port, vc_index, self.vc_capacity)
         vc.bind(connection_id, service_class, output_port, output_vc)
         self.mark_bound(vc_index)
         return vc
 
     def bound_vc(self, vc_index: int) -> Optional[VirtualChannel]:
-        """VC ``vc_index`` if it is bound, else None (an unbuilt port has
-        no bound VC)."""
+        """VC ``vc_index`` if it is bound, else None (an unbuilt port or
+        slot has no bound VC)."""
         if not self.vcs:
             return None
         vc = self.vcs[vc_index]
-        return vc if vc.connection_id is not None else None
+        return vc if vc is not None and vc.connection_id is not None else None
 
     def find_free_vc(self) -> Optional[int]:
         """Lowest-numbered free virtual channel, or None."""
@@ -193,7 +202,6 @@ class Router:
                 self.input_ports[port].vcs,
                 self.input_ports[port].status,
                 scheme,
-                self._credit_check,
                 selection=selection,
                 # Only random selection draws: spawn no stream the scheduler
                 # never reads (each name hashes alone, so skipping one
@@ -594,9 +602,11 @@ class Router:
             vc = vcs[vc_index]
         except IndexError:
             # In range, so the port is unbuilt: none of its VCs is bound.
+            vc = None
+        if vc is None:
             raise RuntimeError(
                 f"{self.name}: inject into unbound VC {input_port}.{vc_index}"
-            ) from None
+            )
         flit_type = flit.flit_type
         if (
             flit_type is not _DATA
@@ -983,10 +993,10 @@ class Router:
         * the published activity bits mirror ``flits_available`` per port
           (a desync here would let the kernel skip a busy router);
         * the RAU's direct/reverse stores are mirror images;
-        * a port whose VCs are not built yet is all unbound: no flits,
-          no ``routed``, ``connection_active``, ``round_budget_exhausted``
-          or ``input_buffer_full`` bit, ``credits_available`` parked and
-          a full free pool.
+        * a port or VC not built yet is unbound: no flits, no ``routed``,
+          ``connection_active``, ``round_budget_exhausted`` or
+          ``input_buffer_full`` bit, ``credits_available`` parked and
+          free in the pool.
 
         Raises ``AssertionError`` on the first violation.
         """
@@ -995,7 +1005,10 @@ class Router:
             scheduler = self.link_schedulers[port.port]
             if not port.vcs:
                 self._check_unbuilt_port(port)
-            for vc in port.vcs:
+            for index, vc in enumerate(port.vcs):
+                if vc is None:
+                    self._check_unbuilt_vc(port, index)
+                    continue
                 has_flits = status.vector("flits_available").test(vc.index)
                 assert has_flits == (vc.occupancy > 0), (
                     f"{self.name}: flits_available desync at "
@@ -1055,15 +1068,23 @@ class Router:
             ).any(), f"{self.name}: activity bit desync at port {port.port}"
         self.rau.mappings.check_consistency()
 
+    def _check_unbuilt_vc(self, port: InputPort, index: int) -> None:
+        status = port.status
+        for name in _CLEAR_WHILE_UNBOUND:
+            assert not status.vector(name).test(index), (
+                f"{self.name}: {name} desync at {port.port}.{index} (VC unbuilt)"
+            )
+        assert status.vector("credits_available").test(index), (
+            f"{self.name}: credits_available not parked at {port.port}.{index} "
+            f"(VC unbuilt)"
+        )
+        assert port._free_vcs >> index & 1, (
+            f"{self.name}: free pool desync at {port.port}.{index} (VC unbuilt)"
+        )
+
     def _check_unbuilt_port(self, port: InputPort) -> None:
         status = port.status
-        for name in (
-            "flits_available",
-            "input_buffer_full",
-            "connection_active",
-            "routed",
-            "round_budget_exhausted",
-        ):
+        for name in _CLEAR_WHILE_UNBOUND:
             stray = status.vector(name).first_set()
             assert stray < 0, (
                 f"{self.name}: {name} desync at {port.port}.{stray} "

@@ -856,6 +856,9 @@ class ChurnWorkload(Resumable):
             setup_latencies=list(self.setup_latencies),
         )
 
+    def close(self) -> None:
+        self.network.close()
+
     def checkpoint_extra(self) -> Dict[str, Any]:
         return {
             **self.manifest_fields(self.spec),

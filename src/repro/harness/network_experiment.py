@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.bandwidth import BandwidthAllocator
 from ..core.config import RouterConfig
 from ..core.priority import make_priority_scheme
-from ..network.connection import ConnectionManager
+from ..network.connection import ConnectionManager, NetworkConnection
 from ..network.interface import NetworkInterface, OpenStream
 from ..network.network import Network
 from ..network.topology import Topology, irregular, mesh, torus
@@ -226,9 +226,9 @@ class NetworkExperiment(Resumable):
         streams: List[Tuple[int, OpenStream]] = []
         attempts = 0
         consecutive_failures = 0
-        links = _router_links(network, topology)
+        load = _LinkLoad(network, spec.target_link_load)
         while consecutive_failures < 25:
-            if _mean_link_utilisation(links) >= spec.target_link_load:
+            if load.reached():
                 break
             src = demand_rng.randint(0, topology.num_nodes - 1)
             dst = demand_rng.randint(0, topology.num_nodes - 1)
@@ -242,6 +242,7 @@ class NetworkExperiment(Resumable):
                 continue
             consecutive_failures = 0
             streams.append((dst, stream))
+            load.add(stream.connection)
 
         self.spec = spec
         self.topology = topology
@@ -275,6 +276,9 @@ class NetworkExperiment(Resumable):
             max(1, round(be_rng.expovariate(1.0 / self._be_interval))),
             self._chatter,
         )
+
+    def close(self) -> None:
+        self.network.close()
 
     def _start_measurement(self) -> None:
         for ni in self.interfaces:
@@ -393,6 +397,45 @@ def _router_links(network: Network, topology: Topology) -> List[BandwidthAllocat
         for port in range(topology.num_ports)
         if topology.neighbor_on_port(node, port) is not None
     ]
+
+
+class _LinkLoad:
+    """Whether admission has reached the target mean utilisation of the
+    router-to-router links (:func:`_router_links`), decided as
+    :func:`_mean_link_utilisation` decides it but in O(1) per attempt
+    away from the target.
+
+    An integer running total of the cycles committed on those links puts
+    the mean exactly; only when it puts the mean within one link's share
+    of the target (one full link, ``round_length`` cycles) is the float
+    sum re-taken in list order, so every decision is bit-identical to
+    summing on every attempt.
+    """
+
+    def __init__(self, network: Network, target: float) -> None:
+        self.topology = network.topology
+        self.links = _router_links(network, self.topology)
+        self.round_length = network.config.round_length
+        self.target = target
+        self.allocated = sum(allocator.allocated_cycles for allocator in self.links)
+        #: The target as committed cycles over all links.
+        self.target_cycles = target * self.round_length * len(self.links)
+
+    def add(self, connection: NetworkConnection) -> None:
+        """Count a newly admitted connection's reservation on each
+        router-to-router link of its path."""
+        neighbor_on_port = self.topology.neighbor_on_port
+        for node, port in zip(connection.path, connection.ports):
+            if neighbor_on_port(node, port) is not None:
+                self.allocated += connection.request.permanent_cycles
+
+    def reached(self) -> bool:
+        gap = self.allocated - self.target_cycles
+        if gap >= self.round_length:
+            return True
+        if gap <= -self.round_length:
+            return False
+        return _mean_link_utilisation(self.links) >= self.target
 
 
 def _mean_link_utilisation(links: List[BandwidthAllocator]) -> float:

@@ -109,6 +109,13 @@ class Resumable:
         if target > sim.now:
             sim.run(target - sim.now)
 
+    def close(self) -> None:
+        """End the run's life: unhook the kernel (and, in a kind that has
+        one, the network) so the finished graph frees by reference
+        counting, with no collector pass.  The experiment stays
+        readable; it can no longer run."""
+        self.sim.close()
+
     @staticmethod
     def config_of(spec: Any) -> Any:
         """The configuration ``spec`` implies, if known without building
@@ -198,7 +205,9 @@ class Resumable:
         that raises :class:`SimulatedWorkerCrash` once the first,
         non-resumed run passes that cycle.  ``prepare`` is applied to the
         experiment before it runs.  A checkpointed run's result carries
-        its lineage in ``result.checkpoint``.
+        its lineage in ``result.checkpoint``.  The experiment is closed
+        (:meth:`close`) once its result is taken, or on the way out of an
+        error.
         """
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
@@ -211,37 +220,41 @@ class Resumable:
             experiment = cls.resume(path, expect_spec=spec)
         else:
             experiment = cls(spec, *build_args)
-        if prepare is not None:
-            prepare(experiment)
-        if not checkpointed:
-            return experiment.result()
-        lineage: Dict[str, Any] = {
-            "schema": CheckpointCodec.schema,
-            "path": str(path),
-            "resumed_from_cycle": experiment.now if resumed else None,
-            "checkpoints_written": 0,
-        }
-        total = experiment.total_cycles
-        stride = checkpoint_every or total
-        while not experiment.done:
-            experiment.run_to(min(experiment.now + stride, total))
-            if experiment.done:
-                break
-            if checkpoint_every is not None:
-                header = experiment.checkpoint(path)
-                lineage["checkpoints_written"] += 1
-                lineage["last_checkpoint_cycle"] = header.cycle
-            if (
-                crash_at_cycle is not None
-                and lineage["resumed_from_cycle"] is None
-                and crash_at_cycle <= experiment.now
-            ):
-                raise SimulatedWorkerCrash(
-                    f"worker killed at cycle {experiment.now} (test hook)"
-                )
-        result = experiment.result()
-        result.checkpoint = lineage
-        return result
+        try:
+            if prepare is not None:
+                prepare(experiment)
+            if not checkpointed:
+                return experiment.result()
+            lineage: Dict[str, Any] = {
+                "schema": CheckpointCodec.schema,
+                "path": str(path),
+                "resumed_from_cycle": experiment.now if resumed else None,
+                "checkpoints_written": 0,
+            }
+            total = experiment.total_cycles
+            stride = checkpoint_every or total
+            while not experiment.done:
+                experiment.run_to(min(experiment.now + stride, total))
+                if experiment.done:
+                    break
+                if checkpoint_every is not None:
+                    header = experiment.checkpoint(path)
+                    lineage["checkpoints_written"] += 1
+                    lineage["last_checkpoint_cycle"] = header.cycle
+                if (
+                    crash_at_cycle is not None
+                    and lineage["resumed_from_cycle"] is None
+                    and crash_at_cycle <= experiment.now
+                ):
+                    raise SimulatedWorkerCrash(
+                        f"worker killed at cycle {experiment.now} (test hook)"
+                    )
+            result = experiment.result()
+            result.checkpoint = lineage
+            return result
+        finally:
+            # The result is taken: nothing reads the live graph again.
+            experiment.close()
 
 
 def experiment_kinds() -> Dict[str, Type[Resumable]]:

@@ -262,6 +262,22 @@ class Network:
             port, _HostOutput(self, node, port, handler)
         )
 
+    def close(self) -> None:
+        """Unwire the link plane and the host consumers, and close the
+        kernel (:meth:`Simulator.close`).
+
+        The routers' output and credit-return handlers and the host
+        delivery hooks point back into the network and its interfaces;
+        without them a finished network is a tree that reference
+        counting frees.  Routers and statistics stay readable.
+        """
+        self.sim.close()
+        unwired = [None] * self.config.num_ports
+        for router in self.routers:
+            router.output_handlers[:] = unwired
+            router.credit_return_handlers[:] = unwired
+        self._host_delivery.clear()
+
     # ----- arrivals -----------------------------------------------------------
 
     def _arrive(self, node: int, port: int, vc_index: int, flit: Flit) -> None:
@@ -369,21 +385,23 @@ class Network:
                 remote_port = self.topology.port_of(neighbor, node)
                 vcs = self.routers[neighbor].input_ports[remote_port].vcs
                 for index in range(self.config.vcs_per_port):
+                    vc = vcs[index] if vcs else None
+                    unbuilt = "" if vc is not None else "VC" if vcs else "port"
                     parts = (
                         flow.credits(index),
                         flits[neighbor, remote_port, index],
-                        vcs[index].occupancy if vcs else 0,
+                        0 if unbuilt else vc.occupancy,
                         credits[node, port, index],
                     )
-                    # An unbuilt port was never bound, so nothing was sent
-                    # into it: every credit is home and nothing in flight.
+                    # An unbuilt port or VC was never bound, so nothing was
+                    # sent into it: every credit is home and nothing in flight.
                     assert (
-                        sum(parts) == depth if vcs else parts == (depth, 0, 0, 0)
+                        parts == (depth, 0, 0, 0) if unbuilt else sum(parts) == depth
                     ), (
                         f"link {node}.{port} -> {neighbor}.{remote_port} vc "
                         f"{index}: credits + flits on link + buffered + "
                         f"credits returning = {parts} != {depth}"
-                        f"{'' if vcs else ' (port unbuilt: all credits home)'}"
+                        f"{f' ({unbuilt} unbuilt: all credits home)' if unbuilt else ''}"
                     )
 
     def total_buffered(self) -> int:

@@ -54,6 +54,10 @@ disables the jump.
 ordinary simulator state and pickle with it, so a run resumed from a
 snapshot taken with most tickers asleep replays identically.
 
+**End of life**: :meth:`Simulator.close` unhooks the tickers and the
+queued events, so a finished component graph holds no cycle through
+the kernel and reference counting frees it (DESIGN.md §2c).
+
 The executable specification of the dispatch and idle-accounting rules is
 ``tests/polling_kernel.py`` — every ticker polled every cycle — which
 ``tests/test_kernel_contract.py`` and ``tests/test_activity_kernel.py``
@@ -77,6 +81,10 @@ ActivityPredicate = Callable[[], bool]
 SkipHook = Callable[[int, int], None]
 
 _by_index = attrgetter("index")
+
+
+def _closed_error(what: str) -> RuntimeError:
+    return RuntimeError(f"{what}() on a closed simulator")
 
 
 class _Ticker:
@@ -138,6 +146,9 @@ class Simulator:
     flit size.
     """
 
+    #: Set by :meth:`close`: the simulation is over.
+    _closed = False
+
     def __init__(self) -> None:
         self.now = 0
         self.events = EventQueue()
@@ -180,6 +191,8 @@ class Simulator:
         Omitting ``activity`` marks the ticker always-active; the kernel
         then never skips it and never fast-forwards past it.
         """
+        if self._closed:
+            raise _closed_error("add_ticker")
         predicate: Optional[ActivityPredicate] = None
         pushed = False
         if activity is None:
@@ -235,6 +248,8 @@ class Simulator:
         Rather than fire it late, the kernel raises ``ValueError`` —
         schedule with ``delay=1`` to run at the start of the next cycle.
         """
+        if self._closed:
+            raise _closed_error("schedule")
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         if delay == 0 and self._in_tick_phase:
@@ -252,6 +267,8 @@ class Simulator:
         ``time == now`` carries the same ticker-context restriction as
         ``schedule(0, ...)`` — see :meth:`schedule`.
         """
+        if self._closed:
+            raise _closed_error("schedule_at")
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, now is {self.now}")
         if time == self.now and self._in_tick_phase:
@@ -272,6 +289,8 @@ class Simulator:
         dispatch rule); every deferred idle span is delivered before
         returning.
         """
+        if self._closed:
+            raise _closed_error("step")
         self._step()
         self._flush()
 
@@ -423,6 +442,8 @@ class Simulator:
         return is cycle-for-cycle identical to stepping through them, and
         every deferred idle span has been delivered.
         """
+        if self._closed:
+            raise _closed_error("run")
         if cycles < 0:
             raise ValueError(f"cannot run a negative number of cycles: {cycles}")
         self._stopped = False
@@ -448,6 +469,31 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot run backwards to {time} from {self.now}")
         return self.run(time - self.now)
+
+    # ----- end of life ------------------------------------------------------
+
+    def close(self) -> None:
+        """Unhook everything the kernel holds into the component graph.
+
+        Queued events and tickers are the back-edges that make a
+        finished simulation cyclic garbage (a component holds the kernel,
+        the kernel holds the component's bound methods), which CPython
+        frees only at a full collection.  A wake hook left on a
+        component's ``ActivitySet`` reaches only its ticker, whose
+        callbacks are cleared here.  After ``close`` the graph is a tree
+        again and goes the moment its owner drops it.
+        Components stay readable; :meth:`run`, :meth:`schedule` and
+        :meth:`add_ticker` raise ``RuntimeError``.  Idempotent.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.events.close()
+        for ticker in self._tickers:
+            ticker.tick = ticker.active = ticker.on_skip = None
+        self._awake.clear()
+        self._woken.clear()
+        self._profiler = None
 
     # ----- checkpoint / restore ---------------------------------------------
 

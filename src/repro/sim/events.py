@@ -113,6 +113,19 @@ class EventQueue:
             event.cancel()
             self._live -= 1
 
+    def close(self) -> None:
+        """Cancel every queued event and drop its action and payload, so
+        the queue holds no reference into the component graph (see
+        ``Simulator.close``); the queue is empty afterwards."""
+        for lane in self._lanes.values():
+            for event in lane:
+                event.queued = False
+                event.cancelled = True
+                event.action = event.payload = None
+        self._lanes.clear()
+        self._times.clear()
+        self._live = 0
+
     def _front(self) -> Optional[List[Event]]:
         """The earliest lane, its head a queued event; drops spent entries
         and lanes on the way.  None when nothing is queued."""

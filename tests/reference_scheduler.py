@@ -6,14 +6,30 @@ its priority comes from ``scheme.priority`` — no fused mask, no cached
 terms, no cached round offset, and none of the scan's selection code: the
 four modes are written out below from their definitions.  It emits the
 scan's tuple shape, ``(-priority, input_port, vc_index, output_port)``.
-Test-side only; install it on a whole run with
-``monkeypatch.setattr(LinkScheduler, "candidates", reference_candidates)``.
+Test-side only; :func:`use_reference_walk` installs it on every router a
+whole run builds.
 """
 
+from functools import partial
 
-def reference_candidates(scheduler, now, limit=None):
+from repro.core.router import Router
+
+
+def every_output_has_credit(output_port, output_vc):
+    """``credit`` for a scheduler built without a router: no output is
+    ever short of downstream credit."""
+    return True
+
+
+def reference_candidates(scheduler, now, limit=None, *, credit):
     """The offer list of ``scheduler`` at ``now``; bumps the scheduler's
-    three scan counters exactly as ``candidates`` does."""
+    three scan counters exactly as ``candidates`` does.
+
+    ``credit(output_port, output_vc)`` reports downstream credit: the
+    router's ``_credit_check``, or :func:`every_output_has_credit` for a
+    scheduler built alone.  It has no default, so a caller cannot
+    forget it and get an oracle that ignores credit.
+    """
     if limit is None:
         limit = scheduler.config.candidates
     elif limit <= 0:
@@ -31,7 +47,7 @@ def reference_candidates(scheduler, now, limit=None):
             # Not yet routed (a blocked best-effort packet waiting for
             # a downstream VC, §3.4): not schedulable.
             continue
-        if not scheduler.credit_check(vc.output_port, vc.output_vc):
+        if not credit(vc.output_port, vc.output_vc):
             continue
         offset = scheduler._round_gate(vc)
         if offset is None:
@@ -55,6 +71,21 @@ def reference_candidates(scheduler, now, limit=None):
     scheduler.cycles_with_candidates += 1
     port = scheduler.port
     return [(-priority, port, vc_index, output) for priority, vc_index, output in chosen]
+
+
+def use_reference_walk(monkeypatch):
+    """Serve every router built from now on by the reference walk, each
+    link scheduler asking its own router for downstream credit."""
+    build = Router.__init__
+
+    def init(router, *args, **kwargs):
+        build(router, *args, **kwargs)
+        for scheduler in router.link_schedulers:
+            scheduler.candidates = partial(
+                reference_candidates, scheduler, credit=router._credit_check
+            )
+
+    monkeypatch.setattr(Router, "__init__", init)
 
 
 def beats(a, b):

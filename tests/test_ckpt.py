@@ -1,4 +1,4 @@
-"""Tests for the checkpoint/restore subsystem: the ``ckpt/11`` codec
+"""Tests for the checkpoint/restore subsystem: the ``ckpt/12`` codec
 (format, schema versioning, provenance checks), simulator snapshots,
 resumable single-router experiments, and in-flight link state."""
 
@@ -278,7 +278,10 @@ class TestSchemaAndProvenanceChecks:
         assert CKPT_SCHEMA in str(excinfo.value)
 
     def test_previous_schema_is_refused_by_name(self, tmp_path):
-        """A ``ckpt/10`` graph's input ports carry every VC built and no
+        """A ``ckpt/11`` graph's built input ports carry a VC object in
+        every slot, and its link schedulers a bound ``credit_check`` this
+        build no longer has.  A ``ckpt/10`` graph's input ports carry
+        every VC built and no
         ``vc_capacity`` to build them from, and each of its link
         schedulers a random stream whatever its selection mode.
         A ``ckpt/9`` graph sets the ``prio_flit`` and ``prio_conn``
@@ -297,12 +300,12 @@ class TestSchemaAndProvenanceChecks:
         stream of records.  A ``ckpt/2`` file has no awake list, no pending wakes and no
         wake hooks (the arena held them, or nobody): resumed here its
         routers would sleep for ever.  A ``ckpt/1`` file also keeps
-        in-flight flits as heap events.  Refuse all ten up front."""
+        in-flight flits as heap events.  Refuse all eleven up front."""
         path = tmp_path / "parent-commit.ckpt"
         CheckpointCodec.save(path, {"v": 1}, kind="network", cycle=0)
         for previous in (
-            "ckpt/10", "ckpt/9", "ckpt/8", "ckpt/7", "ckpt/6", "ckpt/5",
-            "ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1",
+            "ckpt/11", "ckpt/10", "ckpt/9", "ckpt/8", "ckpt/7", "ckpt/6",
+            "ckpt/5", "ckpt/4", "ckpt/3", "ckpt/2", "ckpt/1",
         ):
             self._rewrite_header(path, lambda r: r.update(schema=previous))
             for read in (CheckpointCodec.read_header, CheckpointCodec.load):
@@ -701,11 +704,16 @@ class TestLinkLanesCheckpoint:
     @staticmethod
     def vc_kinds(network):
         """How many VCs are in each state a checkpoint stores differently."""
-        kinds = {"untouched": 0, "bound_silent": 0, "buffering": 0, "drained": 0}
+        kinds = {
+            "unbuilt": 0, "untouched": 0, "bound_silent": 0, "buffering": 0,
+            "drained": 0,
+        }
         for router in network.routers:
             for port in router.input_ports:
                 for vc in port.vcs:
-                    if vc.buffer:
+                    if vc is None:
+                        kinds["unbuilt"] += 1
+                    elif vc.buffer:
                         kinds["buffering"] += 1
                     elif isinstance(vc.buffer, deque):
                         kinds["drained"] += 1
@@ -747,9 +755,10 @@ class TestLinkLanesCheckpoint:
         ):
             assert state["sim"].now < self.CYCLES, "no such cycle"
             state["sim"].run(1)
-        # Every kind of VC is in the snapshot: never used or released
-        # (stored as constructor arguments), bound but silent (placeholder
-        # buffer), holding flits, and bound with a drained deque.
+        # Every kind of VC is in the snapshot: never bound (a None slot),
+        # released (stored as constructor arguments), bound but silent
+        # (placeholder buffer), holding flits, and bound with a drained
+        # deque.
         kinds = self.vc_kinds(state["network"])
         assert all(kinds.values()), kinds
         released = sum(

@@ -1,7 +1,7 @@
 """The bytes on disk: a checkpoint and a result-store entry are exactly
 magic line + one-line sorted JSON header + payload, as they were before
 both went through :mod:`repro.frame` — which is why ``fabric-store/1``
-did not change (``ckpt/11`` is the pickled graph's bump, not the frame's)."""
+did not change (``ckpt/12`` is the pickled graph's bump, not the frame's)."""
 
 import hashlib
 import io
@@ -38,7 +38,7 @@ def test_checkpoint_bytes_are_magic_header_payload(tmp_path):
         "config_digest", "cycle", "kind", "manifest", "payload_bytes",
         "payload_sha256", "schema", "sections", "seed",
     ]
-    assert (header["schema"], header["kind"], header["cycle"]) == ("ckpt/11", "test", 42)
+    assert (header["schema"], header["kind"], header["cycle"]) == ("ckpt/12", "test", 42)
     assert path.read_bytes() == expected
 
 

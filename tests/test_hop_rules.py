@@ -432,9 +432,32 @@ class TestInlineGuards:
             sim.run(1)
 
     def test_checked_mode_catches_a_grant_nobody_offered(self):
-        """VC 0 of input 0 offers output 1; the rogue grant names VC 1.
-        Checked mode refuses it before anything moves; unchecked, the
-        transmit guard is what fires."""
+        """VC 0 of input 0 offers output 1; the rogue grant names VC 1,
+        never bound, so its slot holds no VC object.  Checked mode
+        refuses it before anything moves.  Unchecked, ``_transmit`` has
+        no guard for an unbuilt slot: it fails reading the slot, still
+        before anything moves."""
+
+        class _RogueGrant(SwitchScheduler):
+            def schedule(self, offer_lists, cycle):
+                return [(0, 1, 1)]
+
+        for checked, error, message in (
+            (True, ValueError, r"grant \(0, 1, 1\) matches no offer"),
+            (False, AttributeError, "'NoneType' object has no attribute 'buffer'"),
+        ):
+            router, sim = single_router(_RogueGrant(), checked=checked)
+            vc_index = router.open_connection(1, 0, 1, BandwidthRequest(1))
+            assert router.input_ports[0].vcs[1] is None
+            assert router.inject(0, vc_index, Flit(FlitType.DATA, 1))
+            with pytest.raises(error, match=message):
+                sim.run(1)
+            assert router.input_ports[0].vcs[vc_index].occupancy == 1
+
+    def test_checked_mode_catches_a_grant_to_a_bound_empty_vc(self):
+        """As above, but VC 1 is bound (a second connection, no flit):
+        checked mode refuses the grant; unchecked, the transmit guard is
+        what fires."""
 
         class _RogueGrant(SwitchScheduler):
             def schedule(self, offer_lists, cycle):
@@ -446,6 +469,7 @@ class TestInlineGuards:
         ):
             router, sim = single_router(_RogueGrant(), checked=checked)
             vc_index = router.open_connection(1, 0, 1, BandwidthRequest(1))
+            assert router.open_connection(2, 0, 2, BandwidthRequest(1)) == 1
             assert router.inject(0, vc_index, Flit(FlitType.DATA, 1))
             with pytest.raises(error, match=message):
                 sim.run(1)

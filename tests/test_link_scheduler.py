@@ -10,7 +10,7 @@ from repro.core.status_vectors import StatusBank
 from repro.core.virtual_channel import ServiceClass, VirtualChannel
 from repro.sim.rng import SeededRng
 
-from tests.reference_scheduler import reference_candidates
+from tests.reference_scheduler import every_output_has_credit, reference_candidates
 
 
 def build(
@@ -18,7 +18,6 @@ def build(
     candidates=4,
     scheme=None,
     selection="per_output",
-    credit_ok=True,
     enforce_budgets=True,
     vbr_excess_discipline="priority",
 ):
@@ -37,7 +36,6 @@ def build(
         vcs,
         status,
         scheme or BiasedPriority(),
-        credit_check=lambda port, vc: credit_ok,
         selection=selection,
         rng=SeededRng(1, "ls"),
     )
@@ -84,14 +82,15 @@ class TestCandidateSelection:
         assert len(scheduler.candidates(now=5)) == 2
 
     def test_credit_gating(self):
-        scheduler, vcs, status = build(credit_ok=False)
+        scheduler, vcs, status = build()
         activate(scheduler, 0, output_port=1)
         # The scan reads the credits_available vector (the router
         # mirrors downstream credit state into it); the reference walk
-        # polls the credit_check callable.  Gate both.
+        # asks for credit.  Gate both.
         status.vector("credits_available").clear(0)
         assert scheduler.candidates(now=5) == []
-        assert reference_candidates(scheduler, 5) == []
+        no_credit = lambda port, vc: False  # noqa: E731
+        assert reference_candidates(scheduler, 5, credit=no_credit) == []
 
     def test_desynchronised_status_vector_detected(self):
         scheduler, vcs, status = build()
@@ -100,7 +99,7 @@ class TestCandidateSelection:
         with pytest.raises(RuntimeError, match="out of sync"):
             scheduler.candidates(now=0)
         with pytest.raises(RuntimeError, match="out of sync"):
-            reference_candidates(scheduler, 0)
+            reference_candidates(scheduler, 0, credit=every_output_has_credit)
 
     def test_priority_order_in_output(self):
         scheduler, vcs, status = build(selection="priority")
@@ -124,7 +123,7 @@ class TestCandidateSelection:
         with pytest.raises(ValueError):
             LinkScheduler(
                 0, config, [], StatusBank(4), BiasedPriority(),
-                lambda p, v: True, selection="random", rng=None,
+                selection="random", rng=None,
             )
 
     def test_unknown_selection_rejected(self):
@@ -132,7 +131,7 @@ class TestCandidateSelection:
         with pytest.raises(ValueError):
             LinkScheduler(
                 0, config, [], StatusBank(4), BiasedPriority(),
-                lambda p, v: True, selection="best",
+                selection="best",
             )
 
     def test_random_selection_bounded(self):

@@ -187,11 +187,14 @@ class TestPortsBuiltAtFirstBinding:
     """A network costs the VCs it binds: a port nobody binds holds none."""
 
     def test_built_ports_are_the_ports_ever_bound(self, monkeypatch):
+        """And within a built port, the built VCs are the VCs ever bound."""
         bound = set()
+        bound_vcs = set()
         bind_vc = InputPort.bind_vc
 
         def recording_bind_vc(port, vc_index, *args):
             bound.add((id(port), port.port))
+            bound_vcs.add((id(port), port.port, vc_index))
             return bind_vc(port, vc_index, *args)
 
         monkeypatch.setattr(InputPort, "bind_vc", recording_bind_vc)
@@ -222,6 +225,15 @@ class TestPortsBuiltAtFirstBinding:
         assert built == bound
         total = sum(len(router.input_ports) for router in network.routers)
         assert 5 <= len(built) < total // 10
+        built_vcs = {
+            (id(port), port.port, index)
+            for router in network.routers
+            for port in router.input_ports
+            for index, vc in enumerate(port.vcs)
+            if vc is not None
+        }
+        assert built_vcs == bound_vcs
+        assert len(built_vcs) < len(built) * network.config.vcs_per_port // 4
 
     def test_a_flit_sent_into_an_unbuilt_port_breaks_conservation(self):
         network, _, _, _ = build_network()

@@ -30,7 +30,16 @@ from repro.harness.churn import ChurnSpec, run_churn_experiment
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
 
-from tests.reference_scheduler import reference_candidates
+from tests.reference_scheduler import (
+    every_output_has_credit,
+    reference_candidates,
+    use_reference_walk,
+)
+
+
+def reference_alone(scheduler, now):
+    """The reference walk of a scheduler built without a router."""
+    return reference_candidates(scheduler, now, credit=every_output_has_credit)
 
 
 def build_scheduler(scheme):
@@ -45,7 +54,6 @@ def build_scheduler(scheme):
         vcs,
         status,
         scheme,
-        credit_check=lambda port, vc: True,
         selection="per_output",
         rng=SeededRng(5, "cache"),
     )
@@ -101,9 +109,9 @@ class TestRenegotiationInvalidatesCache:
         that does not refresh its terms."""
         scheduler, vcs, status = build_scheduler(BiasedPriority())
         vc = park_flit(scheduler, 2, interarrival=100.0)
-        assert scheduler.candidates(50) == reference_candidates(scheduler, 50)
+        assert scheduler.candidates(50) == reference_alone(scheduler, 50)
         vc.interarrival_cycles = 4.0  # SET_BANDWIDTH, cache not dropped
-        assert scheduler.candidates(60) != reference_candidates(scheduler, 60)
+        assert scheduler.candidates(60) != reference_alone(scheduler, 60)
 
     def test_invalidate_vc_restores_identity(self):
         scheduler, vcs, status = build_scheduler(BiasedPriority())
@@ -112,7 +120,7 @@ class TestRenegotiationInvalidatesCache:
         vc.interarrival_cycles = 4.0
         scheduler.refresh_terms(vc)
         fast = scheduler.candidates(60)
-        assert fast == reference_candidates(scheduler, 60)
+        assert fast == reference_alone(scheduler, 60)
         assert -fast[0][0] == pytest.approx(60 / 4.0)
 
     def test_static_priority_rewrite_invalidates(self):
@@ -120,11 +128,11 @@ class TestRenegotiationInvalidatesCache:
         scheduler, vcs, status = build_scheduler(StaticConnectionPriority())
         vc = park_flit(scheduler, 1, static=0.25)
         before = scheduler.candidates(10)
-        assert before == reference_candidates(scheduler, 10)
+        assert before == reference_alone(scheduler, 10)
         vc.static_priority = 0.75
         scheduler.refresh_terms(vc)
         after = scheduler.candidates(11)
-        assert after == reference_candidates(scheduler, 11)
+        assert after == reference_alone(scheduler, 11)
         assert -after[0][0] != -before[0][0]
 
     def test_readmitted_vc_gets_new_terms(self):
@@ -139,7 +147,7 @@ class TestRenegotiationInvalidatesCache:
             first = open_static(router, 1, static=0.9)
             assert router.inject(0, first, router_flit(1))
             assert scheduler.candidates(sim.now) == reference_candidates(
-                scheduler, sim.now
+                scheduler, sim.now, credit=router._credit_check
             )
             sim.run(5)  # the flit crosses the switch; the VC drains
             assert not router.input_ports[0].vcs[first].buffer
@@ -149,7 +157,7 @@ class TestRenegotiationInvalidatesCache:
             assert router.inject(0, second, router_flit(2))
             router.check_invariants()
             assert scheduler.candidates(sim.now) == reference_candidates(
-                scheduler, sim.now
+                scheduler, sim.now, credit=router._credit_check
             )
 
 
@@ -199,7 +207,7 @@ class TestChurnDrivenIdentity:
             seed=23,
         )
         fast = run_churn_experiment(ChurnSpec(**kwargs))
-        monkeypatch.setattr(LinkScheduler, "candidates", reference_candidates)
+        use_reference_walk(monkeypatch)
         reference = run_churn_experiment(ChurnSpec(**kwargs))
         for field in (
             "established",

@@ -119,6 +119,7 @@ class TestConnectionLifecycle:
                 isinstance(vc.buffer, deque)
                 for port in router.input_ports
                 for vc in port.vcs
+                if vc is not None
             )
 
         router, sim = make_router(small_config(num_ports=8, vcs_per_port=256))

@@ -71,7 +71,7 @@ def brute_force_mask(router, port):
     scheduler = router.link_schedulers[port.port]
     mask = 0
     for vc in port.vcs:
-        if vc.occupancy == 0 or vc.output_port < 0:
+        if vc is None or vc.occupancy == 0 or vc.output_port < 0:
             continue
         if not router._credit_check(vc.output_port, vc.output_vc):
             continue
@@ -81,7 +81,7 @@ def brute_force_mask(router, port):
     return mask
 
 
-def assert_modes_identical(scheduler, now):
+def assert_modes_identical(router, scheduler, now):
     """Scan candidates == reference candidates, all four modes.
 
     Rotating mode mutates the scan pointer and random mode draws from
@@ -105,7 +105,9 @@ def assert_modes_identical(scheduler, now):
             fast = scheduler.candidates(now)
             scheduler._scan_pointer = saved[1]
             scheduler.rng = SeededRng(2024, f"probe-{mode}")
-            reference = reference_candidates(scheduler, now)
+            reference = reference_candidates(
+                scheduler, now, credit=router._credit_check
+            )
             assert fast == reference, (
                 f"selection={mode} port={scheduler.port}: "
                 f"fast={fast} reference={reference}"
@@ -130,7 +132,7 @@ def check_network(network, now):
                 f"{router.name} port {port.port}: fused mask diverged "
                 "from the brute-force predicate"
             )
-            assert_modes_identical(scheduler, now)
+            assert_modes_identical(router, scheduler, now)
 
 
 class TestFusedMaskProperty:

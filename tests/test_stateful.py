@@ -161,13 +161,13 @@ class VcPoolMachine(RuleBasedStateMachine):
     @invariant()
     def pool_matches_bindings(self):
         assert self.port.free_vc_count() == 8 - len(self.bound)
-        # Built at the first binding, all eight at once.
+        # Eight slots at the first binding, each VC built at its own.
         assert len(self.port.vcs) == (8 if self.next_id else 0)
-        for vc in self.port.vcs:
-            if vc.index in self.bound:
+        for index, vc in enumerate(self.port.vcs):
+            if index in self.bound:
                 assert vc.connection_id is not None
             else:
-                assert vc.connection_id is None
+                assert vc is None or vc.connection_id is None
 
     @invariant()
     def lowest_free_first(self):
